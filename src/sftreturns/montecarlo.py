@@ -1,10 +1,13 @@
 """Seed-reproducible simulation of the Gibbs chain for return statistics.
 
-Every sample owns a counter-based random stream: a Philox(4x64, 10 rounds)
-bit generator keyed by (seed, sample index).  A sample consumes its stream
-strictly in order (one draw for the start state, one per chain step), so
-results are bit-identical regardless of how samples are partitioned into
-blocks, chunks, or worker threads; merging is by sample index.
+Every sample owns a counter-based random stream: the Philox(4x64, 10 rounds)
+stream keyed by (seed, sample index), the seed taken as a uint64.  A sample
+consumes its stream strictly in order (one draw for the start state, one per
+chain step), so results are bit-identical regardless of how samples are
+partitioned into blocks, chunks, or worker threads; merging is by sample
+index.  Each block serves all of its samples' streams from one Philox bit
+generator, re-keyed per sample and positioned by its counter, and stores the
+draws step-major so that a chain step reads one contiguous row.
 """
 
 from __future__ import annotations
@@ -71,8 +74,50 @@ class TailRate(NamedTuple):
     count: int
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+class _BlockStreams:
+    """The streams of one block's samples, served by a single Philox.
+
+    Draw p of sample i's stream is reached in O(1): key (seed, i), counter
+    p // 4 with the four-double buffer empty (numpy advances the counter
+    before it refills), then p % 4 discarded draws.  Not shared between
+    threads.
+    """
+
+    TILE = 128  # samples filled sample-major, then copied transposed
+
+    def __init__(self, seed: int) -> None:
+        self._bitgen = np.random.Philox()
+        self._gen = np.random.Generator(self._bitgen)
+        # python ints: the state setter converts each to uint64 exactly
+        self._key = [int(seed), 0]
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._tile = np.empty((self.TILE, CHUNK_STEPS))
+
+    def seek(self, index: int, position: int) -> np.random.Generator:
+        self._key[1] = index
+        self._counter[0] = position // 4
+        self._bitgen.state = self._state
+        if position % 4:
+            self._bitgen.random_raw(position % 4)
+        return self._gen
+
+    def fill(self, draws: np.ndarray, indices: np.ndarray, position: int) -> None:
+        """Column k of ``draws`` gets draws position, position+1, ... of stream indices[k]."""
+        tile = self._tile[:, : draws.shape[0]]
+        lines = list(tile)
+        for first in range(0, indices.size, self.TILE):
+            chunk = indices[first : first + self.TILE].tolist()
+            for line, index in zip(lines, chunk):
+                self.seek(index, position).random(out=line)
+            draws[:, first : first + len(chunk)] = tile[: len(chunk)].T
 
 
 def _start_cum(weights: np.ndarray) -> np.ndarray:
@@ -91,10 +136,17 @@ def _step_columns(transition_probs: np.ndarray) -> list[np.ndarray]:
     return [np.ascontiguousarray(cum[:, j]) for j in range(cum.shape[1] - 1)]
 
 
-def _advance(state: np.ndarray, u: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
-    nxt = (u >= cols[0][state]).astype(np.intp)
+def _advance(
+    state: np.ndarray, u: np.ndarray, cols: list[np.ndarray],
+    nxt: np.ndarray, thr: np.ndarray, above: np.ndarray,
+) -> np.ndarray:
+    """Next states into ``nxt``; ``thr`` (float) and ``above`` (bool) are scratch."""
+    np.take(cols[0], state, out=thr, mode="clip")
+    np.greater_equal(u, thr, out=nxt)
     for col in cols[1:]:
-        nxt += u >= col[state]
+        np.take(col, state, out=thr, mode="clip")
+        np.greater_equal(u, thr, out=above)
+        nxt += above
     return nxt
 
 
@@ -136,41 +188,43 @@ def sample_return_times(
     start_cum = _start_cum(pi[targets] / mu)
     cols = _step_columns(chain.transition_probs)
     n = cfg.n_returns
-    first_width = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32))
+    # the start draw and enough steps for nearly every sample to finish
+    first_rows = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32) + 1)
 
     def run_block(lo: int, hi: int) -> np.ndarray:
+        streams = _BlockStreams(cfg.seed)
         size = hi - lo
-        gens = [_stream(cfg.seed, i) for i in range(lo, hi)]
-        u0 = np.array([g.random() for g in gens])
-        state = targets[np.searchsorted(start_cum, u0, side="right")]
+        steps = np.empty((first_rows, size))
+        streams.fill(steps, np.arange(lo, hi), 0)
+        state = targets[np.searchsorted(start_cum, steps[0], side="right")]
+        steps = steps[1:]
         result = np.zeros(size, dtype=np.int64)
         orig = np.arange(size)
         counts = np.zeros(size, dtype=np.int64)
         time = 0
-        width = first_width
         while orig.size:
-            active = orig.size
-            draws = np.empty((active, width))
-            for slot in range(active):
-                gens[orig[slot]].random(out=draws[slot])
-            finished = np.zeros(active, dtype=bool)
-            for j in range(width):
+            nxt, thr = np.empty_like(state), np.empty(orig.size)
+            hit, newly = np.empty(orig.size, dtype=bool), np.empty(orig.size, dtype=bool)
+            for u in steps:
                 time += 1
-                state = _advance(state, draws[:, j], cols)
-                counts += target_mask[state]
-                newly = (~finished) & (counts == n)
+                state, nxt = _advance(state, u, cols, nxt, thr, hit), state
+                np.take(target_mask, state, out=hit, mode="clip")
+                counts += hit
+                np.equal(counts, n, out=newly)
+                newly &= hit  # counts rise by at most one per step: the n-th return
                 if newly.any():
                     result[orig[newly]] = time
-                    finished |= newly
-                    if finished.all():
+                    if counts.min() >= n:
                         break
-            keep = ~finished
+            keep = counts < n
             orig = orig[keep]
             state = state[keep]
             counts = counts[keep]
-            width = CHUNK_STEPS
             if time > STEP_CAP:
                 raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
+            if orig.size:
+                steps = np.empty((CHUNK_STEPS, orig.size))
+                streams.fill(steps, lo + orig, time + 1)
         return result
 
     samples = _run_blocks(cfg.n_samples, cfg.workers, run_block, np.int64)
@@ -272,24 +326,29 @@ def visit_counts(
     start_cum = _start_cum(chain.stationary.copy())
     cols = _step_columns(chain.transition_probs)
     horizon = cfg.horizon
+    # one row for the start draw, then one per step; later chunks reuse the rows
+    rows = min(CHUNK_STEPS, horizon)
 
     def run_block(lo: int, hi: int) -> np.ndarray:
+        streams = _BlockStreams(cfg.seed)
         size = hi - lo
-        gens = [_stream(cfg.seed, i) for i in range(lo, hi)]
-        u0 = np.array([g.random() for g in gens])
-        state = np.searchsorted(start_cum, u0, side="right")
+        indices = np.arange(lo, hi)
+        draws = np.empty((rows, size))
+        streams.fill(draws, indices, 0)
+        state = np.searchsorted(start_cum, draws[0], side="right")
+        nxt, thr, hit = np.empty_like(state), np.empty(size), np.empty(size, dtype=bool)
         counts = target_mask[state].astype(np.int64)
-        remaining = horizon - 1
-        draws = np.empty((size, CHUNK_STEPS))
-        while remaining > 0:
-            width = min(CHUNK_STEPS, remaining)
-            for slot in range(size):
-                gens[slot].random(out=draws[slot, :width])
-            for j in range(width):
-                state = _advance(state, draws[:, j], cols)
-                counts += target_mask[state]
-            remaining -= width
-        return counts
+        steps, done = draws[1:], 1
+        while True:
+            for u in steps:
+                state, nxt = _advance(state, u, cols, nxt, thr, hit), state
+                np.take(target_mask, state, out=hit, mode="clip")
+                counts += hit
+            done += steps.shape[0]
+            if done == horizon:
+                return counts
+            steps = draws[: min(rows, horizon - done)]
+            streams.fill(steps, indices, done)
 
     counts = _run_blocks(cfg.n_samples, cfg.workers, run_block, np.int64)
     variance_rate = float(counts.var(ddof=1) / horizon) if cfg.n_samples > 1 else 0.0

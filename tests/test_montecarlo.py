@@ -4,14 +4,19 @@ Sample counts here are kept modest; the full-size stochastic gates live in
 the acceptance suite.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from conftest import full_shift, golden_mean, make_system
 from sftreturns import (
     ConfigurationError,
+    DepthKPotential,
     DomainError,
     ReturnOperator,
     SimConfig,
+    admissible_words,
     empirical_clt,
     empirical_scgf,
     empirical_tail_rate,
@@ -19,9 +24,11 @@ from sftreturns import (
     first_return_law,
     gibbs_chain,
     normal_cdf,
+    recode_higher_block,
     sample_return_times,
     visit_counts,
 )
+from sftreturns.montecarlo import _BlockStreams
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +74,119 @@ class TestDeterminism:
         b = sample_return_times(full2_chain, full2_recoded.target_blocks, cfg2)
         assert not np.array_equal(a.samples, b.samples)
 
+    def test_seeds_above_2_63_are_distinct(self, full2_chain, full2_recoded):
+        def samples(seed):
+            cfg = SimConfig(seed=seed, n_returns=3, n_samples=200)
+            return sample_return_times(full2_chain, full2_recoded.target_blocks, cfg).samples
+
+        assert not np.array_equal(samples(2**63), samples(2**63 + 5))
+        assert not np.array_equal(samples(2**64 - 1), samples(0))
+
+    def test_block_streams_match_fresh_philox(self):
+        seed = 2**63 + 12345
+        fresh = {
+            index: np.random.Generator(
+                np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+            ).random(2000)
+            for index in range(1000, 1300)
+        }
+        streams = _BlockStreams(seed)
+        for index in (1000, 1009):
+            sought = [streams.seek(index, p).random() for p in range(2000)]
+            assert np.array_equal(sought, fresh[index])
+        # several tiles, a partial last tile, and a start off the four-draw grid
+        draws = np.empty((7, 300))
+        streams.fill(draws, np.arange(1000, 1300), 5)
+        assert np.array_equal(draws, np.array([fresh[i][5:12] for i in range(1000, 1300)]).T)
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SimConfig(seed=-1)
         with pytest.raises(ConfigurationError):
             SimConfig(seed=0, n_samples=0)
+
+
+def rare_target_system():
+    """3 symbols, depth-3 potential, target {0} with mu(A) about 0.11 (7 chain states)."""
+    transitions = [[1, 1, 0], [1, 1, 1], [1, 0, 1]]
+    words = admissible_words(np.array(transitions, dtype=bool), 3)
+    values = {w: (-2.5 if w[0] == 0 else 0.2 * (w[2] - w[0])) for w in words}
+    return make_system(transitions, (0,), potential=DepthKPotential(3, values))
+
+
+PINNED_SYSTEMS = {"full2": lambda: full_shift(2), "golden": golden_mean, "rare3": rare_target_system}
+PINNED_CASES = {
+    "one-chunk": dict(n_returns=40, n_samples=20_000, horizon=16, workers=1),
+    "outlive-chunk": dict(n_returns=300, n_samples=2_000, horizon=1_300, workers=1),
+    "blocks": dict(n_returns=4, n_samples=70_000, horizon=40, workers=2),
+}
+# sha256 of samples.tobytes(), counts.tobytes() and repr(var_rate), recorded
+# with the per-sample Philox(key=[seed, index]) kernel this one replaced.
+PINNED_DIGESTS = {
+    ('full2', 'blocks'): (
+        "e10dc2158de43eac5b918c38c848f3466439709a1fb7551d81ad6e51ab78dc6c",
+        "587dad5cebaf3c19f68ef7755271c66c61d937f2332e468e2317dacffb760453",
+        "d064d1cfac15eeb6f5de2bb2684c274155328a2133d6091a1164bb8b99005d89",
+    ),
+    ('full2', 'one-chunk'): (
+        "d3bc911c3d0b779d88cde66f4c0e29b0ced4e25d987127594b57105084a1c78b",
+        "a4704cb4a6a717629c6f0b6dc071bdf3cb5a11180192fbfa55373e94b8f087c8",
+        "e0c6a07eec0effd8a295ba2c4eb2ded2172f1936cc3186e156993c36539b18fa",
+    ),
+    ('full2', 'outlive-chunk'): (
+        "97585a5520a42a322eff11aa818ea4d92dae6eca64f5ece3d3473c80414ade7f",
+        "cc89fb1bbfefff57cf53a1c586be82466afa3de33c76c8054a88dee1437223db",
+        "b33a1a1087f5f58a6f33642a36197a3884cce4cc7090306130fba025a5036878",
+    ),
+    ('golden', 'blocks'): (
+        "936ac617fc0341b52972c164217e572efbc4130ba3e0922229f48bec0417978e",
+        "fe04789b2aa10f59481732f2c9421889baf6f74a3adce7a259fad6c815b9a466",
+        "92009412473f62be5cb2cf76d0dad21d4ac6a58f3441b68d85895d4d5a6967fd",
+    ),
+    ('golden', 'one-chunk'): (
+        "dcc753e80dbfbd4360322a47aa4fac60440cae55bf25874b3956d14046df3791",
+        "5fcc267d7bbe231c3569ca1c75b9d7ef8b8e312323a6b3a9436311b1a4e4d158",
+        "011d8de277ec35f44f204897382a66d819586bc8d79e6b9ef131719fd6cd4d53",
+    ),
+    ('golden', 'outlive-chunk'): (
+        "b73078cc9b96425e3567c780cc0a867681104783167be7bb7be4a514d2b21cb4",
+        "7f0c4ddf3e4f3cf158fa89ed4c8557692fd2db8ed5d7f116818fa914c9721d9a",
+        "a64a40d6fdc8bb185b79b05b42a0b4719dbd607c7f46ce452f3412547bb6be41",
+    ),
+    ('rare3', 'blocks'): (
+        "ac210359be544093cc8f9b4caeb9f195c69c07cff4f600d9c12f953b2d574e13",
+        "0e3c02f97d0f8bab97398733c6df3992c645c6a1c8f0ce4b0d1959e76b43155b",
+        "dbfab8f9d6c14ecc5a023b17637e976b5a517cdc366fcc678b3e9e142a92badf",
+    ),
+    ('rare3', 'one-chunk'): (
+        "f4f41b6511e639eccd13c4620e0c3e9b71b2690b0c8578a16464008669e52d4b",
+        "7c5561f8b23b6b8f2002a356d2a7d86200d6a914f593383546772304cf3a6791",
+        "4b4504f65ea6b50a68e2167cbfe5305d66163b13f0dfe937905185f30cb7ac97",
+    ),
+    ('rare3', 'outlive-chunk'): (
+        "5ca66f19947ad9fc23876f93839b2eddb5e875aa7375f98e388d10aebccb4c16",
+        "705f223adb6353c90e1cf05a92f06e46bdd81477ffe639b3567b8f532ea6b09c",
+        "77651bd4024bbf52e63cc1d83ba985b2e069494f0ddab0d018550a38c3c7d81b",
+    ),
+}
+
+
+def output_digests(system: str, case: str) -> tuple[str, str, str]:
+    rec = recode_higher_block(PINNED_SYSTEMS[system]())
+    chain = gibbs_chain(rec)
+    cfg = SimConfig(seed=4242, **PINNED_CASES[case])
+    samples = sample_return_times(chain, rec.target_blocks, cfg).samples
+    counts, var_rate = visit_counts(chain, rec.target_blocks, cfg)
+    return tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (samples.tobytes(), counts.tobytes(), repr(var_rate).encode())
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+@pytest.mark.parametrize("system", sorted(PINNED_SYSTEMS))
+def test_outputs_match_pinned_digests(system, case):
+    assert output_digests(system, case) == PINNED_DIGESTS[system, case]
 
 
 class TestSampleLaw:
