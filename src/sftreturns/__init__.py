@@ -47,15 +47,9 @@ from .oracle import (
 from .perron import PerronData, perron_eigendata, spectral_radius_reducible
 from .return_op import (
     CgfCurve,
-    CriticalParameter,
     ReturnOperator,
     ReturnOperatorEval,
-    cgf_curve,
-    critical_parameter,
     first_return_series,
-    return_operator_eval,
-    scgf,
-    scgf_derivatives,
 )
 from .system import (
     DepthKPotential,
@@ -87,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CgfCurve",
     "ConfigurationError",
-    "CriticalParameter",
     "DepthKPotential",
     "DomainError",
     "EmpiricalScgf",
@@ -110,8 +103,6 @@ __all__ = [
     "TargetSet",
     "VarianceReport",
     "admissible_words",
-    "cgf_curve",
-    "critical_parameter",
     "cycle_covariance",
     "cycle_covariance_tail_sum",
     "deviation_limit",
@@ -137,10 +128,7 @@ __all__ = [
     "recode_higher_block",
     "restricted_pressure",
     "restricted_spectrum",
-    "return_operator_eval",
     "sample_return_times",
-    "scgf",
-    "scgf_derivatives",
     "spectral_radius_reducible",
     "target_measure",
     "validate_system",

@@ -17,13 +17,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
-from .deviations import rate_function, variance_report
+from .deviations import VarianceReport, rate_function, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -204,6 +205,10 @@ class Bundle:
     def target(self) -> tuple[int, ...]:
         return self.recoded.target_blocks
 
+    @cached_property
+    def variance(self) -> VarianceReport:
+        return variance_report(self.recoded)
+
 
 def build_bundle(config: AnalysisConfig) -> Bundle:
     recoded = recode_higher_block(config.system)
@@ -244,7 +249,7 @@ def clip_u_grid(bundle: Bundle, grid: np.ndarray, clip: bool) -> np.ndarray:
 
 def scalar_block(bundle: Bundle) -> dict[str, Any]:
     op = bundle.op
-    report = variance_report(bundle.recoded)
+    report = bundle.variance
     psi1_0, _ = op.scgf_derivatives(0.0)
     kac_residual = abs(psi1_0 * op.mu_target - 1.0)
     lam_p = op.eval(op.pressure).lam
@@ -357,7 +362,7 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
     vari = abs(bundle.chain.entropy + _mean_potential(bundle) - bundle.chain.pressure)
     out.append(_verdict("variational_identity", "deterministic", vari <= 1e-10,
                         residual=vari, tolerance=1e-10))
-    report = variance_report(bundle.recoded)
+    report = bundle.variance
     two_routes = abs(report.sigma2 - report.series_sigma2)
     out.append(_verdict("variance_two_routes", "deterministic", two_routes <= 1e-6,
                         residual=two_routes, tolerance=1e-6))
@@ -414,7 +419,7 @@ def stochastic_checks(
     z_mean = abs(stats.mean - n / mu) / se
     out.append(_verdict("mc_mean_kac", "stochastic", z_mean <= 5.0, z_score=z_mean, tolerance=5.0))
 
-    report = variance_report(bundle.recoded)
+    report = bundle.variance
     predicted_bar = report.sigma2_bar
     c = counts.astype(float)
     horizon = bundle.config.simulation.horizon if bundle.config.simulation else 1

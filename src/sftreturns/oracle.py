@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .perron import powered_rowsum_bound, spectral_radius_reducible
+from .perron import _contraction, _geometric_sum, spectral_radius_reducible
 from .thermo import GibbsChain
 
 MAX_HORIZON = 10**6
@@ -43,8 +43,8 @@ class FirstReturnLaw:
     target_states: tuple[int, ...]
     mu_target: float
     _p_cc: np.ndarray
-    _p_ca: np.ndarray
     _v_next: np.ndarray
+    _contractions: dict[float, tuple[int, float]] = field(default_factory=dict, repr=False)
     _dist_cache: dict[int, "ExactReturnStats"] = field(default_factory=dict, repr=False)
 
     @property
@@ -62,10 +62,6 @@ class FirstReturnLaw:
             return per_state @ self.start
         return per_state[:, state]
 
-    def return_chain(self) -> np.ndarray:
-        """Transition matrix of the embedded chain of landing target states."""
-        return self.kernels.sum(axis=0)
-
     def duration_moment_matrix(self, order: int) -> np.ndarray:
         """Matrix of E[p^order ; land in a' | start a] values."""
         p = np.arange(1, self.t_max + 1, dtype=float) ** order
@@ -79,14 +75,7 @@ class FirstReturnLaw:
         be certified.  The leading exponential is applied in log space so a
         huge but certifiable tail reports as inf rather than overflowing.
         """
-        if self._p_cc.size == 0 or not self._v_next.any():
-            return 0.0
-        step = np.exp(alpha) * self._p_cc
-        raw = powered_rowsum_bound(step, self._v_next)
-        if raw <= 0.0:
-            return 0.0
-        log_bound = alpha * (self.t_max + 1) + np.log(raw)
-        return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
+        return _weighted_tail(alpha, self._p_cc, self._v_next, self.t_max, self._contractions)
 
     def moment_tail_bound(self, order: int) -> float:
         """Certified bound on sum_{p > t_max} p^order (omitted mass)."""
@@ -137,9 +126,10 @@ def first_return_law(
     kernels = [Paa]
     V = Pac.copy()
     tail = float(V.sum(axis=1).max())
+    cache: dict[float, tuple[int, float]] = {}  # one contraction search for every horizon
     t = 1
     while t < MAX_HORIZON:
-        if tail <= tol:
+        if tail <= tol and (alpha_max <= 0.0 or _weighted_tail(alpha_max, Pcc, V, t, cache) <= tol):
             law = FirstReturnLaw(
                 kernels=np.stack(kernels),
                 tail_bound=tail,
@@ -147,12 +137,11 @@ def first_return_law(
                 target_states=targets,
                 mu_target=mu,
                 _p_cc=Pcc,
-                _p_ca=Pca,
                 _v_next=V.copy(),
+                _contractions=cache,
             )
-            if alpha_max <= 0.0 or law.weighted_tail_bound(alpha_max) <= tol:
-                _validate_law(law)
-                return law
+            _validate_law(law)
+            return law
         kernels.append(V @ Pca)
         V = V @ Pcc
         tail = float(V.sum(axis=1).max())
@@ -160,6 +149,20 @@ def first_return_law(
     raise NumericError(
         f"first-return tail still {tail:.3e} after horizon {MAX_HORIZON}; tol unreachable"
     )
+
+
+def _weighted_tail(alpha: float, p_cc: np.ndarray, v_next: np.ndarray, t_max: int, cache: dict) -> float:
+    """FirstReturnLaw.weighted_tail_bound; ``cache`` keeps each tilt's contraction (k, beta)."""
+    if p_cc.size == 0 or not v_next.any():
+        return 0.0
+    step = np.exp(alpha) * p_cc
+    if alpha not in cache:
+        cache[alpha] = _contraction(step)
+    raw = _geometric_sum(step, v_next, *cache[alpha])
+    if raw <= 0.0:
+        return 0.0
+    log_bound = alpha * (t_max + 1) + np.log(raw)
+    return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
 
 
 def _validate_law(law: FirstReturnLaw) -> None:
@@ -201,9 +204,6 @@ class ExactReturnStats:
     @property
     def support_min(self) -> int:
         return int(self.offset + np.flatnonzero(self.probs > 0.0)[0])
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(d): float(p) for d, p in zip(self.durations, self.probs) if p > 0.0}
 
 
 def exact_return_distribution(law: FirstReturnLaw, n: int) -> ExactReturnStats:

@@ -5,6 +5,10 @@ The iteration runs on M + I: for a nonnegative M the shift is exact
 makes the iteration converge for periodic irreducible matrices.  Stopping
 is on successive Rayleigh quotients differing by less than 1e-14 relative,
 with a residual check on top; the iteration cap is 10^6.
+
+Tail certificates search for a power of X with max-rowsum <= 1/2, which
+cannot exist when rho(X) >= 1: a Collatz-Wielandt lower bound on rho(X)
+(Horn & Johnson, Matrix Analysis, 8.1) stops such searches early.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .system import strongly_connected_components
 RAYLEIGH_TOL = 1e-14
 RESIDUAL_TOL = 1e-12
 MAX_ITER = 10**6
+CW_CHECK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -130,32 +135,53 @@ def spectral_radius_reducible(M: np.ndarray) -> tuple[float, list[list[int]]]:
     return radius, comps
 
 
+def _contraction(X: np.ndarray, max_steps: int = 4096) -> tuple[int, float]:
+    """Smallest k <= max_steps with beta = max-rowsum(X^k) <= 1/2, and that beta.
+
+    Raises :class:`NumericError` if there is none within the cap, if the powers
+    overflow, or after CW_CHECK_STEPS steps if min_{x_i > 0} (X x)_i / x_i,
+    x = |dominant eigenvector|, a lower bound on rho(X), exceeds 1.
+    """
+    power = np.eye(X.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_steps + 1):
+            power = power @ X
+            beta = float(power.sum(axis=1).max())
+            if beta <= 0.5:
+                return k, beta
+            if not np.isfinite(beta):
+                break
+            if k == CW_CHECK_STEPS:
+                w, vecs = np.linalg.eig(X)
+                x = np.abs(vecs[:, np.argmax(np.abs(w))])
+                if ((X @ x)[x > 0.0] / x[x > 0.0]).min() > 1.0 + 1e-12:
+                    break
+    raise NumericError(
+        "geometric tail cannot be certified: no contracting power of the step "
+        f"matrix found within {max_steps} steps"
+    )
+
+
+def _geometric_sum(X: np.ndarray, V: np.ndarray, k: int, beta: float) -> float:
+    """sum_{j<k} max-rowsum(V @ X^j) / (1 - beta), given the contraction (k, beta) of X."""
+    prefix = 0.0
+    for _ in range(k):
+        prefix += float(V.sum(axis=1).max())
+        V = V @ X
+    return prefix / (1.0 - beta)
+
+
 def powered_rowsum_bound(X: np.ndarray, V: np.ndarray, max_contraction_steps: int = 4096) -> float:
     """Rigorous upper bound on sum_{j>=0} max-rowsum(V @ X^j) for nonnegative X, V.
 
     Finds k with max-rowsum(X^k) <= 1/2, sums the first k terms directly and
     bounds the remainder by the geometric series of k-step blocks.  Raises
     :class:`NumericError` when no such k exists within the cap (the series
-    cannot be certified to converge).
+    cannot be certified to converge), after CW_CHECK_STEPS steps already
+    when the Collatz-Wielandt bound proves rho(X) > 1.
     """
     X = np.asarray(X, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if X.size == 0 or V.size == 0:
         return float(V.sum(axis=1).max(initial=0.0))
-    prefix = 0.0
-    cur = V.copy()
-    power = np.eye(X.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_contraction_steps):
-            prefix += float(cur.sum(axis=1).max())
-            cur = cur @ X
-            power = power @ X
-            beta = float(power.sum(axis=1).max())
-            if beta <= 0.5:
-                return prefix / (1.0 - beta)
-            if not np.isfinite(beta) or not np.isfinite(prefix):
-                break
-    raise NumericError(
-        "geometric tail cannot be certified: no contracting power of the step "
-        f"matrix found within {max_contraction_steps} steps"
-    )
+    return _geometric_sum(X, V, *_contraction(X, max_contraction_steps))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class ReturnOperatorEval:
     lam: float
     h_vec: np.ndarray
     m_vec: np.ndarray
-    resolvent_condition: float
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,6 @@ class CgfCurve:
             raise NumericError("CGF curve is not strictly increasing and convex")
         if not (np.diff(self.psi1) > 0.0).all():
             raise NumericError("Psi' is not increasing along the grid")
-
-
-class CriticalParameter(NamedTuple):
-    s_c: float
-    alpha0: float
 
 
 class ReturnOperator:
@@ -133,7 +127,6 @@ class ReturnOperator:
         resolvent = np.eye(Wcc.shape[0]) - Wcc
         X = np.linalg.solve(resolvent, Wca) if Wcc.size else Wca
         R = Waa + Wac @ X
-        cond = float(np.linalg.cond(resolvent)) if Wcc.size else 1.0
         data = perron_eigendata(R)
         return ReturnOperatorEval(
             S=float(S),
@@ -141,7 +134,6 @@ class ReturnOperator:
             lam=data.rho,
             h_vec=data.right_vec,
             m_vec=data.left_vec,
-            resolvent_condition=cond,
         )
 
     def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float]:
@@ -230,30 +222,8 @@ class ReturnOperator:
 
 
 # ---------------------------------------------------------------------------
-# One-shot functional forms
+# Direct series route (the cross-check of the resolvent form)
 # ---------------------------------------------------------------------------
-
-def critical_parameter(recoded: RecodedSystem) -> CriticalParameter:
-    """S_c (pressure of the target-avoiding subshift) and alpha0 = P - S_c."""
-    op = ReturnOperator(recoded)
-    return CriticalParameter(s_c=op.s_critical, alpha0=op.alpha0)
-
-
-def return_operator_eval(recoded: RecodedSystem, S: float) -> ReturnOperatorEval:
-    return ReturnOperator(recoded).eval(S)
-
-
-def scgf(recoded: RecodedSystem, alpha: float) -> float:
-    return ReturnOperator(recoded).scgf(alpha)
-
-
-def scgf_derivatives(recoded: RecodedSystem, alpha: float) -> tuple[float, float]:
-    return ReturnOperator(recoded).scgf_derivatives(alpha)
-
-
-def cgf_curve(recoded: RecodedSystem, alpha_grid: Sequence[float]) -> CgfCurve:
-    return ReturnOperator(recoded).curve(alpha_grid)
-
 
 def first_return_series(
     recoded: RecodedSystem, S: float, n_terms: int

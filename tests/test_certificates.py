@@ -1,0 +1,144 @@
+"""Geometric tail certificates: the Collatz-Wielandt stop and pinned oracle outputs.
+
+The pinned values (float.hex and sha256 of the raw bytes) were recorded with
+the code that ran every contraction search to its cap and searched the
+contraction of the tilted step matrix again at every horizon step.  Stopping
+hopeless searches early and sharing one search must leave every certified
+value bit-identical.
+"""
+
+import hashlib
+import time
+
+import numpy as np
+import pytest
+
+from sftreturns import (
+    DepthKPotential,
+    NumericError,
+    first_return_law,
+    gibbs_chain,
+    recode_higher_block,
+    variance_report,
+)
+from sftreturns.perron import CW_CHECK_STEPS, _contraction, powered_rowsum_bound
+from conftest import full_shift, golden_mean, make_system
+
+NO_CONTRACTION = (
+    "geometric tail cannot be certified: no contracting power of the step matrix found within {} steps"
+)
+
+# The 10th system drawn by conftest.random_instance from np.random.default_rng(5).
+# Its complement block has spectral radius 0.93, so the tilts 0.5, 0.25 and 0.1
+# tried by moment_tail_bound cannot contract.
+SANDWICH = make_system(
+    [[1, 0, 0, 1], [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
+    (0, 2, 3),
+    potential=DepthKPotential(2, {
+        (0, 0): -0.936838860181463, (0, 3): -0.7391779181837066,
+        (1, 0): 0.838916123097571, (1, 1): 0.6212593443971881,
+        (2, 0): -0.48996095118105476, (2, 2): -0.3226846399272256,
+        (3, 1): -0.9237520919459414, (3, 2): -0.7464060816150129,
+    }),
+)
+
+PINNED = {
+    "full2": dict(
+        system=lambda: full_shift(2), alpha_max="0x1.ccccccccccccdp-2", t_max=122,
+        tail="0x1.0000000000000p-122",
+        kernels="d8b33536e850d2828586c79a147babc06510d60ec7bfa91d684b5ee32735b882",
+        moment1="0x1.5e26384e8162ap-113", weighted="0x1.cddf32c1def48p-86",
+        sigma2="0x1.fffffffffe215p+0", sigma2_bar="0x1.fffffffffe215p-3",
+        mu="0x1.0000000000000p-1", series="0x1.fffffff920000p+0", terms=4,
+    ),
+    "golden": dict(
+        system=golden_mean, alpha_max="0x1.3333333333333p-2", t_max=167,
+        tail="0x1.b04937f4bf1cap-116",
+        kernels="c7f1b4348015898b6ab7f4e75ab293d547e76373579124e1daf33a87ab65cda1",
+        moment1="0x1.5790f7c516e2bp-106", weighted="0x1.324af21c608f5p-65",
+        sigma2="0x1.0f1bbcdcb4680p+2", sigma2_bar="0x1.6e5b7d165758dp-4",
+        mu="0x1.1b06d1d200d5fp-2", series="0x1.0f1bbcd9add38p+2", terms=4,
+    ),
+    # alpha_max is validate's tilt budget 1.1 * alpha0 / 2; the tilt 0.2 cannot contract
+    "fault-sandwich": dict(
+        system=lambda: SANDWICH, alpha_max="0x1.489672c3e8c72p-5", t_max=949,
+        tail="0x1.27a949ba31fa3p-100",
+        kernels="c7767cbe99851684816b6538f25f8185666ac3dccb2c41218f275d39be6eca65",
+        moment1="0x1.7a24ee1868abcp-85", weighted=None,
+        sigma2="0x1.70a99ec3ae1f0p+6", sigma2_bar="0x1.15125f2c16582p-2",
+        mu="0x1.253ff1e3a3644p-3", series="0x1.70a99ebf7e9e4p+6", terms=124,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_oracle_outputs_match_pinned_values(name):
+    pin = PINNED[name]
+    recoded = recode_higher_block(pin["system"]())
+    chain = gibbs_chain(recoded)
+    law = first_return_law(
+        chain, recoded.target_blocks, tol=1e-12, alpha_max=float.fromhex(pin["alpha_max"])
+    )
+    assert law.t_max == pin["t_max"]
+    assert law.tail_bound.hex() == pin["tail"]
+    assert hashlib.sha256(law.kernels.tobytes()).hexdigest() == pin["kernels"]
+    assert law.moment_tail_bound(1).hex() == pin["moment1"]
+    if pin["weighted"] is None:
+        with pytest.raises(NumericError) as info:
+            law.weighted_tail_bound(0.2)
+        assert str(info.value) == NO_CONTRACTION.format(4096)
+    else:
+        assert law.weighted_tail_bound(0.2).hex() == pin["weighted"]
+    report = variance_report(recoded)
+    assert report.sigma2.hex() == pin["sigma2"]
+    assert report.sigma2_bar.hex() == pin["sigma2_bar"]
+    assert report.mu_target.hex() == pin["mu"]
+    assert report.series_sigma2.hex() == pin["series"]
+    assert report.covariance_terms == pin["terms"]
+
+
+def _stochastic(n, seed):
+    a = np.random.default_rng(seed).random((n, n))
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _best_time(fn, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+V = np.random.default_rng(12).random((3, 48)) * 0.01
+
+
+@pytest.mark.parametrize("kind", ["dense", "periodic"])
+def test_non_contracting_step_matrix_fails_early(kind):
+    # rho = 1.02: every power has max-rowsum above 1, so no certificate exists
+    base = _stochastic(48, 11) if kind == "dense" else np.roll(np.eye(48), 1, axis=1)
+    X = 1.02 * base
+
+    def attempt():
+        for cap in (4096, 10**6):
+            with pytest.raises(NumericError) as info:
+                powered_rowsum_bound(X, V, cap)
+            assert str(info.value) == NO_CONTRACTION.format(cap)
+
+    def power_steps():
+        power = np.eye(48)
+        for _ in range(4096):
+            power = power @ X
+            float(power.sum(axis=1).max())
+
+    # a search run to the 4096 cap does at least these 4096 steps of the power alone
+    assert _best_time(attempt) < 0.5 * _best_time(power_steps)
+
+
+def test_slow_contraction_is_unchanged():
+    # rho = 0.999: the Collatz-Wielandt check at CW_CHECK_STEPS must let the search go on
+    X = 0.999 * _stochastic(48, 13)
+    k, _ = _contraction(X)
+    assert k > CW_CHECK_STEPS
+    assert powered_rowsum_bound(X, V).hex() == "0x1.019eaec504fc2p+8"

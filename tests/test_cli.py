@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sftreturns import cli, variance_report
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -30,6 +31,19 @@ def full2_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def golden_config():
+    return {
+        "system": {
+            "n_symbols": 2,
+            "transitions": [[1, 1], [1, 0]],
+            "potential": {"depth": 1, "values": []},
+            "target": [1],
+        },
+        "simulation": {"seed": 7, "n_returns": 10, "n_samples": 4000, "horizon": 500,
+                       "tails": [{"u": 1.0, "side": "upper"}]},
+    }
 
 
 def write_config(tmp_path: Path, cfg: dict, name: str = "config.json") -> Path:
@@ -203,17 +217,20 @@ class TestValidate:
         assert (out1 / "scgf.csv").read_bytes() == (out2 / "scgf.csv").read_bytes()
 
     def test_golden_mean_validates(self, tmp_path):
-        cfg = {
-            "system": {
-                "n_symbols": 2,
-                "transitions": [[1, 1], [1, 0]],
-                "potential": {"depth": 1, "values": []},
-                "target": [1],
-            },
-            "simulation": {"seed": 7, "n_returns": 10, "n_samples": 4000, "horizon": 500,
-                           "tails": [{"u": 1.0, "side": "upper"}]},
-        }
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, golden_config())
         assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["scalars"]["minimal_return_time"]["value"] == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_one_variance_report_per_run(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counting(recoded, *args, **kwargs):
+            calls.append(recoded)
+            return variance_report(recoded, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "variance_report", counting)
+        path = write_config(tmp_path, golden_config())
+        assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
+        assert len(calls) == 1

@@ -9,12 +9,8 @@ from sftreturns import (
     DomainError,
     NumericError,
     ReturnOperator,
-    critical_parameter,
     first_return_series,
     recode_higher_block,
-    return_operator_eval,
-    scgf,
-    scgf_derivatives,
 )
 from conftest import GOLDEN_RATIO, full_shift, make_system
 
@@ -30,30 +26,30 @@ def psi_golden(alpha):
 
 class TestCriticalParameter:
     def test_full_2_shift(self, full2_recoded):
-        crit = critical_parameter(full2_recoded)
-        assert crit.s_c == pytest.approx(0.0, abs=1e-12)
-        assert crit.alpha0 == pytest.approx(np.log(2.0), abs=1e-12)
+        op = ReturnOperator(full2_recoded)
+        assert op.s_critical == pytest.approx(0.0, abs=1e-12)
+        assert op.alpha0 == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_full_3_shift(self):
-        crit = critical_parameter(recode_higher_block(full_shift(3)))
-        assert crit.s_c == pytest.approx(np.log(2.0), abs=1e-12)
-        assert crit.alpha0 == pytest.approx(np.log(1.5), abs=1e-12)
+        op = ReturnOperator(recode_higher_block(full_shift(3)))
+        assert op.s_critical == pytest.approx(np.log(2.0), abs=1e-12)
+        assert op.alpha0 == pytest.approx(np.log(1.5), abs=1e-12)
 
     def test_golden_mean(self, golden_recoded):
-        crit = critical_parameter(golden_recoded)
-        assert crit.s_c == pytest.approx(0.0, abs=1e-12)
-        assert crit.alpha0 == pytest.approx(np.log(GOLDEN_RATIO), abs=1e-12)
+        op = ReturnOperator(golden_recoded)
+        assert op.s_critical == pytest.approx(0.0, abs=1e-12)
+        assert op.alpha0 == pytest.approx(np.log(GOLDEN_RATIO), abs=1e-12)
 
 
 class TestOperatorEval:
     def test_full2_scalar_geometric(self, full2_recoded):
-        ev = return_operator_eval(full2_recoded, np.log(2.0))
+        ev = ReturnOperator(full2_recoded).eval(np.log(2.0))
         assert ev.R.shape == (1, 1)
         assert ev.R[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert ev.lam == pytest.approx(1.0, abs=1e-12)
 
     def test_full2_at_log4(self, full2_recoded):
-        ev = return_operator_eval(full2_recoded, np.log(4.0))
+        ev = ReturnOperator(full2_recoded).eval(np.log(4.0))
         assert ev.lam == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_golden_lambda_one_at_pressure(self, golden_recoded):
@@ -77,9 +73,9 @@ class TestOperatorEval:
 
     def test_below_critical_rejected(self, full2_recoded):
         with pytest.raises(DomainError, match="critical"):
-            return_operator_eval(full2_recoded, 0.0)
+            ReturnOperator(full2_recoded).eval(0.0)
         with pytest.raises(DomainError, match="critical"):
-            return_operator_eval(full2_recoded, -0.5)
+            ReturnOperator(full2_recoded).eval(-0.5)
 
     def test_lambda_strictly_decreasing_and_log_convex(self, random_recoded):
         for rec in random_recoded[:10]:
@@ -145,7 +141,7 @@ def values_to_potential(values):
 class TestScgf:
     def test_zero_at_zero(self, random_recoded):
         for rec in random_recoded[:15]:
-            assert abs(scgf(rec, 0.0)) <= 1e-10
+            assert abs(ReturnOperator(rec).scgf(0.0)) <= 1e-10
 
     def test_full2_closed_form(self, full2_recoded):
         op = ReturnOperator(full2_recoded)
@@ -162,23 +158,23 @@ class TestScgf:
 
     def test_domain_error_names_alpha0(self, full2_recoded):
         with pytest.raises(DomainError, match="alpha0"):
-            scgf(full2_recoded, np.log(2.0))
+            ReturnOperator(full2_recoded).scgf(np.log(2.0))
         with pytest.raises(DomainError, match="alpha0"):
-            scgf(full2_recoded, np.log(2.0) - 1e-9)
+            ReturnOperator(full2_recoded).scgf(np.log(2.0) - 1e-9)
 
 
 class TestDerivatives:
     def test_full2_at_zero(self, full2_recoded):
-        psi1, psi2 = scgf_derivatives(full2_recoded, 0.0)
+        psi1, psi2 = ReturnOperator(full2_recoded).scgf_derivatives(0.0)
         assert psi1 == pytest.approx(2.0, abs=1e-10)
         assert psi2 == pytest.approx(2.0, abs=1e-9)
 
     def test_full2_at_log_3_halves(self, full2_recoded):
-        psi1, _ = scgf_derivatives(full2_recoded, np.log(1.5))
+        psi1, _ = ReturnOperator(full2_recoded).scgf_derivatives(np.log(1.5))
         assert psi1 == pytest.approx(4.0, abs=1e-10)
 
     def test_golden_at_zero(self, golden_recoded):
-        psi1, psi2 = scgf_derivatives(golden_recoded, 0.0)
+        psi1, psi2 = ReturnOperator(golden_recoded).scgf_derivatives(0.0)
         assert psi1 == pytest.approx(GOLDEN_RATIO + 2.0, abs=1e-10)
         assert psi2 == pytest.approx(GOLDEN_RATIO**3, abs=1e-9)
 
