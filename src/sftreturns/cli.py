@@ -61,7 +61,7 @@ EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 EXIT_VALIDATION = 5
 
-GRID_MARGIN = 2e-5  # clearance below alpha0 required for derivative stencils
+GRID_MARGIN = 2e-5  # alpha grid points must lie this far below alpha0, where Psi' has its pole
 
 
 def _fmt(x: float) -> str:
@@ -213,7 +213,7 @@ class Bundle:
 def build_bundle(config: AnalysisConfig) -> Bundle:
     recoded = recode_higher_block(config.system)
     op = ReturnOperator(recoded)
-    chain = gibbs_chain(recoded)
+    chain = gibbs_chain(recoded, op.perron)
     return Bundle(config=config, recoded=recoded, op=op, chain=chain, notices=list(config.notices))
 
 

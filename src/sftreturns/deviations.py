@@ -5,6 +5,8 @@ The rate function is the Legendre conjugate I(u) = sup_{alpha < alpha0}
 ranges over (c, infinity) where c >= 1 is the minimum mean cycle of
 first-return durations; at u = c the supremum is a limit as alpha -> -inf,
 and below c it is infinite (the deviation event is impossible at scale n).
+Inside the range the conjugate point solves Psi'(alpha) = u by safeguarded
+Newton steps, each taking the exact Psi' and Psi'' of one R(S) evaluation.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
 series of Poincare cycles, and the counting variance follows from
 sigma_bar^2 = sigma^2 mu(A)^3.
@@ -23,7 +25,6 @@ from .system import RecodedSystem
 from .thermo import gibbs_chain
 
 ROOT_TOL = 1e-12
-BISECTION_WIDTH = 1e-8
 BOUNDARY_BAND = 1e-9
 SIGMA2_FLOOR = 1e-10
 TWO_ROUTE_TOL = 1e-6
@@ -85,10 +86,14 @@ def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float) -> flo
 
 
 def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
-    """(I(u), alpha_star) by bracketed bisection plus Newton polish.
+    """(I(u), alpha_star) by safeguarded Newton on Psi'(alpha) = u inside a bracket.
 
-    ``alpha_star`` solves Psi'(alpha) = u; at the edges of the attainable
-    range the supremum is a limit and ``alpha_star`` is -inf or +inf.
+    Each step takes Psi' and Psi'' from one evaluation, shrinks the bracket on
+    the sign of Psi' - u and bisects where Newton would leave it, until
+    |Psi' - u| <= ROOT_TOL max(1, u).  Newton runs on 1/Psi' = 1/u, which is
+    nearly linear near the pole of Psi' at alpha0.  ``alpha_star`` solves
+    Psi'(alpha) = u; at the edges of the attainable range the supremum is a
+    limit and ``alpha_star`` is -inf or +inf.
     """
     if not u > 0.0:
         raise DomainError(f"deviation abscissa must be positive, got {u}")
@@ -121,32 +126,28 @@ def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
             if hi > 2.0**16:
                 raise NumericError(f"Psi'={u} not bracketed; expansion cap reached")
     while op.scgf_slope(lo) > u:
+        hi = lo
         lo *= 2.0
         if lo < -2.0**20:
             raise NumericError(
                 f"Psi'={u} not bracketed; achieved Psi' range is ({floor}, {ceiling}) "
                 f"but the expansion cap was reached"
             )
-    while hi - lo > BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if op.scgf_slope(mid) < u:
-            lo = mid
-        else:
-            hi = mid
     alpha = 0.5 * (lo + hi)
-    for _ in range(2):
-        try:
-            psi1, psi2 = op.scgf_derivatives(alpha)
-        except DomainError as exc:
-            raise NumericError(
-                f"conjugate point for u={u} is too close to alpha0 to polish"
-            ) from exc
-        step = (psi1 - u) / psi2
-        alpha = min(max(alpha - step, lo - BISECTION_WIDTH), hi + BISECTION_WIDTH)
-    residual = op.scgf_slope(alpha) - u
-    if abs(residual) > ROOT_TOL * max(1.0, abs(u)):
-        raise NumericError(f"Newton polish left residual {residual:.3e} at u={u}")
-    return u * alpha - op.scgf(alpha), alpha
+    while True:
+        psi, psi1, psi2 = op.scgf_and_derivatives(alpha)
+        residual = psi1 - u
+        newton = alpha - (psi1 / u) * residual / psi2
+        if abs(residual) <= ROOT_TOL * max(1.0, abs(u)):
+            # the last step moves alpha_star, the conjugate value only by residual^2 / 2 Psi''
+            return u * alpha - psi, newton
+        if residual < 0.0:
+            lo = alpha
+        else:
+            hi = alpha
+        alpha = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < alpha < hi:
+            raise NumericError(f"Newton iteration left residual {residual:.3e} at u={u}")
 
 
 def rate_curve(op: ReturnOperator, u_grid: np.ndarray) -> RateFunction:
@@ -198,7 +199,7 @@ def variance_report(recoded: RecodedSystem, law_tol: float = 1e-12) -> VarianceR
             "the return times appear deterministic"
         )
     mu = op.mu_target
-    chain = gibbs_chain(recoded)
+    chain = gibbs_chain(recoded, op.perron)
     law = first_return_law(chain, recoded.target_blocks, tol=law_tol)
     second = stationary_cycle_moment(law, 2)
     tail_sum, n_terms = cycle_covariance_tail_sum(law)

@@ -44,7 +44,7 @@ class FirstReturnLaw:
     mu_target: float
     _p_cc: np.ndarray
     _v_next: np.ndarray
-    _contractions: dict[float, tuple[int, float]] = field(default_factory=dict, repr=False)
+    _contractions: dict[float, tuple[int, float] | str] = field(default_factory=dict, repr=False)
     _dist_cache: dict[int, "ExactReturnStats"] = field(default_factory=dict, repr=False)
 
     @property
@@ -126,7 +126,7 @@ def first_return_law(
     kernels = [Paa]
     V = Pac.copy()
     tail = float(V.sum(axis=1).max())
-    cache: dict[float, tuple[int, float]] = {}  # one contraction search for every horizon
+    cache: dict[float, tuple[int, float] | str] = {}  # one contraction search for every horizon
     t = 1
     while t < MAX_HORIZON:
         if tail <= tol and (alpha_max <= 0.0 or _weighted_tail(alpha_max, Pcc, V, t, cache) <= tol):
@@ -152,12 +152,18 @@ def first_return_law(
 
 
 def _weighted_tail(alpha: float, p_cc: np.ndarray, v_next: np.ndarray, t_max: int, cache: dict) -> float:
-    """FirstReturnLaw.weighted_tail_bound; ``cache`` keeps each tilt's contraction (k, beta)."""
+    """FirstReturnLaw.weighted_tail_bound; ``cache`` keeps each tilt's contraction (k, beta),
+    or the message of its failed search, which is raised again without searching."""
     if p_cc.size == 0 or not v_next.any():
         return 0.0
     step = np.exp(alpha) * p_cc
     if alpha not in cache:
-        cache[alpha] = _contraction(step)
+        try:
+            cache[alpha] = _contraction(step)
+        except NumericError as exc:
+            cache[alpha] = str(exc)
+    if isinstance(cache[alpha], str):
+        raise NumericError(cache[alpha])
     raw = _geometric_sum(step, v_next, *cache[alpha])
     if raw <= 0.0:
         return 0.0

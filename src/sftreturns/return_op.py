@@ -9,9 +9,11 @@ states, C complement).  The series converges exactly for S above the
 critical parameter S_c, which equals the pressure of the target-avoiding
 subshift.  The scaled cumulant generating function of n-th return times is
 Psi(alpha) = log lambda(P - alpha), where lambda(S) is the Perron root of
-R(S) and P the full pressure; its derivative is computed analytically from
-the eigenvalue perturbation formula, and the second derivative by one
-Richardson step of central differences of the analytic first derivative.
+R(S) and P the full pressure.  Psi is analytic, and one evaluation of R(S)
+gives both derivatives in closed form by Perron perturbation (Kato,
+Perturbation Theory for Linear Operators, II.2): lambda' = m R' h and
+lambda'' = m R'' h + 2 m R' G R' h, with G = (lambda (I + h m) - R)^{-1} - h m / lambda
+the group inverse of lambda I - R (Meyer, SIAM Rev. 1975).
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ from .thermo import restricted_spectrum
 
 CRITICAL_MARGIN = 1e-8
 DOMAIN_TOL = 1e-8
-PSI2_BASE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class ReturnOperatorEval:
     """R(S) with its Perron data; m_vec . h_vec = 1 and h_vec has unit peak."""
 
-    S: float
     R: np.ndarray
     lam: float
     h_vec: np.ndarray
@@ -61,7 +61,6 @@ class CgfCurve:
     psi: np.ndarray
     psi1: np.ndarray
     psi2: np.ndarray
-    alpha0: float
 
     def __post_init__(self) -> None:
         for name in ("alpha_grid", "psi", "psi1", "psi2"):
@@ -78,22 +77,21 @@ class CgfCurve:
 
 
 class ReturnOperator:
-    """Curve provider: caches pressure, critical parameter and block structure."""
+    """Curve provider: caches the full Perron pair, pressure, critical parameter and block structure."""
 
     def __init__(self, recoded: RecodedSystem) -> None:
         self.recoded = recoded
         self._M = recoded.weight_matrix()
-        data = perron_eigendata(self._M)
+        data = self.perron = perron_eigendata(self._M)
         self.pressure = float(np.log(data.rho))
         self.right_vec = data.right_vec
         stationary = data.left_vec * data.right_vec
         self._stationary = stationary / stationary.sum()
-        self.s_critical, self.restricted_components = restricted_spectrum(recoded)
+        self.s_critical, self.restricted_components = restricted_spectrum(recoded, data)
         self.alpha0 = self.pressure - self.s_critical
         self.target = tuple(recoded.target_blocks)
-        self.complement = tuple(recoded.complement_blocks)
         self._A = np.array(self.target, dtype=int)
-        self._C = np.array(self.complement, dtype=int)
+        self._C = np.array(recoded.complement_blocks, dtype=int)
         self.mu_target = float(self._stationary[self._A].sum())
         self.minimal_return = minimal_return_time(recoded)
         self.min_cycle_mean: Fraction = minimal_return_cycle_mean(recoded)
@@ -125,35 +123,39 @@ class ReturnOperator:
         self._check_parameter(S)
         Waa, Wac, Wca, Wcc = self._blocks(S)
         resolvent = np.eye(Wcc.shape[0]) - Wcc
-        X = np.linalg.solve(resolvent, Wca) if Wcc.size else Wca
+        X = np.linalg.solve(resolvent, Wca)
         R = Waa + Wac @ X
         data = perron_eigendata(R)
         return ReturnOperatorEval(
-            S=float(S),
             R=R,
             lam=data.rho,
             h_vec=data.right_vec,
             m_vec=data.left_vec,
         )
 
-    def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float]:
-        """R(S) eigendata plus the analytic derivative lambda'(S).
+    def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float, float]:
+        """R(S) eigendata plus the analytic derivatives lambda'(S) and lambda''(S).
 
-        R'(S) = -(W_AA + B K C) - B K^2 C with B = W_AC, C = W_CA and
-        K = (I - W_CC)^{-1}; then lambda' = m . R' . h for the normalized
-        Perron pair.
+        With B = W_AC, C = W_CA and K = (I - W_CC)^{-1}, R' = -(W_AA + B K C)
+        - B K^2 C and R'' = W_AA + B (2 K^3 + K^2 + K) C.  For the normalized
+        Perron pair, lambda' = m R' h and lambda'' = m R'' h + 2 m R' G R' h,
+        where G R' h = y - h lambda' / lambda with (lambda (I + h m) - R) y = R' h.
+        The rank-one term is scaled by lambda so that the solve stays as well
+        conditioned as lambda I - R off h when lambda is far from 1.
         """
         ev = self.eval(S)
         Waa, Wac, Wca, Wcc = self._blocks(S)
-        if Wcc.size:
-            resolvent = np.eye(Wcc.shape[0]) - Wcc
-            X = np.linalg.solve(resolvent, Wca)
-            X2 = np.linalg.solve(resolvent, X)
-            R_prime = -(Waa + Wac @ X) - Wac @ X2
-        else:
-            R_prime = -Waa
-        lam_prime = float(ev.m_vec @ R_prime @ ev.h_vec)
-        return ev, lam_prime
+        resolvent = np.eye(Wcc.shape[0]) - Wcc  # the complement is never empty
+        X = np.linalg.solve(resolvent, Wca)
+        X2 = np.linalg.solve(resolvent, X)
+        X3 = np.linalg.solve(resolvent, X2)
+        R_prime = -(Waa + Wac @ X) - Wac @ X2
+        R_second = Waa + Wac @ (2.0 * X3 + X2 + X)
+        h, m = ev.h_vec, ev.m_vec
+        lam_prime = float(m @ R_prime @ h)
+        y = np.linalg.solve(ev.lam * (np.eye(h.size) + np.outer(h, m)) - ev.R, R_prime @ h)
+        lam_second = float(m @ R_second @ h + 2.0 * (m @ R_prime @ y - lam_prime * lam_prime / ev.lam))
+        return ev, lam_prime, lam_second
 
     # -- scaled CGF ---------------------------------------------------------
 
@@ -171,26 +173,16 @@ class ReturnOperator:
 
     def scgf_slope(self, alpha: float) -> float:
         """Psi'(alpha) alone, from the analytic eigenvalue derivative."""
-        ev, lam_prime = self.eval_with_derivative(self.pressure - alpha)
+        ev, lam_prime, _ = self.eval_with_derivative(self.pressure - alpha)
         return -lam_prime / ev.lam
 
-    def scgf_derivatives(self, alpha: float) -> tuple[float, float]:
-        """(Psi'(alpha), Psi''(alpha)); both are checked to be positive.
-
-        Psi' is analytic; Psi'' is a Richardson-extrapolated central
-        difference of Psi' with step max(1e-5, |alpha| * 1e-7).
-        """
+    def scgf_and_derivatives(self, alpha: float) -> tuple[float, float, float]:
+        """(Psi, Psi', Psi'') at alpha from one evaluation, Psi'' = lambda''/lambda - Psi'^2;
+        both derivatives are checked to be positive."""
         self._check_alpha(alpha)
-        h = max(PSI2_BASE_STEP, abs(alpha) * 1e-7)
-        if not alpha + h < self.alpha0 - DOMAIN_TOL:
-            raise DomainError(
-                f"alpha={alpha!r} is within the difference step {h} of alpha0={self.alpha0!r}; "
-                "evaluate at a smaller alpha"
-            )
-        psi1 = self.scgf_slope(alpha)
-        coarse = (self.scgf_slope(alpha + h) - self.scgf_slope(alpha - h)) / (2.0 * h)
-        fine = (self.scgf_slope(alpha + h / 2.0) - self.scgf_slope(alpha - h / 2.0)) / h
-        psi2 = (4.0 * fine - coarse) / 3.0
+        ev, lam_prime, lam_second = self.eval_with_derivative(self.pressure - alpha)
+        psi1 = -lam_prime / ev.lam
+        psi2 = lam_second / ev.lam - psi1 * psi1
         if psi1 <= 0.0:
             raise NumericError(f"Psi'({alpha}) = {psi1} is not positive")
         if psi2 <= 0.0:
@@ -198,7 +190,11 @@ class ReturnOperator:
                 f"Psi''({alpha}) = {psi2} is not positive; the instance may have "
                 "degenerate (deterministic) return times"
             )
-        return psi1, psi2
+        return float(np.log(ev.lam)), psi1, psi2
+
+    def scgf_derivatives(self, alpha: float) -> tuple[float, float]:
+        """(Psi'(alpha), Psi''(alpha)) from one evaluation; both are checked to be positive."""
+        return self.scgf_and_derivatives(alpha)[1:]
 
     def curve(self, alpha_grid: Sequence[float]) -> CgfCurve:
         """Evaluate Psi, Psi', Psi'' on an increasing grid below alpha0."""
@@ -207,18 +203,14 @@ class ReturnOperator:
             raise DomainError("alpha grid must be a nonempty 1-d sequence")
         if grid.size > 1 and not (np.diff(grid) > 0.0).all():
             raise DomainError("alpha grid must be strictly increasing")
-        h = np.maximum(PSI2_BASE_STEP, np.abs(grid) * 1e-7)
-        bad = np.flatnonzero(~(grid + h < self.alpha0 - DOMAIN_TOL))
+        bad = np.flatnonzero(~(grid < self.alpha0 - DOMAIN_TOL))
         if bad.size:
             raise DomainError(
                 f"grid points at indices {bad.tolist()} (values {grid[bad].tolist()}) are "
-                f"not below alpha0={self.alpha0!r} with the required margin"
+                f"not below alpha0={self.alpha0!r} with the required margin {DOMAIN_TOL}"
             )
-        psi = np.array([self.scgf(a) for a in grid])
-        pairs = [self.scgf_derivatives(a) for a in grid]
-        psi1 = np.array([p[0] for p in pairs])
-        psi2 = np.array([p[1] for p in pairs])
-        return CgfCurve(alpha_grid=grid, psi=psi, psi1=psi1, psi2=psi2, alpha0=self.alpha0)
+        psi, psi1, psi2 = np.array([self.scgf_and_derivatives(a) for a in grid]).T
+        return CgfCurve(alpha_grid=grid, psi=psi, psi1=psi1, psi2=psi2)
 
 
 # ---------------------------------------------------------------------------

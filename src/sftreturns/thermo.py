@@ -65,10 +65,10 @@ def pressure(recoded: RecodedSystem) -> float:
     return float(np.log(_perron(recoded).rho))
 
 
-def gibbs_chain(recoded: RecodedSystem) -> GibbsChain:
-    """Parry-type equilibrium chain: p[i, j] = M[i, j] v[j] / (rho v[i])."""
+def gibbs_chain(recoded: RecodedSystem, data: PerronData | None = None) -> GibbsChain:
+    """Parry-type chain p[i, j] = M[i, j] v[j] / (rho v[i]); ``data``: M's Perron pair, if solved."""
     M = recoded.weight_matrix()
-    data = _perron(recoded)
+    data = data if data is not None else _perron(recoded)
     v = data.right_vec
     p = M * v[np.newaxis, :] / (data.rho * v[:, np.newaxis])
     p = p / p.sum(axis=1, keepdims=True)
@@ -96,8 +96,8 @@ def restricted_pressure(recoded: RecodedSystem) -> float:
     return value
 
 
-def restricted_spectrum(recoded: RecodedSystem) -> tuple[float, list[list[int]]]:
-    """Restricted pressure together with the component list of the remainder."""
+def restricted_spectrum(recoded: RecodedSystem, data: PerronData | None = None) -> tuple[float, list[list[int]]]:
+    """Restricted pressure with the remainder's components; ``data`` as in :func:`gibbs_chain`."""
     comp = recoded.complement_blocks
     if not comp:
         raise ConfigurationError("target complement is empty; nothing remains after removal")
@@ -105,7 +105,7 @@ def restricted_spectrum(recoded: RecodedSystem) -> tuple[float, list[list[int]]]
     radius, comps_local = spectral_radius_reducible(sub)
     components = [[comp[i] for i in c] for c in comps_local]
     value = float(np.log(radius)) if radius > 0.0 else float("-inf")
-    full = pressure(recoded)
+    full = pressure(recoded) if data is None else float(np.log(data.rho))
     if not full - value > PRESSURE_GAP_MIN:
         raise NumericError(
             f"pressure gap is not strictly positive: P={full!r}, P'={value!r}"

@@ -4,10 +4,14 @@ The pinned values (float.hex and sha256 of the raw bytes) were recorded with
 the code that ran every contraction search to its cap and searched the
 contraction of the tilted step matrix again at every horizon step.  Stopping
 hopeless searches early and sharing one search must leave every certified
-value bit-identical.
+value bit-identical.  ``sigma2`` and ``sigma2_bar`` are Psi''(0) from the exact
+Perron perturbation formula, re-pinned when it replaced the Richardson
+difference; they are also checked against the closed forms 2 (full 2-shift)
+and phi^3 (golden mean).
 """
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -21,8 +25,9 @@ from sftreturns import (
     recode_higher_block,
     variance_report,
 )
+from sftreturns import cli, oracle
 from sftreturns.perron import CW_CHECK_STEPS, _contraction, powered_rowsum_bound
-from conftest import full_shift, golden_mean, make_system
+from conftest import GOLDEN_RATIO, full_shift, golden_mean, make_system
 
 NO_CONTRACTION = (
     "geometric tail cannot be certified: no contracting power of the step matrix found within {} steps"
@@ -42,13 +47,15 @@ SANDWICH = make_system(
     }),
 )
 
+CLOSED_FORM_SIGMA2 = {"full2": 2.0, "golden": GOLDEN_RATIO**3}
+
 PINNED = {
     "full2": dict(
         system=lambda: full_shift(2), alpha_max="0x1.ccccccccccccdp-2", t_max=122,
         tail="0x1.0000000000000p-122",
         kernels="d8b33536e850d2828586c79a147babc06510d60ec7bfa91d684b5ee32735b882",
         moment1="0x1.5e26384e8162ap-113", weighted="0x1.cddf32c1def48p-86",
-        sigma2="0x1.fffffffffe215p+0", sigma2_bar="0x1.fffffffffe215p-3",
+        sigma2="0x1.0000000000000p+1", sigma2_bar="0x1.0000000000000p-2",
         mu="0x1.0000000000000p-1", series="0x1.fffffff920000p+0", terms=4,
     ),
     "golden": dict(
@@ -56,7 +63,7 @@ PINNED = {
         tail="0x1.b04937f4bf1cap-116",
         kernels="c7f1b4348015898b6ab7f4e75ab293d547e76373579124e1daf33a87ab65cda1",
         moment1="0x1.5790f7c516e2bp-106", weighted="0x1.324af21c608f5p-65",
-        sigma2="0x1.0f1bbcdcb4680p+2", sigma2_bar="0x1.6e5b7d165758dp-4",
+        sigma2="0x1.0f1bbcdcbfa56p+2", sigma2_bar="0x1.6e5b7d1666892p-4",
         mu="0x1.1b06d1d200d5fp-2", series="0x1.0f1bbcd9add38p+2", terms=4,
     ),
     # alpha_max is validate's tilt budget 1.1 * alpha0 / 2; the tilt 0.2 cannot contract
@@ -65,7 +72,7 @@ PINNED = {
         tail="0x1.27a949ba31fa3p-100",
         kernels="c7767cbe99851684816b6538f25f8185666ac3dccb2c41218f275d39be6eca65",
         moment1="0x1.7a24ee1868abcp-85", weighted=None,
-        sigma2="0x1.70a99ec3ae1f0p+6", sigma2_bar="0x1.15125f2c16582p-2",
+        sigma2="0x1.70a99ec3b9cd8p+6", sigma2_bar="0x1.15125f2c1f1fap-2",
         mu="0x1.253ff1e3a3644p-3", series="0x1.70a99ebf7e9e4p+6", terms=124,
     ),
 }
@@ -95,6 +102,8 @@ def test_oracle_outputs_match_pinned_values(name):
     assert report.mu_target.hex() == pin["mu"]
     assert report.series_sigma2.hex() == pin["series"]
     assert report.covariance_terms == pin["terms"]
+    if name in CLOSED_FORM_SIGMA2:
+        assert abs(report.sigma2 - CLOSED_FORM_SIGMA2[name]) <= 1e-13
 
 
 def _stochastic(n, seed):
@@ -142,3 +151,49 @@ def test_slow_contraction_is_unchanged():
     k, _ = _contraction(X)
     assert k > CW_CHECK_STEPS
     assert powered_rowsum_bound(X, V).hex() == "0x1.019eaec504fc2p+8"
+
+
+def test_failed_contraction_searched_once_per_law(tmp_path, monkeypatch):
+    # validate on fault-sandwich builds 3 laws; each tries the hopeless tilts 0.5, 0.25
+    # and 0.1 once, and a later moment_tail_bound call re-raises the remembered failure
+    # (without the memo a validate run makes 12 failing searches)
+    failed, laws = [], []
+
+    def counting(X, *args):
+        try:
+            return _contraction(X, *args)
+        except NumericError:
+            failed.append(X)
+            raise
+
+    def recording(law):
+        laws.append(law)
+        return validate_law(law)
+
+    validate_law = oracle._validate_law
+    monkeypatch.setattr(oracle, "_contraction", counting)
+    monkeypatch.setattr(oracle, "_validate_law", recording)
+    config = {
+        "system": {
+            "n_symbols": SANDWICH.n_symbols,
+            "transitions": SANDWICH.transitions.tolist(),
+            "potential": {"depth": 2, "values": [
+                {"word": list(word), "value": value}
+                for word, value in SANDWICH.potential.values.items()
+            ]},
+            "target": list(SANDWICH.target.symbols),
+        },
+        "simulation": {"seed": 5, "n_returns": 25, "n_samples": 1000, "horizon": 200},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+    assert len(laws) == 3
+    assert len(failed) <= 3 * len(laws)
+    searched = len(failed)
+    for law in laws:
+        law.moment_tail_bound(2)
+        with pytest.raises(NumericError) as info:
+            law.weighted_tail_bound(0.5)
+        assert str(info.value) == NO_CONTRACTION.format(4096)
+    assert len(failed) == searched

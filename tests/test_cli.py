@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sftreturns import cli, variance_report
+from sftreturns import cli, gibbs_chain, return_op, thermo, variance_report
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -234,3 +234,23 @@ class TestValidate:
         path = write_config(tmp_path, golden_config())
         assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
         assert len(calls) == 1
+
+
+def test_build_solves_full_perron_pair_once(tmp_path, monkeypatch):
+    # the operator's pair also serves the pressure gap check and the Gibbs chain
+    config = cli.load_config(write_config(tmp_path, golden_config()), None, None)
+    n = 2
+    solves = []
+    for module in (return_op, thermo):
+        def counting(M, original=module.perron_eigendata):
+            if M.shape == (n, n):
+                solves.append(M)
+            return original(M)
+
+        monkeypatch.setattr(module, "perron_eigendata", counting)
+    bundle = cli.build_bundle(config)
+    assert len(solves) == 1
+    assert bundle.recoded.n_states == n
+    expected = gibbs_chain(bundle.recoded)  # solves its own pair
+    assert bundle.chain.transition_probs.tobytes() == expected.transition_probs.tobytes()
+    assert bundle.chain.stationary.tobytes() == expected.stationary.tobytes()

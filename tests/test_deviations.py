@@ -82,6 +82,30 @@ class TestRateFunction:
                 value, alpha_star = rate_function(op, u)
                 assert u * alpha_star - value == pytest.approx(op.scgf(alpha), abs=1e-8)
 
+    def test_evaluations_per_rate_point(self, random_recoded, monkeypatch):
+        # safeguarded Newton with exact Psi'': bisection to 1e-8 took about 36
+        evals = []
+        original = ReturnOperator.eval
+
+        def counting(self, S):
+            evals.append(S)
+            return original(self, S)
+
+        monkeypatch.setattr(ReturnOperator, "eval", counting)
+        worst = 0
+        for rec in random_recoded:
+            op = ReturnOperator(rec)
+            mean = 1.0 / op.mu_target
+            ceiling = float(op.max_cycle_mean) if op.max_cycle_mean is not None else np.inf
+            for u in (0.7 * mean + 0.3 * float(op.min_cycle_mean), mean,
+                      min(1.5 * mean, mean + 0.6 * (ceiling - mean)),
+                      min(2.5 * mean, mean + 0.8 * (ceiling - mean))):
+                evals.clear()
+                _, alpha_star = rate_function(op, float(u))
+                worst = max(worst, len(evals))
+                assert op.scgf_derivatives(alpha_star)[0] == pytest.approx(u, rel=1e-12)
+        assert worst <= 12
+
     def test_rate_curve_checks_invariants(self, full2_op):
         curve = rate_curve(full2_op, np.array([1.5, 2.0, 3.0, 4.0]))
         assert curve.rate[1] <= 1e-10

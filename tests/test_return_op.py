@@ -187,6 +187,27 @@ class TestDerivatives:
                 fd = (op.scgf(alpha + h) - op.scgf(alpha - h)) / (2 * h)
                 assert op.scgf_derivatives(alpha)[0] == pytest.approx(fd, abs=1e-6)
 
+    def test_analytic_psi2_full2_closed_form(self, full2_recoded):
+        # Psi'' = 2 e^a / (2 - e^a)^2; alpha0 - 1e-6 lies inside the old difference step
+        op = ReturnOperator(full2_recoded)
+        for alpha in (-3.0, -1.0, 0.0, 0.3, op.alpha0 - 1e-6):
+            exact = 2.0 * np.exp(alpha) / (2.0 - np.exp(alpha)) ** 2
+            # near alpha0 both sides lose eps / (alpha0 - alpha) = 2e-10 to cancellation
+            rel = 1e-13 if alpha < 0.5 else 1e-8
+            assert op.scgf_derivatives(alpha)[1] == pytest.approx(exact, rel=rel)
+
+    def test_analytic_psi2_matches_richardson(self, random_recoded):
+        # reference: one Richardson step of central differences of the analytic Psi'
+        for rec in random_recoded[:10]:
+            op = ReturnOperator(rec)
+            top = min(0.25 * op.alpha0, 0.5)
+            for alpha in (-1.3, -0.4, 0.0, top):
+                h = 1e-5
+                coarse = (op.scgf_slope(alpha + h) - op.scgf_slope(alpha - h)) / (2.0 * h)
+                fine = (op.scgf_slope(alpha + h / 2.0) - op.scgf_slope(alpha - h / 2.0)) / h
+                richardson = (4.0 * fine - coarse) / 3.0
+                assert op.scgf_derivatives(alpha)[1] == pytest.approx(richardson, rel=1e-6)
+
     def test_kac_identity(self, random_recoded):
         for rec in random_recoded:
             op = ReturnOperator(rec)
@@ -194,9 +215,12 @@ class TestDerivatives:
             assert abs(psi1 * op.mu_target - 1.0) <= 1e-8
 
     def test_step_underflow_near_alpha0(self, full2_recoded):
+        # no difference step: the only limit is the DOMAIN_TOL margin below alpha0
         op = ReturnOperator(full2_recoded)
-        with pytest.raises(DomainError, match="smaller alpha|alpha0"):
-            op.scgf_derivatives(op.alpha0 - 5e-6)
+        psi1, psi2 = op.scgf_derivatives(op.alpha0 - 5e-6)
+        assert psi1 > 0.0 and psi2 > 0.0
+        with pytest.raises(DomainError, match=r"alpha0=.*margin 1e-08"):
+            op.scgf_derivatives(op.alpha0 - 5e-9)
 
     def test_short_return_asymptote_singleton(self, random_recoded, full2_recoded):
         # for a single target state lambda_S e^{tau S} converges to the weight
@@ -220,7 +244,7 @@ class TestDerivatives:
             c = float(op.min_cycle_mean)
             slopes = []
             for S in (op.pressure + 2.0, op.pressure + 5.0, op.pressure + 8.0):
-                ev, lam_prime = op.eval_with_derivative(float(S))
+                ev, lam_prime, _ = op.eval_with_derivative(float(S))
                 slopes.append(-lam_prime / ev.lam)
             assert slopes[0] >= slopes[1] >= slopes[2] >= c - 1e-9
             assert slopes[2] - c < slopes[0] - c + 1e-12
@@ -252,7 +276,7 @@ class TestCurve:
     def test_domain_violations_reported_with_indices(self, full2_recoded):
         op = ReturnOperator(full2_recoded)
         with pytest.raises(DomainError, match=r"indices \[2, 3\]"):
-            op.curve(np.array([0.0, 0.5, 0.693145, 0.7]))
+            op.curve(np.array([0.0, 0.5, 0.693147175, 0.7]))
 
     def test_grid_must_increase(self, full2_recoded):
         op = ReturnOperator(full2_recoded)
