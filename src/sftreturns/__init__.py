@@ -71,7 +71,6 @@ from .thermo import (
     GibbsChain,
     gibbs_chain,
     pressure,
-    restricted_pressure,
     restricted_spectrum,
     target_measure,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "rate_curve",
     "rate_function",
     "recode_higher_block",
-    "restricted_pressure",
     "restricted_spectrum",
     "sample_return_times",
     "spectral_radius_reducible",

@@ -285,7 +285,7 @@ def exact_mgf(law: FirstReturnLaw, n: int, alpha: float) -> tuple[float, float]:
 
 def largest_certifiable_alpha(law: FirstReturnLaw) -> float:
     """Estimate of the tilt limit -log(spectral radius of the complement block)."""
-    radius, _ = spectral_radius_reducible(law._p_cc)
+    radius, _ = spectral_radius_reducible(law._p_cc, law._p_cc > 0.0)
     return float(-np.log(radius)) if radius > 0.0 else float("inf")
 
 

@@ -1,10 +1,17 @@
-"""Perron eigendata of nonnegative matrices by shifted power iteration.
+"""Perron eigendata of nonnegative matrices: one dense eigensolve, polished by inverse iteration.
 
-The iteration runs on M + I: for a nonnegative M the shift is exact
-(spectral radius and Perron vectors are shared, shifted by one), and it
-makes the iteration converge for periodic irreducible matrices.  Stopping
-is on successive Rayleigh quotients differing by less than 1e-14 relative,
-with a residual check on top; the iteration cap is 10^6.
+For an irreducible nonnegative M every eigenvalue lambda has |lambda| <= rho,
+so the eigenvalue of largest real part is the Perron root rho, periodic or
+not (Horn & Johnson, Matrix Analysis, 8.3-8.4).  One ``np.linalg.eig`` call
+seeds it; the pair is then polished by inverse iteration with the shift
+sigma = rho (1 + POLISH_SHIFT) (Golub & Van Loan, 7.6.1).  For sigma > rho,
+sigma I - M is a nonsingular M-matrix and, M being irreducible, its inverse
+is entrywise positive, so every polished vector is strictly positive by
+structure: the right one from the seed's eigenvector, the left one from the
+ones vector.  Each solve damps the other eigen-directions by
+|sigma - rho| / |sigma - lambda|; the polish stops when the joint residual
+of the normalized pair passes RESIDUAL_TOL, one right and two left solves in
+all but near-reducible cases, and rho = u M v with u.v = 1.
 
 Tail certificates search for a power of X with max-rowsum <= 1/2, which
 cannot exist when rho(X) >= 1: a Collatz-Wielandt lower bound on rho(X)
@@ -20,10 +27,13 @@ import numpy as np
 from .errors import NumericError
 from .system import strongly_connected_components
 
-RAYLEIGH_TOL = 1e-14
 RESIDUAL_TOL = 1e-12
-MAX_ITER = 10**6
+POLISH_SHIFT = 1e-10
+# a gap g below the shift damps by 1/(1 + g / shift) per solve, but then the
+# residual is near g anyway: two 3-cliques joined by 1e-11 need 25 solves
+MAX_SOLVES = 33
 CW_CHECK_STEPS = 64
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -31,7 +41,8 @@ class PerronData:
     """Spectral radius with positive right/left vectors, normalized u.v = 1.
 
     The right vector is scaled to unit maximum entry.  ``residual`` is the
-    worst relative eigen-equation defect of the two vectors.
+    worst relative eigen-equation defect of the two vectors, ``iterations``
+    the number of inverse-iteration solves.
     """
 
     rho: float
@@ -41,91 +52,71 @@ class PerronData:
     residual: float
 
 
-def _power_vector(M: np.ndarray, residual_tol: float) -> tuple[np.ndarray, float, int]:
-    """Perron vector and root of an irreducible nonnegative M, via M/s + I.
-
-    The unit shift is applied to the max-entry-normalized matrix so that it
-    stays comparable to the spectrum at any scale (a fixed absolute shift
-    would erase the spectral gap of matrices with tiny entries).  The shift
-    is exact: Perron vectors are shared and the root just rescales.  The
-    Rayleigh quotient stop is combined with a residual gate measured on M
-    itself, relative to the unshifted root.
-    """
-    n = M.shape[0]
-    scale = float(M.max())
-    if not scale > 0.0:
-        raise NumericError("matrix has no positive entry; no Perron data exists")
-    A = M / scale + np.eye(n)
-    v = np.ones(n)
-    rayleigh = float(v @ A @ v) / float(v @ v)
-    history = [rayleigh]
-    stale = 0
-    for it in range(1, MAX_ITER + 1):
-        w = A @ v
-        peak = w.max()
-        if peak <= 0.0 or not np.isfinite(peak):
-            raise NumericError("power iteration collapsed; matrix is not irreducible nonnegative")
-        v = w / peak
-        new_rayleigh = float(v @ A @ v) / float(v @ v)
-        done = abs(new_rayleigh - rayleigh) < RAYLEIGH_TOL * abs(new_rayleigh)
-        rayleigh = new_rayleigh
-        if done:
-            rho = scale * (rayleigh - 1.0)
-            if rho > 0.0:
-                resid = np.abs(M @ v - rho * v).max() / (rho * v.max())
-                if resid <= residual_tol:
-                    return v, rho, it
-            stale += 1
-            if stale > 64 and not rho > 0.0:
-                raise NumericError(
-                    "dominant eigenvalue is numerically zero; matrix effectively nilpotent"
-                )
-        history.append(rayleigh)
-    raise NumericError(
-        "power iteration did not converge within "
-        f"{MAX_ITER} iterations; last Rayleigh quotients: {history[-5:]}"
-    )
+def _inverse_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    y = np.linalg.solve(A, x)
+    return y / np.abs(y).max()
 
 
 def perron_eigendata(M: np.ndarray) -> PerronData:
     """Perron root and positive left/right vectors of an irreducible nonnegative matrix."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
+    if not np.isfinite(M).all():
+        raise NumericError("matrix has non-finite entries; no Perron data exists")
     if n == 1:
         rho = float(M[0, 0])
         if rho <= 0.0:
             raise NumericError("1x1 matrix with nonpositive entry has no Perron data")
         return PerronData(rho, np.ones(1), np.ones(1), 0, 0.0)
-    # each side converges past the final gate so the joint residual has slack
-    v, rho_r, it_r = _power_vector(M, RESIDUAL_TOL / 8.0)
-    u, rho_l, it_l = _power_vector(M.T, RESIDUAL_TOL / 8.0)
-    rho = 0.5 * (rho_r + rho_l)
-    if v.min() <= 0.0 or u.min() <= 0.0:
-        raise NumericError("Perron vectors are not strictly positive; matrix not irreducible")
-    v = v / v.max()
-    u = u / float(u @ v)
-    resid = max(
-        np.abs(M @ v - rho * v).max() / (rho * v.max()),
-        np.abs(u @ M - rho * u).max() / (rho * u.max()),
-    )
-    if resid > RESIDUAL_TOL:
+    if not M.max() > 0.0:
+        raise NumericError("matrix has no positive entry; no Perron data exists")
+    try:
+        eigenvalues, vectors = np.linalg.eig(M)
+        k = int(np.argmax(eigenvalues.real))
+        seed = float(eigenvalues[k].real)
+        if not _TINY < seed < np.inf:
+            raise NumericError(
+                f"dominant eigenvalue {seed!r} is not a positive normal float; "
+                "the matrix is effectively nilpotent or its scale is out of range"
+            )
+        A = seed * (1.0 + POLISH_SHIFT) * np.eye(n) - M
+        v = _inverse_step(A, np.abs(vectors[:, k].real))
+        u = _inverse_step(A.T, _inverse_step(A.T, np.ones(n)))
+        solves = 3
+        while True:
+            if not (v.min() > 0.0 and u.min() > 0.0):
+                raise NumericError("Perron vectors are not strictly positive; matrix not irreducible")
+            v = v / v.max()
+            u = u / float(u @ v)
+            Mv = M @ v
+            rho = float(u @ Mv)
+            resid = max(np.abs(Mv - rho * v).max(), np.abs(u @ M - rho * u).max() / u.max()) / rho
+            if resid <= RESIDUAL_TOL or solves >= MAX_SOLVES:
+                break
+            v, u = _inverse_step(A, v), _inverse_step(A.T, u)
+            solves += 2
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Perron eigensolve failed: {exc}") from exc
+    if not resid <= RESIDUAL_TOL:
         raise NumericError(f"Perron residual {resid:.3e} exceeds tolerance")
-    return PerronData(rho, v, u, it_r + it_l, float(resid))
+    return PerronData(rho, v, u, solves, float(resid))
 
 
-def spectral_radius_reducible(M: np.ndarray) -> tuple[float, list[list[int]]]:
-    """Spectral radius of a possibly reducible nonnegative matrix.
+def spectral_radius_reducible(M: np.ndarray, adj: np.ndarray) -> tuple[float, list[list[int]]]:
+    """Spectral radius of a possibly reducible nonnegative matrix, with the components of ``adj``.
 
-    Decomposes into strongly connected components and takes the maximum of
-    the component radii; a trivial component (single state without a self
-    loop) contributes zero.  Returns the radius and the component list.
+    The components are the strongly connected components of the graph
+    ``adj``, the structure M's weights sit on.  The radius is the maximum of
+    the radii of the components of M > 0, which are the same unless a weight
+    underflowed to zero; a trivial component (single state without a self
+    loop) contributes zero.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0, []
-    comps = strongly_connected_components(M > 0.0)
+    comps = strongly_connected_components(adj)
     radius = 0.0
-    for comp in comps:
+    for comp in comps if np.array_equal(M > 0.0, adj) else strongly_connected_components(M > 0.0):
         if len(comp) == 1:
             i = comp[0]
             radius = max(radius, float(M[i, i]))

@@ -40,12 +40,16 @@ DOMAIN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReturnOperatorEval:
-    """R(S) with its Perron data; m_vec . h_vec = 1 and h_vec has unit peak."""
+    """R(S) with its Perron data; m_vec . h_vec = 1 and h_vec has unit peak.
+
+    ``X`` is (I - W_CC)^{-1} W_CA, which the derivatives reuse.
+    """
 
     R: np.ndarray
     lam: float
     h_vec: np.ndarray
     m_vec: np.ndarray
+    X: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class ReturnOperator:
         self.recoded = recoded
         self._M = recoded.weight_matrix()
         data = self.perron = perron_eigendata(self._M)
-        self.pressure = float(np.log(data.rho))
+        self.pressure = float(np.log(data.rho)) + recoded.weight_shift
         self.right_vec = data.right_vec
         stationary = data.left_vec * data.right_vec
         self._stationary = stationary / stationary.sum()
@@ -114,7 +118,7 @@ class ReturnOperator:
             )
 
     def _blocks(self, S: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        W = np.exp(-S) * self._M
+        W = np.exp(self.recoded.weight_shift - S) * self._M
         A, C = self._A, self._C
         return (W[np.ix_(A, A)], W[np.ix_(A, C)], W[np.ix_(C, A)], W[np.ix_(C, C)])
 
@@ -126,12 +130,7 @@ class ReturnOperator:
         X = np.linalg.solve(resolvent, Wca)
         R = Waa + Wac @ X
         data = perron_eigendata(R)
-        return ReturnOperatorEval(
-            R=R,
-            lam=data.rho,
-            h_vec=data.right_vec,
-            m_vec=data.left_vec,
-        )
+        return ReturnOperatorEval(R=R, lam=data.rho, h_vec=data.right_vec, m_vec=data.left_vec, X=X)
 
     def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float, float]:
         """R(S) eigendata plus the analytic derivatives lambda'(S) and lambda''(S).
@@ -144,9 +143,9 @@ class ReturnOperator:
         conditioned as lambda I - R off h when lambda is far from 1.
         """
         ev = self.eval(S)
-        Waa, Wac, Wca, Wcc = self._blocks(S)
+        Waa, Wac, _, Wcc = self._blocks(S)
         resolvent = np.eye(Wcc.shape[0]) - Wcc  # the complement is never empty
-        X = np.linalg.solve(resolvent, Wca)
+        X = ev.X
         X2 = np.linalg.solve(resolvent, X)
         X3 = np.linalg.solve(resolvent, X2)
         R_prime = -(Waa + Wac @ X) - Wac @ X2
@@ -227,14 +226,14 @@ def first_return_series(
     omitted entries.  This is the series route against which the resolvent
     form of R(S) is validated.
     """
-    M = recoded.weight_matrix()
+    M = recoded.weight_matrix()  # exp(-pS) M^p = t^p weight_matrix()^p
     A = np.array(recoded.target_blocks, dtype=int)
     C = np.array(recoded.complement_blocks, dtype=int)
     Maa = M[np.ix_(A, A)]
     Mac = M[np.ix_(A, C)]
     Mca = M[np.ix_(C, A)]
     Mcc = M[np.ix_(C, C)]
-    t = float(np.exp(-S))
+    t = float(np.exp(recoded.weight_shift - S))
     total = t * Maa
     V = Mac.copy()
     factor = t

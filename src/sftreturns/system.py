@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -308,9 +309,17 @@ class RecodedSystem:
         targets = set(self.target_blocks)
         return tuple(i for i in range(self.n_states) if i not in targets)
 
+    @cached_property
+    def weight_shift(self) -> float:
+        """Largest potential on an allowed transition; log rho(M) = log rho(weight_matrix()) + shift."""
+        return float(self.potential2[self.transitions].max())
+
     def weight_matrix(self) -> np.ndarray:
-        """Transfer-operator matrix M with M[i, j] = 1{i->j} * exp(potential2[i, j])."""
-        return np.where(self.transitions, np.exp(self.potential2), 0.0)
+        """Transfer-operator matrix M exp(-weight_shift), M[i, j] = 1{i->j} exp(potential2[i, j]).
+
+        Built in log space: the peak entry is 1, so no potential overflows exp.
+        """
+        return np.exp(np.where(self.transitions, self.potential2 - self.weight_shift, -np.inf))
 
 
 def recode_higher_block(sys: SymbolicSystem) -> RecodedSystem:

@@ -1,7 +1,8 @@
 """Topological pressure, the Gibbs Markov chain, and target measures.
 
 All logarithms are natural.  The pressure is log of the Perron root of the
-weighted transition matrix M[i, j] = 1{i->j} exp(phi(i, j)); the equilibrium
+weighted transition matrix M[i, j] = 1{i->j} exp(phi(i, j)), which is built
+as M exp(-c), c the largest potential, with c added back; the equilibrium
 measure is realized as the Parry-type Markov chain built from the Perron
 vectors, whose entropy satisfies the variational equality h + mean(phi) = P.
 """
@@ -62,7 +63,7 @@ def _perron(recoded: RecodedSystem) -> PerronData:
 
 def pressure(recoded: RecodedSystem) -> float:
     """Topological pressure log rho(M) of the weighted transition matrix."""
-    return float(np.log(_perron(recoded).rho))
+    return float(np.log(_perron(recoded).rho)) + recoded.weight_shift
 
 
 def gibbs_chain(recoded: RecodedSystem, data: PerronData | None = None) -> GibbsChain:
@@ -74,7 +75,7 @@ def gibbs_chain(recoded: RecodedSystem, data: PerronData | None = None) -> Gibbs
     p = p / p.sum(axis=1, keepdims=True)
     pi = data.left_vec * v
     pi = pi / pi.sum()
-    pres = float(np.log(data.rho))
+    pres = float(np.log(data.rho)) + recoded.weight_shift
     with np.errstate(divide="ignore"):
         log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     entropy = float(-(pi[:, np.newaxis] * p * log_p).sum())
@@ -85,27 +86,21 @@ def gibbs_chain(recoded: RecodedSystem, data: PerronData | None = None) -> Gibbs
     return GibbsChain(transition_probs=p, stationary=pi, pressure=pres, entropy=entropy)
 
 
-def restricted_pressure(recoded: RecodedSystem) -> float:
-    """Pressure of the subshift obtained by removing the target states.
-
-    The restricted weighted matrix may be reducible; its spectral radius is
-    the maximum over strongly connected components (-inf for an acyclic
-    remainder).  Strictness of the gap against the full pressure is asserted.
-    """
-    value, _ = restricted_spectrum(recoded)
-    return value
-
-
 def restricted_spectrum(recoded: RecodedSystem, data: PerronData | None = None) -> tuple[float, list[list[int]]]:
-    """Restricted pressure with the remainder's components; ``data`` as in :func:`gibbs_chain`."""
+    """Pressure of the subshift without the target states, with the remainder's components.
+
+    The remainder may be reducible: its radius is the largest over strongly
+    connected components (-inf for an acyclic remainder).  The gap against
+    the full pressure must be strictly positive; ``data`` as in :func:`gibbs_chain`.
+    """
     comp = recoded.complement_blocks
     if not comp:
         raise ConfigurationError("target complement is empty; nothing remains after removal")
-    sub = recoded.weight_matrix()[np.ix_(comp, comp)]
-    radius, comps_local = spectral_radius_reducible(sub)
+    block = np.ix_(comp, comp)
+    radius, comps_local = spectral_radius_reducible(recoded.weight_matrix()[block], recoded.transitions[block])
     components = [[comp[i] for i in c] for c in comps_local]
-    value = float(np.log(radius)) if radius > 0.0 else float("-inf")
-    full = pressure(recoded) if data is None else float(np.log(data.rho))
+    value = float(np.log(radius)) + recoded.weight_shift if radius > 0.0 else float("-inf")
+    full = pressure(recoded) if data is None else float(np.log(data.rho)) + recoded.weight_shift
     if not full - value > PRESSURE_GAP_MIN:
         raise NumericError(
             f"pressure gap is not strictly positive: P={full!r}, P'={value!r}"

@@ -32,7 +32,6 @@ from sftreturns import (
     mgf_matrix,
     rate_function,
     recode_higher_block,
-    restricted_pressure,
     sample_return_times,
     variance_report,
     visit_counts,

@@ -208,6 +208,32 @@ class TestDerivatives:
                 richardson = (4.0 * fine - coarse) / 3.0
                 assert op.scgf_derivatives(alpha)[1] == pytest.approx(richardson, rel=1e-6)
 
+    def test_derivatives_reuse_the_resolvent_solve(self, random_recoded, monkeypatch):
+        # (I - W_CC) X = W_CA is solved once by eval; the derivatives solve only
+        # for K^2 W_CA and K^3 W_CA, and the results match a second solve bit for bit
+        rec = next(r for r in random_recoded if len(r.complement_blocks) != len(r.target_blocks))
+        op = ReturnOperator(rec)
+        S = op.pressure - 0.1
+        n_c = len(rec.complement_blocks)
+        solve, calls = np.linalg.solve, []
+
+        def counting(A, B):
+            if A.shape == (n_c, n_c):
+                calls.append(A)
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        ev, lam_prime, lam_second = op.eval_with_derivative(S)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        Waa, Wac, Wca, Wcc = op._blocks(S)
+        resolvent = np.eye(n_c) - Wcc
+        X = np.linalg.solve(resolvent, Wca)
+        assert X.tobytes() == ev.X.tobytes()
+        X2 = np.linalg.solve(resolvent, X)
+        R_prime = -(Waa + Wac @ X) - Wac @ X2
+        assert lam_prime == float(ev.m_vec @ R_prime @ ev.h_vec)
+
     def test_kac_identity(self, random_recoded):
         for rec in random_recoded:
             op = ReturnOperator(rec)

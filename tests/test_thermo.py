@@ -9,7 +9,6 @@ from sftreturns import (
     perron_eigendata,
     pressure,
     recode_higher_block,
-    restricted_pressure,
     restricted_spectrum,
     target_measure,
 )
@@ -82,6 +81,15 @@ class TestGibbsChain:
         assert np.allclose(chain.transition_probs, expected, atol=1e-10)
         assert np.allclose(chain.stationary, [rho**2 / (rho**2 + 1), 1 / (rho**2 + 1)], atol=1e-10)
 
+    def test_golden_mean_closed_form_to_roundoff(self, golden_recoded):
+        # the power iteration stopped short of these by 3.6e-14 and 6.1e-14
+        chain = gibbs_chain(golden_recoded)
+        rho = GOLDEN_RATIO
+        expected = np.array([[1 / rho, 1 / rho**2], [1.0, 0.0]])
+        assert np.abs(chain.transition_probs - expected).max() <= 4e-16
+        mu = target_measure(chain, golden_recoded.target_blocks)
+        assert abs(mu - 1.0 / (1.0 + rho**2)) <= 1e-15
+
     def test_stochastic_potential_is_fixed_point(self):
         rng = np.random.default_rng(5)
         q = rng.random((4, 4)) + 0.05
@@ -101,18 +109,18 @@ class TestGibbsChain:
 
 class TestRestrictedPressure:
     def test_full_2_shift(self, full2_recoded):
-        assert restricted_pressure(full2_recoded) == pytest.approx(0.0, abs=1e-12)
+        assert restricted_spectrum(full2_recoded)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_3_shift(self):
         rec = recode_higher_block(full_shift(3))
-        assert restricted_pressure(rec) == pytest.approx(np.log(2.0), abs=1e-12)
+        assert restricted_spectrum(rec)[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_golden_mean(self, golden_recoded):
-        assert restricted_pressure(golden_recoded) == pytest.approx(0.0, abs=1e-12)
+        assert restricted_spectrum(golden_recoded)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_strict_gap_everywhere(self, random_recoded):
         for rec in random_recoded:
-            assert pressure(rec) - restricted_pressure(rec) > 1e-12
+            assert pressure(rec) - restricted_spectrum(rec)[0] > 1e-12
 
     def test_reducible_remainder_components(self):
         # complement {1, 2} has no cross edges; radius is the larger self weight
@@ -128,7 +136,7 @@ class TestRestrictedPressure:
 
     def test_acyclic_remainder_gives_minus_infinity(self):
         rec = recode_higher_block(make_system([[0, 1], [1, 0]], (0,)))
-        assert restricted_pressure(rec) == float("-inf")
+        assert restricted_spectrum(rec)[0] == float("-inf")
 
 
 class TestTargetMeasure:
