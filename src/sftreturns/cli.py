@@ -436,8 +436,7 @@ def stochastic_checks(
     out.append(_verdict("clt_ks", "stochastic", ks <= ks_gate, statistic=ks, tolerance=ks_gate))
 
     if n <= 64:
-        law = first_return_law(bundle.chain, bundle.target, tol=1e-12)
-        dist = exact_return_distribution(law, n)
+        dist = exact_return_distribution(report.law, n)
         durations = dist.durations
         for u, side in tails:
             threshold = n * (1.0 / mu + u) if side == "upper" else n * (1.0 / mu - u)

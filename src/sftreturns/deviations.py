@@ -14,12 +14,12 @@ sigma_bar^2 = sigma^2 mu(A)^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .oracle import cycle_covariance_tail_sum, first_return_law, stationary_cycle_moment
+from .oracle import FirstReturnLaw, cycle_covariance_tail_sum, first_return_law, stationary_cycle_moment
 from .return_op import ReturnOperator
 from .system import RecodedSystem
 from .thermo import gibbs_chain
@@ -49,13 +49,18 @@ class RateFunction:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """CLT variance through both routes, plus the counting-variance relation."""
+    """CLT variance through both routes, plus the counting-variance relation.
+
+    ``law`` is the untilted first-return law the series route was built
+    from, kept for the exact n-return distribution of later checks.
+    """
 
     sigma2: float
     sigma2_bar: float
     mu_target: float
     series_sigma2: float
     covariance_terms: int
+    law: FirstReturnLaw = field(repr=False, compare=False)
 
 
 def _attainable_range(op: ReturnOperator) -> tuple[float, float]:
@@ -214,4 +219,5 @@ def variance_report(recoded: RecodedSystem, law_tol: float = 1e-12) -> VarianceR
         mu_target=mu,
         series_sigma2=float(series),
         covariance_terms=n_terms,
+        law=law,
     )

@@ -6,12 +6,20 @@ vector-matrix products through the complement, n-fold return distributions
 by dynamic programming over (target state, accumulated duration), and every
 truncation carries a rigorous geometric certificate.  These are the
 independent cross-checks for the spectral route.
+
+Each piece of work is done once.  With V_t = P_ac P_cc^(t-1) and the tilted
+step X = e^alpha P_cc, the window identity V_t X^j = e^(alpha j) V_(t+j) turns
+the tilted tail bound at every horizon t into a weighted sum of k values of
+the horizon loop's own tail sequence, so the tilted horizon search costs
+t_max + k products instead of k per checked step.  The n-return dynamic
+program keeps its frontier (the state after the most returns yet computed)
+on the law, so the distributions for n = 1..N together cost N - 1 steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import expm1, log1p
+from math import expm1, log, log1p
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +54,7 @@ class FirstReturnLaw:
     _v_next: np.ndarray
     _contractions: dict[float, tuple[int, float] | str] = field(default_factory=dict, repr=False)
     _dist_cache: dict[int, "ExactReturnStats"] = field(default_factory=dict, repr=False)
+    _frontier: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def t_max(self) -> int:
@@ -75,7 +84,11 @@ class FirstReturnLaw:
         be certified.  The leading exponential is applied in log space so a
         huge but certifiable tail reports as inf rather than overflowing.
         """
-        return _weighted_tail(alpha, self._p_cc, self._v_next, self.t_max, self._contractions)
+        if self._p_cc.size == 0 or not self._v_next.any():
+            return 0.0
+        step = np.exp(alpha) * self._p_cc
+        k, beta = _tilt_contraction(alpha, step, self._contractions)
+        return _scaled_tail(alpha, self.t_max, _geometric_sum(step, self._v_next, k, beta))
 
     def moment_tail_bound(self, order: int) -> float:
         """Certified bound on sum_{p > t_max} p^order (omitted mass)."""
@@ -104,7 +117,10 @@ def first_return_law(
     The horizon is extended until the exact omitted probability mass is at
     most ``tol`` for every start state, and, when ``alpha_max > 0``, until
     the certified exp(alpha_max * p)-weighted tail is also below ``tol`` (so
-    the law supports moment generating functions up to that tilt).
+    the law supports moment generating functions up to that tilt).  That
+    tilted bound is ``weighted_tail_bound`` at each horizon, evaluated through
+    the window identity V_t X^j = e^(alpha j) V_(t+j) from the tail sequence
+    read k steps ahead (see :class:`_TiltedTail`).
     """
     if not 0.0 < tol <= 1e-6:
         raise ConfigurationError(f"tol must lie in (0, 1e-6], got {tol}")
@@ -127,9 +143,13 @@ def first_return_law(
     V = Pac.copy()
     tail = float(V.sum(axis=1).max())
     cache: dict[float, tuple[int, float] | str] = {}  # one contraction search for every horizon
+    tilted: _TiltedTail | None = None
     t = 1
     while t < MAX_HORIZON:
-        if tail <= tol and (alpha_max <= 0.0 or _weighted_tail(alpha_max, Pcc, V, t, cache) <= tol):
+        # the contraction is searched lazily, at the first horizon whose tail needs it
+        if tilted is None and tail <= tol and alpha_max > 0.0 and V.any():
+            tilted = _TiltedTail(alpha_max, Pcc, V, tail, cache)
+        if tail <= tol and (tilted is None or tilted.bound(t) <= tol):
             law = FirstReturnLaw(
                 kernels=np.stack(kernels),
                 tail_bound=tail,
@@ -146,17 +166,16 @@ def first_return_law(
         V = V @ Pcc
         tail = float(V.sum(axis=1).max())
         t += 1
+        if tilted is not None:
+            tilted.advance()
     raise NumericError(
         f"first-return tail still {tail:.3e} after horizon {MAX_HORIZON}; tol unreachable"
     )
 
 
-def _weighted_tail(alpha: float, p_cc: np.ndarray, v_next: np.ndarray, t_max: int, cache: dict) -> float:
-    """FirstReturnLaw.weighted_tail_bound; ``cache`` keeps each tilt's contraction (k, beta),
+def _tilt_contraction(alpha: float, step: np.ndarray, cache: dict) -> tuple[int, float]:
+    """The contraction (k, beta) of ``step`` = e^alpha P_cc; ``cache`` keeps it per tilt,
     or the message of its failed search, which is raised again without searching."""
-    if p_cc.size == 0 or not v_next.any():
-        return 0.0
-    step = np.exp(alpha) * p_cc
     if alpha not in cache:
         try:
             cache[alpha] = _contraction(step)
@@ -164,11 +183,55 @@ def _weighted_tail(alpha: float, p_cc: np.ndarray, v_next: np.ndarray, t_max: in
             cache[alpha] = str(exc)
     if isinstance(cache[alpha], str):
         raise NumericError(cache[alpha])
-    raw = _geometric_sum(step, v_next, *cache[alpha])
+    return cache[alpha]
+
+
+def _scaled_tail(alpha: float, t_max: int, raw: float) -> float:
+    """e^(alpha (t_max + 1)) raw, in log space: inf once it is beyond the range of floats."""
     if raw <= 0.0:
         return 0.0
     log_bound = alpha * (t_max + 1) + np.log(raw)
     return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
+
+
+class _TiltedTail:
+    """``weighted_tail_bound`` at successive horizons t of the law's loop, one product per step.
+
+    With X = e^alpha P_cc, V_t X^j = e^(alpha j) V_(t+j), so the bound at t is
+    e^(alpha (t+1)) / (1 - beta) * sum_{j<k} e^(alpha j) r_(t+j), where
+    r_i = max-rowsum(V_i) is the loop's own tail sequence.  A lead copy of
+    the V recursion, started at the first horizon that needs the bound, runs
+    k - 1 steps ahead; log r_t .. log r_(t+k-1) sit in a ring buffer stored
+    twice over, so the window is always the contiguous slice [pos, pos + k).
+    The terms are e^(alpha j + log r), which stay finite where e^(alpha j) alone
+    would overflow.
+    """
+
+    def __init__(self, alpha: float, p_cc: np.ndarray, v: np.ndarray, tail: float, cache: dict):
+        k, beta = _tilt_contraction(alpha, np.exp(alpha) * p_cc, cache)
+        self.alpha, self.p_cc, self.beta, self.k = alpha, p_cc, beta, k
+        self.ramp = alpha * np.arange(k)
+        self.logs = np.empty(2 * k)
+        self.pos = 0
+        self.lead = v
+        self._store(0, tail)
+        for j in range(1, k):
+            self.lead = self.lead @ p_cc
+            self._store(j, float(self.lead.sum(axis=1).max()))
+
+    def _store(self, slot: int, r: float) -> None:
+        self.logs[slot] = self.logs[slot + self.k] = log(r) if r > 0.0 else -np.inf
+
+    def advance(self) -> None:
+        """Slide the window from r_t .. r_(t+k-1) to r_(t+1) .. r_(t+k)."""
+        self.lead = self.lead @ self.p_cc
+        self._store(self.pos, float(self.lead.sum(axis=1).max()))
+        self.pos = (self.pos + 1) % self.k
+
+    def bound(self, t: int) -> float:
+        window = self.logs[self.pos:self.pos + self.k]
+        raw = float(np.exp(self.ramp + window).sum()) / (1.0 - self.beta)
+        return _scaled_tail(self.alpha, t, raw)
 
 
 def _validate_law(law: FirstReturnLaw) -> None:
@@ -216,7 +279,11 @@ def exact_return_distribution(law: FirstReturnLaw, n: int) -> ExactReturnStats:
     """n-fold first-return convolution over the Markov-additive chain.
 
     Dynamic programming over (landing target state, accumulated duration),
-    started from the stationary conditional distribution on the target.
+    started from the stationary conditional distribution on the target.  The
+    state after k returns does not depend on the n asked for, so the law
+    keeps one frontier, the deepest state computed so far and its k, and a
+    larger n extends it; a smaller uncached n restarts from the first return.
+    Either way every state comes from the same convolutions in the same order.
     """
     if not 1 <= n <= MAX_CONVOLUTION_RETURNS:
         raise ConfigurationError(
@@ -230,15 +297,20 @@ def exact_return_distribution(law: FirstReturnLaw, n: int) -> ExactReturnStats:
         return law._dist_cache[n]
     m = law.n_target
     t_max = law.t_max
-    # cur[a, i] = P(k returns so far, duration i + k, currently at target state a)
-    cur = np.einsum("a,pab->bp", law.start, law.kernels)
-    for k in range(2, n + 1):
+    if law._frontier is not None and law._frontier[0] <= n:
+        done, cur = law._frontier
+    else:
+        # cur[a, i] = P(k returns so far, duration i + k, currently at target state a)
+        done, cur = 1, np.einsum("a,pab->bp", law.start, law.kernels)
+    for _ in range(done + 1, n + 1):
         length = cur.shape[1] + t_max - 1
         new = np.zeros((m, length))
         for a in range(m):
             for b in range(m):
                 new[b] += np.convolve(cur[a], law.kernels[:, a, b])
         cur = new
+    if law._frontier is None or law._frontier[0] < n:
+        law._frontier = (n, cur)
     probs = cur.sum(axis=0)
     total = float(probs.sum())
     norm = probs / total

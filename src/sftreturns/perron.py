@@ -85,6 +85,11 @@ def perron_eigendata(M: np.ndarray) -> PerronData:
         solves = 3
         while True:
             if not (v.min() > 0.0 and u.min() > 0.0):
+                if len(strongly_connected_components(M > 0.0)) == 1:
+                    raise NumericError(
+                        "Perron vectors are not strictly positive: the matrix is irreducible, but "
+                        "its Perron vector spans more orders of magnitude than double precision resolves"
+                    )
                 raise NumericError("Perron vectors are not strictly positive; matrix not irreducible")
             v = v / v.max()
             u = u / float(u @ v)

@@ -6,6 +6,7 @@ import pytest
 from sftreturns import (
     ConfigurationError,
     DomainError,
+    NumericError,
     ReturnOperator,
     cycle_covariance,
     exact_mgf,
@@ -17,8 +18,61 @@ from sftreturns import (
     minimal_return_time,
     recode_higher_block,
 )
-from sftreturns.oracle import stationary_cycle_moment
+from sftreturns.oracle import largest_certifiable_alpha, stationary_cycle_moment
+from sftreturns.perron import _contraction, _geometric_sum
 from conftest import GOLDEN_RATIO, full_shift, make_system
+
+
+def reference_weighted_tail(alpha, p_cc, v_next, t_max, cache):
+    """The tilted tail bound at one horizon, its geometric sum computed from scratch."""
+    if p_cc.size == 0 or not v_next.any():
+        return 0.0
+    step = np.exp(alpha) * p_cc
+    if alpha not in cache:
+        try:
+            cache[alpha] = _contraction(step)
+        except NumericError as exc:
+            cache[alpha] = str(exc)
+    if isinstance(cache[alpha], str):
+        raise NumericError(cache[alpha])
+    raw = _geometric_sum(step, v_next, *cache[alpha])
+    if raw <= 0.0:
+        return 0.0
+    log_bound = alpha * (t_max + 1) + np.log(raw)
+    return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
+
+
+def reference_horizon(chain, targets, tol, alpha_max):
+    """(t_max, tail bound, weighted tail bound at alpha_max) of the horizon loop that
+    re-evaluates the tilted bound, k products, at every step whose tail is below tol."""
+    n = chain.n_states
+    A = np.array(targets)
+    C = np.array([i for i in range(n) if i not in set(targets)])
+    P = chain.transition_probs
+    Pcc = P[np.ix_(C, C)]
+    V = P[np.ix_(A, C)].copy()
+    tail = float(V.sum(axis=1).max())
+    cache = {}
+    t = 1
+    while True:
+        if tail <= tol and reference_weighted_tail(alpha_max, Pcc, V, t, cache) <= tol:
+            return t, tail, reference_weighted_tail(alpha_max, Pcc, V, t, {})
+        V = V @ Pcc
+        tail = float(V.sum(axis=1).max())
+        t += 1
+
+
+def reference_distribution(law, n):
+    """probs of the n-th return time, by the dynamic program run from the first return."""
+    m = law.n_target
+    cur = np.einsum("a,pab->bp", law.start, law.kernels)
+    for _ in range(2, n + 1):
+        new = np.zeros((m, cur.shape[1] + law.t_max - 1))
+        for a in range(m):
+            for b in range(m):
+                new[b] += np.convolve(cur[a], law.kernels[:, a, b])
+        cur = new
+    return cur.sum(axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +122,27 @@ class TestFirstReturnLaw:
             first = int(np.flatnonzero(probs > 0.0)[0]) + 1
             assert first == minimal_return_time(rec)
 
+    @pytest.mark.parametrize("fraction", [0.1, 0.45, 0.55, 0.9])
+    def test_tilted_horizon_matches_per_step_reference(self, random_recoded, fraction):
+        for rec in random_recoded:
+            op = ReturnOperator(rec)
+            alpha = fraction * (op.alpha0 if np.isfinite(op.alpha0) else 2.0)
+            chain = gibbs_chain(rec)
+            law = first_return_law(chain, rec.target_blocks, tol=1e-12, alpha_max=alpha)
+            expected = reference_horizon(chain, rec.target_blocks, 1e-12, alpha)
+            assert (law.t_max, law.tail_bound, law.weighted_tail_bound(alpha)) == expected
+
+    def test_failed_contraction_raises_the_reference_message(self, full2_recoded, golden_recoded):
+        for rec in (full2_recoded, golden_recoded):
+            chain = gibbs_chain(rec)
+            untilted = first_return_law(chain, rec.target_blocks, tol=1e-12)
+            alpha = 1.1 * largest_certifiable_alpha(untilted)
+            with pytest.raises(NumericError) as expected:
+                reference_horizon(chain, rec.target_blocks, 1e-12, alpha)
+            with pytest.raises(NumericError) as info:
+                first_return_law(chain, rec.target_blocks, tol=1e-12, alpha_max=alpha)
+            assert str(info.value) == str(expected.value)
+
 
 class TestExactDistribution:
     def test_n1_is_start_averaged_law(self, full2_law):
@@ -102,6 +177,15 @@ class TestExactDistribution:
             for _ in range(n - 1):
                 dp = np.min(dp[:, :, None] + best[None, :, :], axis=1)
             assert stats.support_min == int(dp.min())
+
+    def test_frontier_reuse_matches_fresh_dynamic_program(self, golden_recoded, random_recoded):
+        picked = [golden_recoded] + [r for r in random_recoded if 1 < len(r.target_blocks) <= 4][:3]
+        for rec in picked:
+            law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
+            for n in (8, 3, 25, 1, 25, 2):
+                probs = exact_return_distribution(law, n).probs
+                assert np.array_equal(probs, reference_distribution(law, n))
+            assert law._frontier[0] == 25
 
     def test_cap_enforced(self, full2_law):
         with pytest.raises(ConfigurationError, match="desk-scale"):

@@ -2,8 +2,9 @@
 
 Near-reducible, periodic and widely spread matrices must give a Perron pair
 that passes every invariant within 50 ms; matrices whose entries or Perron
-root lie outside the range of floats must raise :class:`NumericError` with
-a message that says so.  Potentials beyond the range of ``exp`` and weights
+root lie outside the range of floats, whose Perron vector spans more than
+double precision resolves, or that are reducible must raise
+:class:`NumericError` with a message that names the cause.  Potentials beyond the range of ``exp`` and weights
 that underflow must not change the pressure or the graph structure.
 """
 
@@ -60,6 +61,9 @@ UNSOLVABLE = {
     "inf": (np.array([[1.0, np.inf], [1.0, 1.0]]), "non-finite entries"),
     "exp-709": (np.exp(709.0) * np.ones((3, 3)), "dominant eigenvalue inf is not a positive normal float"),
     "subnormal": (np.exp(-740.0) * np.ones((3, 3)), "is not a positive normal float"),
+    # irreducible, but the smallest right entry is below the roundoff of the largest
+    "cycle-48-wide": (weighted_cycle(48, 2.5), "the matrix is irreducible, but its Perron vector spans"),
+    "reducible": (np.array([[1.0, 1.0], [0.0, 1.0]]), "not strictly positive; matrix not irreducible"),
 }
 
 
