@@ -41,6 +41,7 @@ from .oracle import (
     cycle_covariance_tail_sum,
     exact_mgf,
     exact_return_distribution,
+    exact_tail_probability,
     first_return_law,
     mgf_matrix,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "empirical_tail_rate",
     "exact_mgf",
     "exact_return_distribution",
+    "exact_tail_probability",
     "first_return_durations",
     "first_return_law",
     "first_return_series",

@@ -41,7 +41,13 @@ from .montecarlo import (
     sample_return_times,
     visit_counts,
 )
-from .oracle import exact_mgf, exact_return_distribution, first_return_law, mgf_matrix
+from .oracle import (
+    MAX_CONVOLUTION_RETURNS,
+    exact_mgf,
+    exact_tail_probability,
+    first_return_law,
+    mgf_matrix,
+)
 from .return_op import ReturnOperator
 from .system import (
     DepthKPotential,
@@ -299,7 +305,7 @@ def write_rate_csv(bundle: Bundle, grid: np.ndarray, out: Path) -> Path:
     return path
 
 
-def write_clt_csv(bundle: Bundle, stats: EmpiricalStats, sigma: float, out: Path) -> tuple[Path, float]:
+def write_clt_csv(bundle: Bundle, stats: EmpiricalStats, sigma: float, out: Path) -> Path:
     n = stats.n_returns
     mu = bundle.op.mu_target
     z = np.sort((stats.samples - n / mu) / (sigma * math.sqrt(n)))
@@ -308,7 +314,7 @@ def write_clt_csv(bundle: Bundle, stats: EmpiricalStats, sigma: float, out: Path
     rows = [[float(t), float(e), float(normal_cdf(t))] for t, e in zip(grid, emp)]
     path = out / "clt.csv"
     write_csv(path, ["t", "empirical_cdf", "normal_cdf"], rows)
-    return path, empirical_clt(stats, sigma, mu)
+    return path
 
 
 def write_tails_csv(
@@ -435,15 +441,10 @@ def stochastic_checks(
     ks_gate = max(0.05, 1.0 / math.sqrt(n))
     out.append(_verdict("clt_ks", "stochastic", ks <= ks_gate, statistic=ks, tolerance=ks_gate))
 
-    if n <= 64:
-        dist = exact_return_distribution(report.law, n)
-        durations = dist.durations
+    if n <= MAX_CONVOLUTION_RETURNS:
         for u, side in tails:
             threshold = n * (1.0 / mu + u) if side == "upper" else n * (1.0 / mu - u)
-            if side == "upper":
-                p_exact = float(dist.probs[durations >= threshold].sum())
-            else:
-                p_exact = float(dist.probs[durations <= threshold].sum())
+            p_exact = exact_tail_probability(report.law, n, threshold, side)
             count = empirical_tail_rate(stats, mu, u, side).count
             expected = p_exact * n_samples
             if expected >= 10.0:
@@ -526,7 +527,8 @@ def cmd_clt(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
     _require(bundle.config.simulation is not None, "clt command needs a simulation block")
     stats = sample_return_times(bundle.chain, bundle.target, bundle.config.simulation)
     sigma = math.sqrt(bundle.op.scgf_derivatives(0.0)[1])
-    path, ks = write_clt_csv(bundle, stats, sigma, out_dir)
+    path = write_clt_csv(bundle, stats, sigma, out_dir)
+    ks = empirical_clt(stats, sigma, bundle.op.mu_target)
     report = _report_skeleton(args, bundle)
     report["files"] = [str(path)]
     report["clt"] = {"ks_statistic": ks, "sigma_predicted": sigma, "flags": list(stats.flags)}
@@ -570,8 +572,7 @@ def cmd_validate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int
         grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
         files.append(str(write_rate_csv(bundle, grid, out_dir)))
     sigma = math.sqrt(bundle.op.scgf_derivatives(0.0)[1])
-    clt_path, ks = write_clt_csv(bundle, stats, sigma, out_dir)
-    files.append(str(clt_path))
+    files.append(str(write_clt_csv(bundle, stats, sigma, out_dir)))
     tails_path, tail_details = write_tails_csv(bundle, stats, tails, out_dir)
     files.append(str(tails_path))
 

@@ -304,10 +304,13 @@ def empirical_clt(stats: EmpiricalStats, sigma_pred: float, mu_target: float) ->
     if not sigma_pred > 0.0:
         raise DomainError(f"sigma_pred must be positive, got {sigma_pred}")
     n = stats.n_returns
-    z = np.sort((stats.samples - n / mu_target) / (sigma_pred * math.sqrt(n)))
-    cdf = np.array([normal_cdf(t) for t in z])
-    grid = np.arange(1, z.size + 1) / z.size
-    return float(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / z.size - cdf)).max())
+    # return times are integers, so the normal CDF is taken once per distinct value;
+    # standardizing is increasing, so repeating the sorted values sorts the samples
+    values, counts = np.unique(stats.samples, return_counts=True)
+    z = (values - n / mu_target) / (sigma_pred * math.sqrt(n))
+    cdf = np.repeat([normal_cdf(t) for t in z], counts)
+    grid = np.arange(1, cdf.size + 1) / cdf.size
+    return float(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / cdf.size - cdf)).max())
 
 
 def visit_counts(

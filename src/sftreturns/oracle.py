@@ -14,12 +14,25 @@ the horizon loop's own tail sequence, so the tilted horizon search costs
 t_max + k products instead of k per checked step.  The n-return dynamic
 program keeps its frontier (the state after the most returns yet computed)
 on the law, so the distributions for n = 1..N together cost N - 1 steps.
+
+Each exact quantity comes from arithmetic sized to what is asked:
+
+- ``exact_return_distribution``: the whole law of T_n, by the full dynamic
+  program (n^2 t_max^2 m^2 work, capped at n = 64).
+- ``exact_mgf``: E e^(alpha T_n) = start Q(alpha)^n 1, n vector-matrix
+  products with the tilted kernel Q(alpha) = sum_p e^(alpha p) K_p (the
+  Markov-additive identity of Ney and Nummelin), built once per tilt.
+- ``exact_tail_probability``: one tail of T_n, by the same dynamic program
+  run only over durations below its threshold; for the upper tail the mass
+  past the threshold collects in one cell per landing state.
+- ``weighted_tail_bound``: kept on the law per tilt, so each tilt's geometric
+  sum is computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import expm1, log, log1p
+from math import ceil, expm1, floor, log, log1p
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +66,8 @@ class FirstReturnLaw:
     _p_cc: np.ndarray
     _v_next: np.ndarray
     _contractions: dict[float, tuple[int, float] | str] = field(default_factory=dict, repr=False)
+    _tail_bounds: dict[float, float] = field(default_factory=dict, repr=False)
+    _tilted: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
     _dist_cache: dict[int, "ExactReturnStats"] = field(default_factory=dict, repr=False)
     _frontier: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
@@ -83,12 +98,16 @@ class FirstReturnLaw:
         :class:`NumericError` when exp(alpha) is too large for the series to
         be certified.  The leading exponential is applied in log space so a
         huge but certifiable tail reports as inf rather than overflowing.
+        The law is fixed once built, so the bound is kept per tilt.
         """
-        if self._p_cc.size == 0 or not self._v_next.any():
-            return 0.0
-        step = np.exp(alpha) * self._p_cc
-        k, beta = _tilt_contraction(alpha, step, self._contractions)
-        return _scaled_tail(alpha, self.t_max, _geometric_sum(step, self._v_next, k, beta))
+        if alpha not in self._tail_bounds:
+            if self._p_cc.size == 0 or not self._v_next.any():
+                return 0.0
+            step = np.exp(alpha) * self._p_cc
+            k, beta = _tilt_contraction(alpha, step, self._contractions)
+            raw = _geometric_sum(step, self._v_next, k, beta)
+            self._tail_bounds[alpha] = _scaled_tail(alpha, self.t_max, raw)
+        return self._tail_bounds[alpha]
 
     def moment_tail_bound(self, order: int) -> float:
         """Certified bound on sum_{p > t_max} p^order (omitted mass)."""
@@ -254,8 +273,7 @@ class ExactReturnStats:
     ``probs[i]`` is the probability of total duration ``offset + i``; the
     omitted mass is ``1 - total_mass`` and is bounded by n times the law's
     per-cycle tail.  Mean and variance are computed from the normalized
-    truncated distribution.  ``mgf_cache`` maps previously requested tilts
-    to (value, certified error bound) pairs.
+    truncated distribution.
     """
 
     n: int
@@ -264,7 +282,6 @@ class ExactReturnStats:
     total_mass: float
     mean: float
     variance: float
-    mgf_cache: dict[float, tuple[float, float]] = field(default_factory=dict, repr=False)
 
     @property
     def durations(self) -> np.ndarray:
@@ -285,14 +302,7 @@ def exact_return_distribution(law: FirstReturnLaw, n: int) -> ExactReturnStats:
     larger n extends it; a smaller uncached n restarts from the first return.
     Either way every state comes from the same convolutions in the same order.
     """
-    if not 1 <= n <= MAX_CONVOLUTION_RETURNS:
-        raise ConfigurationError(
-            f"n must lie in [1, {MAX_CONVOLUTION_RETURNS}] (desk-scale cap), got {n}"
-        )
-    if law.tail_bound > 1e-10:
-        raise ConfigurationError(
-            f"law tail bound {law.tail_bound:.3e} too coarse; rebuild with tol <= 1e-10"
-        )
+    _check_convolution(law, n)
     if n in law._dist_cache:
         return law._dist_cache[n]
     m = law.n_target
@@ -324,21 +334,78 @@ def exact_return_distribution(law: FirstReturnLaw, n: int) -> ExactReturnStats:
     return stats
 
 
+def _check_fine_law(law: FirstReturnLaw) -> None:
+    if law.tail_bound > 1e-10:
+        raise ConfigurationError(
+            f"law tail bound {law.tail_bound:.3e} too coarse; rebuild with tol <= 1e-10"
+        )
+
+
+def _check_convolution(law: FirstReturnLaw, n: int) -> None:
+    if not 1 <= n <= MAX_CONVOLUTION_RETURNS:
+        raise ConfigurationError(
+            f"n must lie in [1, {MAX_CONVOLUTION_RETURNS}] (desk-scale cap), got {n}"
+        )
+    _check_fine_law(law)
+
+
+def exact_tail_probability(law: FirstReturnLaw, n: int, threshold: float, side: str) -> float:
+    """P(T_n >= threshold) for ``side`` 'upper', P(T_n <= threshold) for 'lower'.
+
+    The dynamic program of :func:`exact_return_distribution`, run only over
+    the durations below the cut (the least integer duration the tail does
+    not count for 'lower', the least it does count for 'upper'), so a step
+    costs at most cut min(cut, t_max) m^2.  For 'upper', the paths at or past
+    the cut gather in one cell per landing state, fed through the reverse
+    cumulative sums of the kernels: every term is nonnegative, so no mass is
+    lost to cancellation.  T_n is an integer in [n, n t_max] on the law.
+    """
+    if side not in ("upper", "lower"):
+        raise ConfigurationError(f"side must be 'upper' or 'lower', got {side!r}")
+    if np.isnan(threshold):
+        raise ConfigurationError("threshold must be a number, got nan")
+    _check_convolution(law, n)
+    m, t_max = law.n_target, law.t_max
+    edge = min(max(float(threshold), 0.0), float(n * t_max + 1))
+    cut = max(ceil(edge) if side == "upper" else floor(edge) + 1, 1)
+    width = min(cut - 1, t_max)  # the returns that can stay below the cut
+    lag = min(cut, t_max)  # a return crosses the cut only from the last lag durations
+    past = np.cumsum(law.kernels[::-1], axis=0)[::-1]  # past[j - 1] = sum_{p >= j} K_p
+    # cur[a, d] = P(k returns so far, total duration d < cut, now at target state a)
+    cur = np.zeros((m, cut))
+    cur[:, 0] = law.start
+    beyond = np.zeros(m)
+    for k in range(n):
+        if side == "upper":
+            crossing = np.einsum("ad,dab->b", cur[:, cut - lag:], past[lag - 1::-1])
+            beyond = beyond @ past[0] + crossing
+        live = min(cut, k * t_max + 1)  # after k returns the duration is at most k t_max
+        new = np.zeros((m, cut))
+        if width:
+            for a in range(m):
+                for b in range(m):
+                    conv = np.convolve(cur[a, :live], law.kernels[:width, a, b])
+                    new[b, 1:live + width] += conv[:cut - 1]
+        cur = new
+    return float(beyond.sum() if side == "upper" else cur.sum())
+
+
 def exact_mgf(law: FirstReturnLaw, n: int, alpha: float) -> tuple[float, float]:
-    """E[exp(alpha * r^n)] from the exact distribution, with a certified bound.
+    """E[exp(alpha T_n)] = start Q(alpha)^n 1, with a certified bound.
 
     The error bound covers all trajectories in which at least one cycle
-    exceeded the law's horizon: with per-cycle tilted mass q and certified
-    per-cycle weighted tail b, the omitted contribution is at most
-    (q + b)^n - q^n.
+    exceeded the law's horizon: with q the largest row sum of Q(alpha) and b
+    the certified per-cycle weighted tail, the omitted contribution is at
+    most (q + b)^n - q^n.
     """
-    stats = exact_return_distribution(law, n)
-    if alpha in stats.mgf_cache:
-        return stats.mgf_cache[alpha]
-    mask = stats.probs > 0.0
-    exponents = alpha * stats.durations[mask] + np.log(stats.probs[mask])
-    peak = float(exponents.max())
-    value = float(np.exp(peak) * np.exp(exponents - peak).sum())
+    if n < 1:
+        raise ConfigurationError(f"n must be at least 1, got {n}")
+    _check_fine_law(law)
+    Q = _tilted_kernel(law, alpha)
+    row = law.start
+    for _ in range(n):
+        row = row @ Q
+    value = float(row.sum())
     if not np.isfinite(value):
         raise NumericError(f"moment generating function overflowed at alpha={alpha}")
     try:
@@ -348,10 +415,8 @@ def exact_mgf(law: FirstReturnLaw, n: int, alpha: float) -> tuple[float, float]:
             f"alpha={alpha} is too close to the domain boundary for certification; "
             f"largest certifiable alpha is about {largest_certifiable_alpha(law):.6f}"
         ) from exc
-    p = np.arange(1, law.t_max + 1, dtype=float)
-    q_eff = float((np.exp(alpha * p)[:, None, None] * law.kernels).sum(axis=(0, 2)).max())
+    q_eff = float(Q.sum(axis=1).max())
     bound = float(q_eff**n * expm1(n * log1p(b1 / q_eff)))
-    stats.mgf_cache[float(alpha)] = (value, bound)
     return value, bound
 
 
@@ -363,9 +428,17 @@ def largest_certifiable_alpha(law: FirstReturnLaw) -> float:
 
 def mgf_matrix(law: FirstReturnLaw, alpha: float) -> tuple[np.ndarray, float]:
     """Tilted kernel Q(alpha)[a, a'] = sum_p e^{alpha p} q_a(a', p), with entry bound."""
-    p = np.arange(1, law.t_max + 1, dtype=float)
-    Q = np.tensordot(np.exp(alpha * p), law.kernels, axes=(0, 0))
-    return Q, law.weighted_tail_bound(alpha)
+    return _tilted_kernel(law, alpha), law.weighted_tail_bound(alpha)
+
+
+def _tilted_kernel(law: FirstReturnLaw, alpha: float) -> np.ndarray:
+    """Q(alpha), built once per tilt and kept read-only on the law."""
+    if alpha not in law._tilted:
+        p = np.arange(1, law.t_max + 1, dtype=float)
+        Q = np.tensordot(np.exp(alpha * p), law.kernels, axes=(0, 0))
+        Q.flags.writeable = False
+        law._tilted[alpha] = Q
+    return law._tilted[alpha]
 
 
 def _normalized_moments(law: FirstReturnLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sftreturns import cli, gibbs_chain, return_op, thermo, variance_report
+from sftreturns import cli, gibbs_chain, oracle, return_op, thermo, variance_report
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -254,3 +254,47 @@ def test_build_solves_full_perron_pair_once(tmp_path, monkeypatch):
     expected = gibbs_chain(bundle.recoded)  # solves its own pair
     assert bundle.chain.transition_probs.tobytes() == expected.transition_probs.tobytes()
     assert bundle.chain.stationary.tobytes() == expected.stationary.tobytes()
+
+
+# The 10th system that tests/conftest.py::random_instance draws from np.random.default_rng(5):
+# its C_3 sits near 0, so its sandwich_bounded verdict fails.
+SANDWICH_SYSTEM = {
+    "n_symbols": 4,
+    "transitions": [[1, 0, 0, 1], [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
+    "potential": {"depth": 2, "values": [
+        {"word": [0, 0], "value": -0.936838860181463},
+        {"word": [0, 3], "value": -0.7391779181837066},
+        {"word": [1, 0], "value": 0.838916123097571},
+        {"word": [1, 1], "value": 0.6212593443971881},
+        {"word": [2, 0], "value": -0.48996095118105476},
+        {"word": [2, 2], "value": -0.3226846399272256},
+        {"word": [3, 1], "value": -0.9237520919459414},
+        {"word": [3, 2], "value": -0.7464060816150129},
+    ]},
+    "target": [0, 2, 3],
+}
+
+
+def test_validate_takes_exact_checks_without_the_full_distribution(tmp_path, monkeypatch):
+    # the tail test runs the cut dynamic program and the mgf the tilted-kernel products;
+    # each law keeps its tilted tail bounds, so no geometric sum is computed twice
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate built a full n-return distribution")
+
+    monkeypatch.setattr(oracle, "exact_return_distribution", forbidden)
+    monkeypatch.setattr(cli, "exact_return_distribution", forbidden, raising=False)
+    sums = []
+
+    def counting(X, V, k, beta, original=oracle._geometric_sum):
+        sums.append((V, X.tobytes()))  # V is the law's own array, kept alive so ids stay unique
+        return original(X, V, k, beta)
+
+    monkeypatch.setattr(oracle, "_geometric_sum", counting)
+    cfg = {"system": SANDWICH_SYSTEM, "simulation": {
+        "seed": 11, "n_returns": 25, "n_samples": 1000, "horizon": 200, "workers": 1}}
+    path = write_config(tmp_path, cfg)
+    assert run(["validate", "--config", path, "--out", tmp_path]) in (EXIT_OK, EXIT_VALIDATION)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert any(v["name"].startswith("tail_count_upper") for v in report["verdicts"])
+    keys = [(id(V), X) for V, X in sums]
+    assert sums and len(set(keys)) == len(keys)

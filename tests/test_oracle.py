@@ -11,6 +11,7 @@ from sftreturns import (
     cycle_covariance,
     exact_mgf,
     exact_return_distribution,
+    exact_tail_probability,
     first_return_durations,
     first_return_law,
     gibbs_chain,
@@ -62,17 +63,44 @@ def reference_horizon(chain, targets, tol, alpha_max):
         t += 1
 
 
-def reference_distribution(law, n):
-    """probs of the n-th return time, by the dynamic program run from the first return."""
+def reference_distributions(law, n_max):
+    """probs of the n-th return time (duration n + index) for n = 1..n_max, by the
+    dynamic program run from the first return."""
     m = law.n_target
     cur = np.einsum("a,pab->bp", law.start, law.kernels)
-    for _ in range(2, n + 1):
+    yield cur.sum(axis=0)
+    for _ in range(2, n_max + 1):
         new = np.zeros((m, cur.shape[1] + law.t_max - 1))
         for a in range(m):
             for b in range(m):
                 new[b] += np.convolve(cur[a], law.kernels[:, a, b])
         cur = new
-    return cur.sum(axis=0)
+        yield cur.sum(axis=0)
+
+
+def reference_distribution(law, n):
+    return list(reference_distributions(law, n))[-1]
+
+
+def reference_mgfs(law, n_max, alpha):
+    """E e^(alpha T_n) for n = 1..n_max, summed over the dynamic program's law in log space."""
+    values = []
+    for n, probs in enumerate(reference_distributions(law, n_max), start=1):
+        mask = probs > 0.0
+        exponents = alpha * (n + np.flatnonzero(mask)) + np.log(probs[mask])
+        peak = exponents.max()
+        values.append(float(np.exp(peak) * np.exp(exponents - peak).sum()))
+    return values
+
+
+def tail_of(stats, threshold, side):
+    """P(T_n >= threshold) or P(T_n <= threshold), summed over the whole distribution."""
+    keep = stats.durations >= threshold if side == "upper" else stats.durations <= threshold
+    return float(stats.probs[keep].sum())
+
+
+def assert_relative(value, expected, tol):
+    assert abs(value - expected) <= tol * abs(expected), (value, expected)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +226,62 @@ class TestExactDistribution:
             exact_return_distribution(law, 2)
 
 
+class TestExactTailProbability:
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_matches_full_distribution(self, random_recoded, side):
+        for rec in random_recoded:
+            law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
+            for n in (1, 2, 5, 25):
+                stats = exact_return_distribution(law, n)
+                for u in (0.3, 1.0, 3.0):
+                    shift = u if side == "upper" else -u
+                    threshold = n * (1.0 / law.mu_target + shift)
+                    expected = tail_of(stats, threshold, side)
+                    assert_relative(exact_tail_probability(law, n, threshold, side), expected, 1e-13)
+
+    def test_edge_cuts(self, full2_law, golden_law, random_recoded):
+        laws = [full2_law, golden_law] + [
+            first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
+            for rec in random_recoded if len(rec.target_blocks) > 1
+        ][:3]
+        for law in laws:
+            for n in (1, 3, 6):
+                stats = exact_return_distribution(law, n)
+                top = n * law.t_max
+                middle = n / law.mu_target
+                thresholds = (-2.0, 0.0, 0.5, 1.0, n - 0.5, n, top, top + 0.5, top + 7.0, 1e300,
+                              middle + 0.25, middle + 0.5, middle - 0.75, np.floor(middle) + 0.5)
+                for threshold in thresholds:
+                    for side in ("upper", "lower"):
+                        expected = tail_of(stats, threshold, side)
+                        value = exact_tail_probability(law, n, threshold, side)
+                        assert_relative(value, expected, 1e-13)
+                # below the shortest and past the longest duration a tail is all or nothing
+                assert_relative(exact_tail_probability(law, n, 0.5, "upper"), stats.total_mass, 1e-13)
+                assert exact_tail_probability(law, n, 0.5, "lower") == 0.0
+                assert exact_tail_probability(law, n, top + 0.5, "upper") == 0.0
+
+    def test_rejects_bad_input_and_cap(self, full2_law):
+        with pytest.raises(ConfigurationError, match="side"):
+            exact_tail_probability(full2_law, 2, 3.0, "both")
+        with pytest.raises(ConfigurationError, match="desk-scale"):
+            exact_tail_probability(full2_law, 65, 3.0, "upper")
+        with pytest.raises(ConfigurationError, match="threshold"):
+            exact_tail_probability(full2_law, 2, float("nan"), "lower")
+
+
 class TestExactMgf:
+    def test_matches_dynamic_program_sum(self, random_recoded):
+        for rec in random_recoded:
+            op = ReturnOperator(rec)
+            half = 0.5 * op.alpha0 if np.isfinite(op.alpha0) else 1.0
+            law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12,
+                                   alpha_max=1.1 * half)
+            for alpha in (-1.0, -0.2, half):
+                expected = reference_mgfs(law, 8, alpha)
+                for n in range(1, 9):
+                    assert_relative(exact_mgf(law, n, alpha)[0], expected[n - 1], 1e-13)
+
     def test_alpha_zero_is_one(self, full2_law, golden_law):
         for law in (full2_law, golden_law):
             value, bound = exact_mgf(law, 3, 0.0)
