@@ -55,11 +55,10 @@ from .system import (
     SymbolicSystem,
     TargetSet,
     admissible_words,
-    minimal_return_time,
     recode_higher_block,
     validate_system,
 )
-from .thermo import gibbs_chain
+from .thermo import GibbsChain, gibbs_chain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,7 +203,7 @@ class Bundle:
     config: AnalysisConfig
     recoded: RecodedSystem
     op: ReturnOperator
-    chain: Any
+    chain: GibbsChain
     notices: list[str]
 
     @property
@@ -213,7 +212,7 @@ class Bundle:
 
     @cached_property
     def variance(self) -> VarianceReport:
-        return variance_report(self.recoded)
+        return variance_report(self.op, self.chain)
 
 
 def build_bundle(config: AnalysisConfig) -> Bundle:
@@ -265,7 +264,7 @@ def scalar_block(bundle: Bundle) -> dict[str, Any]:
         "s_critical": {"value": op.s_critical, "tolerance": 1e-12},
         "alpha0": {"value": op.alpha0, "tolerance": 1e-12},
         "mu_target": {"value": op.mu_target, "tolerance": 1e-10},
-        "minimal_return_time": {"value": minimal_return_time(bundle.recoded), "tolerance": 0},
+        "minimal_return_time": {"value": op.minimal_return, "tolerance": 0},
         "min_return_cycle_mean": {"value": float(op.min_cycle_mean), "tolerance": 0},
         "sigma2": {"value": report.sigma2, "tolerance": 1e-9},
         "sigma2_bar": {"value": report.sigma2_bar, "tolerance": 1e-9},
@@ -303,6 +302,18 @@ def write_rate_csv(bundle: Bundle, grid: np.ndarray, out: Path) -> Path:
     path = out / "rate.csv"
     write_csv(path, ["u", "rate", "alpha_star"], rows)
     return path
+
+
+def write_grid_csvs(args: argparse.Namespace, bundle: Bundle, out: Path) -> list[str]:
+    """scgf.csv and rate.csv for the configured grids, clipped as the flags say."""
+    files = []
+    if bundle.config.alpha_grid is not None:
+        grid = clip_alpha_grid(bundle, bundle.config.alpha_grid, args.clip_grid)
+        files.append(str(write_scgf_csv(bundle, grid, out)))
+    if bundle.config.u_grid is not None:
+        grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
+        files.append(str(write_rate_csv(bundle, grid, out)))
+    return files
 
 
 def write_clt_csv(bundle: Bundle, stats: EmpiricalStats, sigma: float, out: Path) -> Path:
@@ -490,14 +501,7 @@ def cmd_analyze(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
     report["scalars"] = scalar_block(bundle)
     report["restricted_components"] = bundle.op.restricted_components
     report["diagnostics"] = vars(validate_system(bundle.config.system))
-    files = []
-    if bundle.config.alpha_grid is not None:
-        grid = clip_alpha_grid(bundle, bundle.config.alpha_grid, args.clip_grid)
-        files.append(str(write_scgf_csv(bundle, grid, out_dir)))
-    if bundle.config.u_grid is not None:
-        grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
-        files.append(str(write_rate_csv(bundle, grid, out_dir)))
-    report["files"] = files
+    report["files"] = write_grid_csvs(args, bundle, out_dir)
     report["notices"] = bundle.notices
     _emit(report, out_dir)
     return EXIT_OK
@@ -564,13 +568,7 @@ def cmd_validate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int
     tails = bundle.config.tails or [(1.0, "upper")]
     verdicts.extend(stochastic_checks(bundle, stats, counts, var_rate, tails))
 
-    files = []
-    if bundle.config.alpha_grid is not None:
-        grid = clip_alpha_grid(bundle, bundle.config.alpha_grid, args.clip_grid)
-        files.append(str(write_scgf_csv(bundle, grid, out_dir)))
-    if bundle.config.u_grid is not None:
-        grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
-        files.append(str(write_rate_csv(bundle, grid, out_dir)))
+    files = write_grid_csvs(args, bundle, out_dir)
     sigma = math.sqrt(bundle.op.scgf_derivatives(0.0)[1])
     files.append(str(write_clt_csv(bundle, stats, sigma, out_dir)))
     tails_path, tail_details = write_tails_csv(bundle, stats, tails, out_dir)

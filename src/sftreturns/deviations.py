@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .oracle import FirstReturnLaw, cycle_covariance_tail_sum, first_return_law, stationary_cycle_moment
 from .return_op import ReturnOperator
-from .system import RecodedSystem
-from .thermo import gibbs_chain
+from .thermo import GibbsChain
 
 ROOT_TOL = 1e-12
 BOUNDARY_BAND = 1e-9
@@ -188,15 +187,14 @@ def deviation_limit(op: ReturnOperator, u: float, side: str) -> float:
     return -rate_function(op, abscissa)[0]
 
 
-def variance_report(recoded: RecodedSystem, law_tol: float = 1e-12) -> VarianceReport:
+def variance_report(op: ReturnOperator, chain: GibbsChain, law_tol: float = 1e-12) -> VarianceReport:
     """sigma^2 = Psi''(0) cross-checked against the cycle-covariance series.
 
-    series route: E[tau^2] - 1/mu^2 + 2 sum_{j>=2} Cov(tau^1, tau^j), with the
-    covariance series truncated under a fitted geometric decay bound.  The
-    two routes must agree within 1e-6 and the variance must be strictly
-    positive.
+    ``chain`` is the Gibbs chain of the operator's system.  series route:
+    E[tau^2] - 1/mu^2 + 2 sum_{j>=2} Cov(tau^1, tau^j), with the covariance
+    series truncated under a fitted geometric decay bound.  The two routes
+    must agree within 1e-6 and the variance must be strictly positive.
     """
-    op = ReturnOperator(recoded)
     _, sigma2 = op.scgf_derivatives(0.0)
     if not sigma2 > SIGMA2_FLOOR:
         raise NumericError(
@@ -204,8 +202,7 @@ def variance_report(recoded: RecodedSystem, law_tol: float = 1e-12) -> VarianceR
             "the return times appear deterministic"
         )
     mu = op.mu_target
-    chain = gibbs_chain(recoded, op.perron)
-    law = first_return_law(chain, recoded.target_blocks, tol=law_tol)
+    law = first_return_law(chain, op.target, tol=law_tol)
     second = stationary_cycle_moment(law, 2)
     tail_sum, n_terms = cycle_covariance_tail_sum(law)
     series = second - 1.0 / mu**2 + 2.0 * tail_sum

@@ -14,12 +14,18 @@ gives both derivatives in closed form by Perron perturbation (Kato,
 Perturbation Theory for Linear Operators, II.2): lambda' = m R' h and
 lambda'' = m R'' h + 2 m R' G R' h, with G = (lambda (I + h m) - R)^{-1} - h m / lambda
 the group inverse of lambda I - R (Meyer, SIAM Rev. 1975).
+
+Every R(S) request passes through ``ReturnOperator.eval``, which memoizes
+the solve keyed by the exact float S, so each R(S), and each pair of
+eigenvalue derivatives, is computed once per operator; the blocks of M are
+sliced once, at the first evaluation, and only scaled by exp(shift - S).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +48,9 @@ DOMAIN_TOL = 1e-8
 class ReturnOperatorEval:
     """R(S) with its Perron data; m_vec . h_vec = 1 and h_vec has unit peak.
 
-    ``X`` is (I - W_CC)^{-1} W_CA, which the derivatives reuse.
+    ``X`` is (I - W_CC)^{-1} W_CA, which the derivatives reuse.  The arrays
+    are read-only, since the operator's memo hands the same ones to every
+    request for S.
     """
 
     R: np.ndarray
@@ -50,6 +58,10 @@ class ReturnOperatorEval:
     h_vec: np.ndarray
     m_vec: np.ndarray
     X: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.R, self.h_vec, self.m_vec, self.X):
+            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -81,7 +93,15 @@ class CgfCurve:
 
 
 class ReturnOperator:
-    """Curve provider: caches the full Perron pair, pressure, critical parameter and block structure."""
+    """Curve provider: caches the full Perron pair, pressure, critical parameter and block structure.
+
+    Evaluations are memoized by the exact float S: :meth:`eval` solves R(S)
+    and its Perron pair once and returns the same read-only
+    :class:`ReturnOperatorEval` to every later request for S, and
+    :meth:`eval_with_derivative` completes that entry with lambda' and
+    lambda'' once, from the memoized ``X``, without solving R(S) again.
+    The parameter is still checked on every request.
+    """
 
     def __init__(self, recoded: RecodedSystem) -> None:
         self.recoded = recoded
@@ -99,11 +119,21 @@ class ReturnOperator:
         self.mu_target = float(self._stationary[self._A].sum())
         self.minimal_return = minimal_return_time(recoded)
         self.min_cycle_mean: Fraction = minimal_return_cycle_mean(recoded)
+        complement_cycle = any(
+            len(c) > 1 or recoded.transitions[c[0], c[0]] for c in self.restricted_components
+        )
+        if complement_cycle and not np.isfinite(self.s_critical):
+            raise NumericError(
+                "the target complement has a cycle, but every cycle weight underflows: "
+                "the restricted pressure lies below double range"
+            )
         # finite only when return times are bounded (acyclic complement);
         # then it caps the attainable range of Psi'
         self.max_cycle_mean: Fraction | None = (
-            maximal_return_cycle_mean(recoded) if not np.isfinite(self.alpha0) else None
+            None if complement_cycle else maximal_return_cycle_mean(recoded)
         )
+        self._evals: dict[float, ReturnOperatorEval] = {}
+        self._derivatives: dict[float, tuple[float, float]] = {}
 
     # -- evaluation --------------------------------------------------------
 
@@ -117,20 +147,34 @@ class ReturnOperator:
                 "the first-return series does not converge"
             )
 
-    def _blocks(self, S: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        W = np.exp(self.recoded.weight_shift - S) * self._M
+    @cached_property
+    def _sliced(self) -> tuple[np.ndarray, ...]:
+        """M_AA, M_AC, M_CA, M_CC and the complement identity, sliced at the first evaluation."""
         A, C = self._A, self._C
-        return (W[np.ix_(A, A)], W[np.ix_(A, C)], W[np.ix_(C, A)], W[np.ix_(C, C)])
+        M = self._M
+        return M[np.ix_(A, A)], M[np.ix_(A, C)], M[np.ix_(C, A)], M[np.ix_(C, C)], np.eye(C.size)
+
+    def _blocks(self, S: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """W_AA, W_AC, W_CA and W_CC at S."""
+        Maa, Mac, Mca, Mcc, _ = self._sliced
+        t = np.exp(self.recoded.weight_shift - S)
+        return t * Maa, t * Mac, t * Mca, t * Mcc
+
+    def _resolvent(self, Wcc: np.ndarray) -> np.ndarray:
+        return self._sliced[4] - Wcc
 
     def eval(self, S: float) -> ReturnOperatorEval:
-        """Return operator R(S) with Perron data; requires S safely above S_c."""
+        """Return operator R(S) with Perron data, solved once per S; requires S safely above S_c."""
         self._check_parameter(S)
-        Waa, Wac, Wca, Wcc = self._blocks(S)
-        resolvent = np.eye(Wcc.shape[0]) - Wcc
-        X = np.linalg.solve(resolvent, Wca)
-        R = Waa + Wac @ X
-        data = perron_eigendata(R)
-        return ReturnOperatorEval(R=R, lam=data.rho, h_vec=data.right_vec, m_vec=data.left_vec, X=X)
+        ev = self._evals.get(S)
+        if ev is None:
+            Waa, Wac, Wca, Wcc = self._blocks(S)
+            X = np.linalg.solve(self._resolvent(Wcc), Wca)
+            R = Waa + Wac @ X
+            data = perron_eigendata(R)
+            ev = ReturnOperatorEval(R=R, lam=data.rho, h_vec=data.right_vec, m_vec=data.left_vec, X=X)
+            self._evals[S] = ev
+        return ev
 
     def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float, float]:
         """R(S) eigendata plus the analytic derivatives lambda'(S) and lambda''(S).
@@ -140,21 +184,25 @@ class ReturnOperator:
         Perron pair, lambda' = m R' h and lambda'' = m R'' h + 2 m R' G R' h,
         where G R' h = y - h lambda' / lambda with (lambda (I + h m) - R) y = R' h.
         The rank-one term is scaled by lambda so that the solve stays as well
-        conditioned as lambda I - R off h when lambda is far from 1.
+        conditioned as lambda I - R off h when lambda is far from 1.  Both
+        derivatives are memoized with the evaluation.
         """
         ev = self.eval(S)
-        Waa, Wac, _, Wcc = self._blocks(S)
-        resolvent = np.eye(Wcc.shape[0]) - Wcc  # the complement is never empty
-        X = ev.X
-        X2 = np.linalg.solve(resolvent, X)
-        X3 = np.linalg.solve(resolvent, X2)
-        R_prime = -(Waa + Wac @ X) - Wac @ X2
-        R_second = Waa + Wac @ (2.0 * X3 + X2 + X)
-        h, m = ev.h_vec, ev.m_vec
-        lam_prime = float(m @ R_prime @ h)
-        y = np.linalg.solve(ev.lam * (np.eye(h.size) + np.outer(h, m)) - ev.R, R_prime @ h)
-        lam_second = float(m @ R_second @ h + 2.0 * (m @ R_prime @ y - lam_prime * lam_prime / ev.lam))
-        return ev, lam_prime, lam_second
+        derivatives = self._derivatives.get(S)
+        if derivatives is None:
+            Waa, Wac, _, Wcc = self._blocks(S)
+            resolvent = self._resolvent(Wcc)  # the complement is never empty
+            X = ev.X
+            X2 = np.linalg.solve(resolvent, X)
+            X3 = np.linalg.solve(resolvent, X2)
+            R_prime = -(Waa + Wac @ X) - Wac @ X2
+            R_second = Waa + Wac @ (2.0 * X3 + X2 + X)
+            h, m = ev.h_vec, ev.m_vec
+            lam_prime = float(m @ R_prime @ h)
+            y = np.linalg.solve(ev.lam * (np.eye(h.size) + np.outer(h, m)) - ev.R, R_prime @ h)
+            lam_second = float(m @ R_second @ h + 2.0 * (m @ R_prime @ y - lam_prime * lam_prime / ev.lam))
+            derivatives = self._derivatives[S] = (lam_prime, lam_second)
+        return (ev, *derivatives)
 
     # -- scaled CGF ---------------------------------------------------------
 

@@ -16,10 +16,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from sftreturns import (
     DepthKPotential,
+    ReturnOperator,
     SymbolicSystem,
     TargetSet,
     admissible_words,
+    gibbs_chain,
     recode_higher_block,
+    variance_report,
     zero_potential,
 )
 
@@ -37,6 +40,12 @@ def make_system(transitions, target, potential=None, depth=1):
         potential=potential,
         target=TargetSet(tuple(sorted(target))),
     )
+
+
+def variance_of(recoded):
+    """variance_report on a fresh operator of ``recoded`` and the chain of its Perron pair."""
+    op = ReturnOperator(recoded)
+    return variance_report(op, gibbs_chain(recoded, op.perron))
 
 
 def constant_potential(transitions, depth, value=0.0):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import GOLDEN_RATIO, full_shift
+from conftest import GOLDEN_RATIO, full_shift, variance_of
 from sftreturns import (
     ReturnOperator,
     SimConfig,
@@ -33,7 +33,6 @@ from sftreturns import (
     rate_function,
     recode_higher_block,
     sample_return_times,
-    variance_report,
     visit_counts,
 )
 from sftreturns.cli import main as cli_main
@@ -162,10 +161,10 @@ def test_criterion_06_strict_convexity(operators):
 def test_criterion_07_variance_two_routes(random_recoded, full2_recoded, golden_recoded):
     worst_gap = 0.0
     for rec in random_recoded:
-        report = variance_report(rec)
+        report = variance_of(rec)
         worst_gap = max(worst_gap, abs(report.sigma2 - report.series_sigma2))
-    err2 = abs(variance_report(full2_recoded).sigma2 - 2.0)
-    errg = abs(variance_report(golden_recoded).sigma2 - RHO**3)
+    err2 = abs(variance_of(full2_recoded).sigma2 - 2.0)
+    errg = abs(variance_of(golden_recoded).sigma2 - RHO**3)
     record(
         7,
         worst_gap <= 1e-6 and err2 <= 1e-9 and errg <= 1e-9,

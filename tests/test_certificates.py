@@ -23,6 +23,7 @@ import pytest
 from sftreturns import (
     DepthKPotential,
     NumericError,
+    ReturnOperator,
     first_return_law,
     gibbs_chain,
     recode_higher_block,
@@ -99,7 +100,7 @@ def test_oracle_outputs_match_pinned_values(name):
         assert str(info.value) == NO_CONTRACTION.format(4096)
     else:
         assert law.weighted_tail_bound(0.2).hex() == pin["weighted"]
-    report = variance_report(recoded)
+    report = variance_report(ReturnOperator(recoded), chain)
     assert report.sigma2.hex() == pin["sigma2"]
     assert report.sigma2_bar.hex() == pin["sigma2_bar"]
     assert report.mu_target.hex() == pin["mu"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sftreturns import cli, gibbs_chain, oracle, return_op, thermo, variance_report
-from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
+from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 
 
 def full2_config(**overrides):
@@ -226,14 +226,38 @@ class TestValidate:
     def test_one_variance_report_per_run(self, tmp_path, monkeypatch, command):
         calls = []
 
-        def counting(recoded, *args, **kwargs):
-            calls.append(recoded)
-            return variance_report(recoded, *args, **kwargs)
+        def counting(op, chain, *args, **kwargs):
+            calls.append(op)
+            return variance_report(op, chain, *args, **kwargs)
 
         monkeypatch.setattr(cli, "variance_report", counting)
         path = write_config(tmp_path, golden_config())
         assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    def test_one_operator_per_run(self, tmp_path, monkeypatch, command):
+        # the variance report runs on the bundle's operator and chain
+        builds = []
+
+        def counting(self, recoded, original=return_op.ReturnOperator.__init__):
+            builds.append(recoded)
+            original(self, recoded)
+
+        monkeypatch.setattr(return_op.ReturnOperator, "__init__", counting)
+        path = write_config(tmp_path, dict(golden_config(), u_grid=[2.2, 3.0, 4.0]))
+        assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_underflowing_complement_cycle_exits_numeric(self, tmp_path, capsys):
+        cfg = {"system": {
+            "n_symbols": 3, "transitions": [[1, 1, 0], [0, 0, 1], [1, 1, 0]],
+            "potential": {"depth": 2, "values": [{"word": [2, 1], "value": -800.0}]},
+            "target": [0]}}
+        path = write_config(tmp_path, cfg)
+        assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_NUMERIC
+        assert "restricted pressure lies below double range" in capsys.readouterr().err
 
 
 def test_build_solves_full_perron_pair_once(tmp_path, monkeypatch):
@@ -298,3 +322,30 @@ def test_validate_takes_exact_checks_without_the_full_distribution(tmp_path, mon
     assert any(v["name"].startswith("tail_count_upper") for v in report["verdicts"])
     keys = [(id(V), X) for V, X in sums]
     assert sums and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("system", ["golden", "sandwich"])
+def test_validate_solves_each_operator_parameter_once(tmp_path, monkeypatch, system):
+    # Psi''(0), the rate brackets and the conjugacy tilts repeat S; the memo solves each once
+    requested, sizes, solves = [], set(), []
+
+    def counting_eval(self, S, original=return_op.ReturnOperator.eval):
+        requested.append(S)
+        sizes.add(len(self.target))
+        return original(self, S)
+
+    def counting_perron(M, original=return_op.perron_eigendata):
+        solves.append(M.shape[0])
+        return original(M)
+
+    monkeypatch.setattr(return_op.ReturnOperator, "eval", counting_eval)
+    monkeypatch.setattr(return_op, "perron_eigendata", counting_perron)
+    if system == "golden":
+        cfg = dict(golden_config(), alpha_grid=[-1.0, 0.0, 0.2], u_grid=[2.2, 3.0, 4.0])
+    else:
+        cfg = {"system": SANDWICH_SYSTEM, "u_grid": [9.0, 11.0], "simulation": {
+            "seed": 11, "n_returns": 25, "n_samples": 1000, "horizon": 200, "workers": 1}}
+    path = write_config(tmp_path, cfg)
+    assert run(["validate", "--config", path, "--out", tmp_path]) in (EXIT_OK, EXIT_VALIDATION)
+    assert len(set(requested)) < len(requested)
+    assert sum(n in sizes for n in solves) == len(set(requested))

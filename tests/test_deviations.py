@@ -10,9 +10,8 @@ from sftreturns import (
     deviation_limit,
     rate_curve,
     rate_function,
-    variance_report,
 )
-from conftest import GOLDEN_RATIO, make_system
+from conftest import GOLDEN_RATIO, make_system, variance_of
 
 
 def full2_rate(u):
@@ -156,14 +155,14 @@ class TestDeviationLimit:
 
 class TestVarianceReport:
     def test_full2(self, full2_recoded):
-        report = variance_report(full2_recoded)
+        report = variance_of(full2_recoded)
         assert report.sigma2 == pytest.approx(2.0, abs=1e-9)
         assert report.sigma2_bar == pytest.approx(0.25, abs=1e-9)
         assert report.series_sigma2 == pytest.approx(2.0, abs=1e-6)
         assert report.sigma2_bar == report.sigma2 * report.mu_target**3
 
     def test_golden(self, golden_recoded):
-        report = variance_report(golden_recoded)
+        report = variance_of(golden_recoded)
         rho = GOLDEN_RATIO
         assert report.sigma2 == pytest.approx(rho**3, abs=1e-9)
         assert report.sigma2_bar == pytest.approx(rho**3 / (rho**2 + 1) ** 3, abs=1e-9)
@@ -171,7 +170,7 @@ class TestVarianceReport:
 
     def test_two_routes_agree_on_random_instances(self, random_recoded):
         for rec in random_recoded:
-            report = variance_report(rec)
+            report = variance_of(rec)
             assert abs(report.series_sigma2 - report.sigma2) <= 1e-6
             assert report.sigma2 > 1e-10
 
@@ -181,4 +180,4 @@ class TestVarianceReport:
         from sftreturns import recode_higher_block
 
         with pytest.raises(NumericError, match="positive|deterministic"):
-            variance_report(recode_higher_block(rec_sys))
+            variance_of(recode_higher_block(rec_sys))

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from sftreturns import (
+    DepthKPotential,
     DomainError,
     NumericError,
     ReturnOperator,
     first_return_series,
     recode_higher_block,
+    return_op,
 )
 from conftest import GOLDEN_RATIO, full_shift, make_system
 
@@ -39,6 +41,21 @@ class TestCriticalParameter:
         op = ReturnOperator(golden_recoded)
         assert op.s_critical == pytest.approx(0.0, abs=1e-12)
         assert op.alpha0 == pytest.approx(np.log(GOLDEN_RATIO), abs=1e-12)
+
+    def test_underflowing_complement_cycle_is_a_numeric_error(self):
+        # the only complement cycle 1 -> 2 -> 1 has weight exp(-800), which underflows to 0:
+        # return times are unbounded (S_c = -400), but the numeric complement radius is 0
+        trans = [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
+        values = {(0, 0): 0.0, (0, 1): 0.0, (1, 2): 0.0, (2, 0): 0.0, (2, 1): -800.0}
+        rec = recode_higher_block(make_system(trans, (0,), potential=DepthKPotential(2, values)))
+        with pytest.raises(NumericError, match="restricted pressure lies below double range"):
+            ReturnOperator(rec)
+
+    def test_acyclic_complement_bounds_the_returns(self):
+        # the complement {2} has no self loop, so every return takes 1 or 2 steps
+        op = ReturnOperator(recode_higher_block(make_system([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (0, 1))))
+        assert op.s_critical == float("-inf")
+        assert op.max_cycle_mean == 2
 
 
 class TestOperatorEval:
@@ -89,6 +106,36 @@ class TestOperatorEval:
             for i, s_mid in enumerate(mids):
                 chord = 0.5 * (logs[i] + logs[i + 2])
                 assert np.log(op.eval(float(s_mid)).lam) <= chord + 1e-12
+
+    def test_memo_hit_is_read_only_and_matches_a_fresh_operator(self, random_recoded, monkeypatch):
+        # eval solves R(S) once per S; derivatives complete the entry without solving it again
+        solves = []
+
+        def counting(M, original=return_op.perron_eigendata):
+            solves.append(M.shape)
+            return original(M)
+
+        for rec in random_recoded[:6]:
+            fresh_op = ReturnOperator(rec)
+            S = fresh_op.pressure - 0.1
+            fresh, fresh_prime, fresh_second = fresh_op.eval_with_derivative(S)
+            op = ReturnOperator(rec)
+            monkeypatch.setattr(return_op, "perron_eigendata", counting)
+            solves.clear()
+            first = op.eval(S)
+            ev, lam_prime, lam_second = op.eval_with_derivative(S)
+            assert op.eval(S) is first and ev is first
+            again, *derivatives = op.eval_with_derivative(S)
+            assert again is ev and derivatives == [lam_prime, lam_second]
+            assert len(solves) == 1
+            monkeypatch.undo()
+            for name in ("R", "h_vec", "m_vec", "X"):
+                arr = getattr(ev, name)
+                assert not arr.flags.writeable
+                assert arr.tobytes() == getattr(fresh, name).tobytes()
+            assert (ev.lam, lam_prime, lam_second) == (fresh.lam, fresh_prime, fresh_second)
+            with pytest.raises(ValueError):
+                ev.R[0, 0] = 0.0
 
 
 class TestSeriesEquivalence:
