@@ -38,7 +38,6 @@ from .oracle import (
     ExactReturnStats,
     FirstReturnLaw,
     cycle_covariance,
-    cycle_covariance_tail_sum,
     exact_mgf,
     exact_return_distribution,
     exact_tail_probability,
@@ -104,7 +103,6 @@ __all__ = [
     "VarianceReport",
     "admissible_words",
     "cycle_covariance",
-    "cycle_covariance_tail_sum",
     "deviation_limit",
     "empirical_clt",
     "empirical_scgf",

@@ -43,6 +43,7 @@ from .montecarlo import (
 )
 from .oracle import (
     MAX_CONVOLUTION_RETURNS,
+    FirstReturnLaw,
     exact_mgf,
     exact_tail_probability,
     first_return_law,
@@ -214,6 +215,19 @@ class Bundle:
     def variance(self) -> VarianceReport:
         return variance_report(self.op, self.chain)
 
+    @cached_property
+    def law(self) -> FirstReturnLaw:
+        """The first-return law of the oracle checks, certified up to their largest tilt."""
+        conj_tilt, sandwich_tilts = _oracle_tilts(self.op)
+        budget = 1.1 * max([conj_tilt] + [a for a in sandwich_tilts if a > 0.0])
+        return first_return_law(self.chain, self.target, tol=1e-12, alpha_max=budget)
+
+
+def _oracle_tilts(op: ReturnOperator) -> tuple[float, list[float]]:
+    """(conjugacy tilt, sandwich tilts) of the oracle checks, all below alpha0 / 2."""
+    conj_tilt = 0.5 * op.alpha0 if np.isfinite(op.alpha0) else 1.0
+    return conj_tilt, [a for a in (-1.0, -0.2, 0.2) if a < 0.5 * op.alpha0]
+
 
 def build_bundle(config: AnalysisConfig) -> Bundle:
     recoded = recode_higher_block(config.system)
@@ -384,10 +398,8 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
     out.append(_verdict("variance_two_routes", "deterministic", two_routes <= 1e-6,
                         residual=two_routes, tolerance=1e-6))
 
-    conj_tilt = 0.5 * op.alpha0 if np.isfinite(op.alpha0) else 1.0
-    sandwich_tilts = [a for a in (-1.0, -0.2, 0.2) if a < 0.5 * op.alpha0]
-    tilt_budget = 1.1 * max([conj_tilt] + [a for a in sandwich_tilts if a > 0.0])
-    law = first_return_law(bundle.chain, bundle.target, tol=1e-12, alpha_max=tilt_budget)
+    conj_tilt, sandwich_tilts = _oracle_tilts(op)
+    law = bundle.law
     mean = float(law.start @ law.duration_moment_matrix(1).sum(axis=1))
     slack = law.moment_tail_bound(1) + 1e-9
     kac_oracle = abs(mean - 1.0 / op.mu_target)
@@ -404,9 +416,8 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
     out.append(_verdict("oracle_spectral_conjugacy", "deterministic", worst <= 1e-10,
                         residual=worst, tolerance=1e-10))
 
-    alphas = sandwich_tilts
     worst_ratio = 0.0
-    for alpha in alphas:
+    for alpha in sandwich_tilts:
         psi = op.scgf(alpha)
         cs = [abs(math.log(exact_mgf(law, n, alpha)[0]) - n * psi) for n in range(1, 9)]
         # the floor guards exactly-iid targets where every C_n is pure roundoff
@@ -455,7 +466,7 @@ def stochastic_checks(
     if n <= MAX_CONVOLUTION_RETURNS:
         for u, side in tails:
             threshold = n * (1.0 / mu + u) if side == "upper" else n * (1.0 / mu - u)
-            p_exact = exact_tail_probability(report.law, n, threshold, side)
+            p_exact = exact_tail_probability(bundle.law, n, threshold, side)
             count = empirical_tail_rate(stats, mu, u, side).count
             expected = p_exact * n_samples
             if expected >= 10.0:

@@ -8,18 +8,22 @@ and below c it is infinite (the deviation event is impossible at scale n).
 Inside the range the conjugate point solves Psi'(alpha) = u by safeguarded
 Newton steps, each taking the exact Psi' and Psi'' of one R(S) evaluation.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
-series of Poincare cycles, and the counting variance follows from
-sigma_bar^2 = sigma^2 mu(A)^3.
+series of Poincare cycles, summed exactly in the Gibbs chain P: with target
+A, complement C and the complement resolvent N = (I - P_CC)^-1, the landing
+chain is Pi = P_AA + P_AC N P_CA, the duration-weighted kernels are
+G1 = P_AA + P_AC (N + N^2) P_CA and G2 = G1 + 2 P_AC N^3 P_CA, and the
+covariance tail sums to (s G1) Z g with g = G1 1, s the start law and Z the
+fundamental matrix of Pi (Kemeny and Snell).  The counting variance follows
+from sigma_bar^2 = sigma^2 mu(A)^3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .oracle import FirstReturnLaw, cycle_covariance_tail_sum, first_return_law, stationary_cycle_moment
 from .return_op import ReturnOperator
 from .thermo import GibbsChain
 
@@ -48,18 +52,12 @@ class RateFunction:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """CLT variance through both routes, plus the counting-variance relation.
-
-    ``law`` is the untilted first-return law the series route was built
-    from, kept for the exact n-return distribution of later checks.
-    """
+    """CLT variance through both routes, plus the counting-variance relation."""
 
     sigma2: float
     sigma2_bar: float
     mu_target: float
     series_sigma2: float
-    covariance_terms: int
-    law: FirstReturnLaw = field(repr=False, compare=False)
 
 
 def _attainable_range(op: ReturnOperator) -> tuple[float, float]:
@@ -187,13 +185,17 @@ def deviation_limit(op: ReturnOperator, u: float, side: str) -> float:
     return -rate_function(op, abscissa)[0]
 
 
-def variance_report(op: ReturnOperator, chain: GibbsChain, law_tol: float = 1e-12) -> VarianceReport:
+def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:
     """sigma^2 = Psi''(0) cross-checked against the cycle-covariance series.
 
-    ``chain`` is the Gibbs chain of the operator's system.  series route:
-    E[tau^2] - 1/mu^2 + 2 sum_{j>=2} Cov(tau^1, tau^j), with the covariance
-    series truncated under a fitted geometric decay bound.  The two routes
-    must agree within 1e-6 and the variance must be strictly positive.
+    ``chain`` is the Gibbs chain P of the operator's system.  Series route:
+    E[tau^2] - 1/mu^2 + 2 sum_{j>=2} Cov(tau^1, tau^j), summed in closed form
+    as s G2 1 - 1/mu^2 + 2 (s G1) Z g.  N = (I - P_CC)^-1 enters through
+    solves on P_CA; Z = (I - Pi + 1 s)^-1 - 1 s is the group inverse of
+    I - Pi (Meyer), the Cesaro sum of Pi^k - 1 s, so the sum is right when
+    the landing chain Pi is periodic.  The route uses P, not R(S), so it is
+    independent of Psi''.  The two routes must agree within 1e-6 and the
+    variance must be strictly positive.
     """
     _, sigma2 = op.scgf_derivatives(0.0)
     if not sigma2 > SIGMA2_FLOOR:
@@ -202,10 +204,23 @@ def variance_report(op: ReturnOperator, chain: GibbsChain, law_tol: float = 1e-1
             "the return times appear deterministic"
         )
     mu = op.mu_target
-    law = first_return_law(chain, op.target, tol=law_tol)
-    second = stationary_cycle_moment(law, 2)
-    tail_sum, n_terms = cycle_covariance_tail_sum(law)
-    series = second - 1.0 / mu**2 + 2.0 * tail_sum
+    P = chain.transition_probs
+    A = np.array(op.target, dtype=int)
+    C = np.setdiff1d(np.arange(P.shape[0]), A)
+    p_ac = P[np.ix_(A, C)]
+    resolvent = np.eye(C.size) - P[np.ix_(C, C)]
+    y1 = np.linalg.solve(resolvent, P[np.ix_(C, A)])  # y_k = N^k P_CA
+    y2 = np.linalg.solve(resolvent, y1)
+    y3 = np.linalg.solve(resolvent, y2)
+    landing = P[np.ix_(A, A)] + p_ac @ y1
+    g1 = landing + p_ac @ y2
+    g2 = g1 + 2.0 * p_ac @ y3
+    start = chain.stationary[A] / chain.stationary[A].sum()
+    g = g1.sum(axis=1)
+    # sum_{j>=2} Cov(tau^1, tau^j) = (s G1) Z g = (s G1) (I - Pi + 1 s)^-1 g - (s g)^2
+    zg = np.linalg.solve(np.eye(A.size) - landing + start, g)
+    covariances = float(start @ g1 @ zg) - float(start @ g) ** 2
+    series = float(start @ g2.sum(axis=1)) - 1.0 / mu**2 + 2.0 * covariances
     if abs(series - sigma2) > TWO_ROUTE_TOL:
         raise NumericError(
             f"variance routes disagree: Psi''(0)={sigma2!r} vs series={series!r}"
@@ -214,7 +229,5 @@ def variance_report(op: ReturnOperator, chain: GibbsChain, law_tol: float = 1e-1
         sigma2=float(sigma2),
         sigma2_bar=float(sigma2 * mu**3),
         mu_target=mu,
-        series_sigma2=float(series),
-        covariance_terms=n_terms,
-        law=law,
+        series_sigma2=series,
     )

@@ -4,16 +4,15 @@ Every sample owns a counter-based random stream: the Philox(4x64, 10 rounds)
 stream keyed by (seed, sample index), the seed taken as a uint64.  A sample
 consumes its stream strictly in order (one draw for the start state, one per
 chain step), so results are bit-identical regardless of how samples are
-partitioned into blocks, chunks, or worker threads; merging is by sample
-index.  Each block serves all of its samples' streams from one Philox bit
-generator, re-keyed per sample and positioned by its counter, and stores the
-draws step-major so that a chain step reads one contiguous row.
+partitioned into blocks or chunks; merging is by sample index.  Each block
+serves all of its samples' streams from one Philox bit generator, re-keyed
+per sample and positioned by its counter, and stores the draws step-major so
+that a chain step reads one contiguous row.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -30,7 +29,11 @@ STEP_CAP = 10**9
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation sizes plus the reproducibility seed and a worker hint."""
+    """Simulation sizes plus the reproducibility seed and a worker hint.
+
+    ``workers`` is validated and kept for configs that set it, but has no
+    effect: blocks run in order on one thread, and results never depend on it.
+    """
 
     seed: int
     n_returns: int = 1
@@ -79,8 +82,7 @@ class _BlockStreams:
 
     Draw p of sample i's stream is reached in O(1): key (seed, i), counter
     p // 4 with the four-double buffer empty (numpy advances the counter
-    before it refills), then p % 4 discarded draws.  Not shared between
-    threads.
+    before it refills), then p % 4 discarded draws.
     """
 
     TILE = 128  # samples filled sample-major, then copied transposed
@@ -151,21 +153,14 @@ def _advance(
 
 
 def _run_blocks(
-    n_samples: int,
-    workers: int,
-    block_fn: Callable[[int, int], np.ndarray],
-    dtype: type,
+    n_samples: int, block_fn: Callable[[int, int], np.ndarray], dtype: type
 ) -> np.ndarray:
+    """Blocks of BLOCK_SIZE samples, run in order.  The kernel's fill and step
+    loops hold the GIL, so worker threads would only contend for it."""
     out = np.empty(n_samples, dtype=dtype)
-    blocks = [(lo, min(lo + BLOCK_SIZE, n_samples)) for lo in range(0, n_samples, BLOCK_SIZE)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(lo, hi, pool.submit(block_fn, lo, hi)) for lo, hi in blocks]
-            for lo, hi, fut in futures:
-                out[lo:hi] = fut.result()
-    else:
-        for lo, hi in blocks:
-            out[lo:hi] = block_fn(lo, hi)
+    for lo in range(0, n_samples, BLOCK_SIZE):
+        hi = min(lo + BLOCK_SIZE, n_samples)
+        out[lo:hi] = block_fn(lo, hi)
     return out
 
 
@@ -227,7 +222,7 @@ def sample_return_times(
                 streams.fill(steps, lo + orig, time + 1)
         return result
 
-    samples = _run_blocks(cfg.n_samples, cfg.workers, run_block, np.int64)
+    samples = _run_blocks(cfg.n_samples, run_block, np.int64)
     mean = float(samples.mean())
     variance = float(samples.var(ddof=1)) if cfg.n_samples > 1 else 0.0
     values, freq = np.unique(samples, return_counts=True)
@@ -353,6 +348,6 @@ def visit_counts(
             steps = draws[: min(rows, horizon - done)]
             streams.fill(steps, indices, done)
 
-    counts = _run_blocks(cfg.n_samples, cfg.workers, run_block, np.int64)
+    counts = _run_blocks(cfg.n_samples, run_block, np.int64)
     variance_rate = float(counts.var(ddof=1) / horizon) if cfg.n_samples > 1 else 0.0
     return counts, variance_rate

@@ -487,43 +487,3 @@ def cycle_covariance(law: FirstReturnLaw, j: int) -> float:
         w = w @ Pi
     # E[tau^j] is recomputed along the same chain so truncation drifts cancel
     return float(x @ mean_by_state) - mean * float((w @ Pi) @ mean_by_state)
-
-
-def cycle_covariance_tail_sum(
-    law: FirstReturnLaw, tol: float = 5e-11, cap: int = 100_000
-) -> tuple[float, int]:
-    """sum_{j >= 2} Cov(tau^1, tau^j), truncated by a geometric-decay fit.
-
-    The decay ratio fitted over a five-term window, with a safety factor of
-    10, must certify the omitted tail below ``tol``; exact zeros (single
-    target state) terminate immediately.
-    """
-    Pi, G1, _ = _normalized_moments(law)
-    mean_by_state = G1.sum(axis=1)
-    mean = float(law.start @ mean_by_state)
-    x = law.start @ G1
-    w = law.start.copy()
-    total = 0.0
-    window: list[float] = []
-    tiny_streak = 0
-    noise_floor = 1e-13 * max(1.0, mean * mean)
-    for j in range(2, cap + 2):
-        cov = float(x @ mean_by_state) - mean * float((w @ Pi) @ mean_by_state)
-        total += cov
-        mag = abs(cov)
-        if mag < noise_floor:
-            tiny_streak += 1
-            if tiny_streak >= 3:
-                return total, j
-        else:
-            tiny_streak = 0
-        window.append(mag)
-        if len(window) > 5:
-            window.pop(0)
-        if len(window) == 5 and window[0] > 0.0 and mag < window[0]:
-            theta = (mag / window[0]) ** 0.25
-            if 10.0 * mag * theta / (1.0 - theta) < tol:
-                return total, j
-        x = x @ Pi
-        w = w @ Pi
-    raise NumericError(f"covariance series did not certify convergence within {cap} terms")

@@ -250,6 +250,41 @@ class TestValidate:
         assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
         assert len(builds) == 1
 
+    @pytest.mark.parametrize("command, laws", [("analyze", 0), ("validate", 1)])
+    def test_first_return_laws_per_run(self, tmp_path, monkeypatch, command, laws):
+        # the variance report needs no law; validate's oracle checks share one
+        built = []
+
+        def recording(law, validate_law=oracle._validate_law):
+            built.append(law)
+            return validate_law(law)
+
+        monkeypatch.setattr(oracle, "_validate_law", recording)
+        path = write_config(tmp_path, dict(golden_config(), u_grid=[2.2, 3.0, 4.0]))
+        assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
+        assert len(built) == laws
+
+    @pytest.mark.parametrize("command", ["analyze", "validate"])
+    @pytest.mark.parametrize("system", [
+        # landing chain of {0, 1} periodic: the covariance series has only a Cesaro sum
+        {"n_symbols": 3, "transitions": [[0, 0, 1], [1, 0, 0], [0, 1, 1]],
+         "potential": {"depth": 1, "values": []}, "target": [0, 1]},
+        # iid Geometric(0.03) returns to 0, sigma^2 = 1077.7...
+        {"n_symbols": 2, "transitions": [[1, 1], [1, 1]],
+         "potential": {"depth": 1, "values": [{"word": [0], "value": 0.0},
+                                              {"word": [1], "value": float(np.log(0.97 / 0.03))}]},
+         "target": [0]},
+    ], ids=["periodic-landing", "geometric-large-variance"])
+    def test_variance_routes_agree_on_hard_systems(self, tmp_path, command, system):
+        cfg = {"system": system, "simulation": {
+            "seed": 11, "n_returns": 25, "n_samples": 1000, "horizon": 200,
+            "tails": [{"u": 1.0, "side": "upper"}]}}
+        path = write_config(tmp_path, cfg)
+        assert run([command, "--config", path, "--out", tmp_path]) == EXIT_OK
+        scalars = json.loads((tmp_path / "report.json").read_text())["scalars"]
+        sigma2 = scalars["sigma2"]["value"]
+        assert abs(scalars["series_sigma2"]["value"] - sigma2) <= 1e-10 * sigma2
+
     def test_underflowing_complement_cycle_exits_numeric(self, tmp_path, capsys):
         cfg = {"system": {
             "n_symbols": 3, "transitions": [[1, 1, 0], [0, 0, 1], [1, 1, 0]],

@@ -4,14 +4,28 @@ import numpy as np
 import pytest
 
 from sftreturns import (
+    DepthKPotential,
     DomainError,
     NumericError,
     ReturnOperator,
     deviation_limit,
     rate_curve,
     rate_function,
+    recode_higher_block,
 )
 from conftest import GOLDEN_RATIO, make_system, variance_of
+
+# the landing chain of target states {0, 1} swaps them (0 -> 2 ... 2 -> 1, 1 -> 0),
+# so the covariance series oscillates and only its Cesaro sum exists
+PERIODIC_LANDING = make_system([[0, 0, 1], [1, 0, 0], [0, 1, 1]], (0, 1))
+PERIODIC_LANDING_SIGMA2 = 3.38068465164
+GEOMETRIC_P = 0.03
+
+
+def geometric_returns(p):
+    """Full 2-shift as iid symbols, 0 with probability p: returns to 0 are iid Geometric(p)."""
+    potential = DepthKPotential(1, {(0,): 0.0, (1,): float(np.log((1.0 - p) / p))})
+    return make_system(np.ones((2, 2), dtype=int), (0,), potential=potential)
 
 
 def full2_rate(u):
@@ -174,10 +188,22 @@ class TestVarianceReport:
             assert abs(report.series_sigma2 - report.sigma2) <= 1e-6
             assert report.sigma2 > 1e-10
 
+    def test_periodic_landing_chain(self):
+        report = variance_of(recode_higher_block(PERIODIC_LANDING))
+        assert abs(report.series_sigma2 - report.sigma2) <= 1e-12
+        assert report.sigma2 == pytest.approx(PERIODIC_LANDING_SIGMA2, abs=1e-10)
+
+    def test_large_variance_agrees_relatively(self):
+        # sigma^2 = (1 - p) / p^2 = 1077.7...: an absolute 1e-6 gate is 1e-9 relative here
+        report = variance_of(recode_higher_block(geometric_returns(GEOMETRIC_P)))
+        exact = (1.0 - GEOMETRIC_P) / GEOMETRIC_P**2
+        assert report.sigma2 > 1000.0
+        assert abs(report.series_sigma2 - report.sigma2) <= 1e-10 * report.sigma2
+        assert abs(report.sigma2 - exact) <= 1e-12 * exact
+        assert abs(report.series_sigma2 - exact) <= 1e-12 * exact
+
     def test_degenerate_returns_rejected(self):
         # pure 2-cycle: every return takes exactly 2 steps, variance is zero
         rec_sys = make_system([[0, 1], [1, 0]], (0,))
-        from sftreturns import recode_higher_block
-
         with pytest.raises(NumericError, match="positive|deterministic"):
             variance_of(recode_higher_block(rec_sys))

@@ -19,9 +19,9 @@ from sftreturns import (
     minimal_return_time,
     recode_higher_block,
 )
-from sftreturns.oracle import largest_certifiable_alpha, stationary_cycle_moment
+from sftreturns.oracle import _normalized_moments, largest_certifiable_alpha, stationary_cycle_moment
 from sftreturns.perron import _contraction, _geometric_sum
-from conftest import GOLDEN_RATIO, full_shift, make_system
+from conftest import GOLDEN_RATIO, golden_mean, variance_of
 
 
 def reference_weighted_tail(alpha, p_cc, v_next, t_max, cache):
@@ -379,3 +379,42 @@ class TestCycleCovariance:
         var = cycle_covariance(golden_law, 1)
         mean = stationary_cycle_moment(golden_law, 1)
         assert var == pytest.approx(second - mean**2, abs=1e-12)
+
+
+def _covariance_cutoff(law, tol):
+    """J with sum_{j > J} |Cov(tau^1, tau^j)| <= tol on the normalized law.
+
+    Cov(tau^1, tau^(k+2)) = d Pi^k g with d = s G1 - (s G1 1) s, a zero-sum row,
+    so |d Pi^k g| <= ||d Pi^k||_1 (max g - min g) / 2.  With L the first power
+    whose Dobrushin coefficient is at most 1/2, ||d Pi^(k+iL)||_1 <= 2^-i ||d Pi^k||_1,
+    and the terms after J sum to at most L (max g - min g) ||d Pi^(J-1)||_1.
+    """
+    Pi, G1, _ = _normalized_moments(law)
+    power, L = Pi, 1
+    while 0.5 * np.abs(power[:, None, :] - power[None, :, :]).sum(axis=2).max() > 0.5:
+        power, L = power @ Pi, L + 1
+        assert L < 1000, "landing chain mixes too slowly (or is periodic) for this test"
+    g = G1.sum(axis=1)
+    x = law.start @ G1
+    d = x - x.sum() * law.start
+    J = 2
+    while L * (g.max() - g.min()) * np.abs(d @ Pi).sum() > tol:
+        d, J = d @ Pi, J + 1
+    return J
+
+
+def test_law_series_matches_closed_form_variance(random_recoded):
+    # the covariance series summed term by term on the truncated law, against the
+    # closed form of variance_report: they differ by the law's truncation, which
+    # moment_tail_bound(2) bounds, by the omitted terms, and by roundoff per term
+    remainder = 1e-12
+    for rec in [recode_higher_block(golden_mean())] + list(random_recoded):
+        report = variance_of(rec)
+        law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
+        J = _covariance_cutoff(law, remainder)
+        covariances = sum(cycle_covariance(law, j) for j in range(2, J + 1))
+        series = stationary_cycle_moment(law, 2) - 1.0 / law.mu_target**2 + 2.0 * covariances
+        roundoff = 1e-14 * J * max(1.0, report.sigma2, 1.0 / law.mu_target**2)
+        slack = law.moment_tail_bound(2) + 2.0 * remainder + roundoff
+        assert abs(series - report.series_sigma2) <= slack
+
