@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .deviations import VarianceReport, rate_function, variance_report
+from .deviations import TWO_ROUTE_TOL, VarianceReport, rate_function, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -34,11 +34,13 @@ from .errors import (
 from .montecarlo import (
     RNG_ALGORITHM,
     EmpiricalStats,
+    SharedDraws,
     SimConfig,
     empirical_clt,
     empirical_tail_rate,
     normal_cdf,
     sample_return_times,
+    tail_cut,
     visit_counts,
 )
 from .oracle import (
@@ -395,8 +397,8 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
                         residual=vari, tolerance=1e-10))
     report = bundle.variance
     two_routes = abs(report.sigma2 - report.series_sigma2)
-    out.append(_verdict("variance_two_routes", "deterministic", two_routes <= 1e-6,
-                        residual=two_routes, tolerance=1e-6))
+    out.append(_verdict("variance_two_routes", "deterministic", two_routes <= TWO_ROUTE_TOL,
+                        residual=two_routes, tolerance=TWO_ROUTE_TOL))
 
     conj_tilt, sandwich_tilts = _oracle_tilts(op)
     law = bundle.law
@@ -465,8 +467,7 @@ def stochastic_checks(
 
     if n <= MAX_CONVOLUTION_RETURNS:
         for u, side in tails:
-            threshold = n * (1.0 / mu + u) if side == "upper" else n * (1.0 / mu - u)
-            p_exact = exact_tail_probability(bundle.law, n, threshold, side)
+            p_exact = exact_tail_probability(bundle.law, n, tail_cut(n, mu, u, side), side)
             count = empirical_tail_rate(stats, mu, u, side).count
             expected = p_exact * n_samples
             if expected >= 10.0:
@@ -574,8 +575,10 @@ def cmd_validate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int
     report["scalars"] = scalar_block(bundle)
     verdicts = deterministic_checks(bundle)
 
-    stats = sample_return_times(bundle.chain, bundle.target, sim)
-    counts, var_rate = visit_counts(bundle.chain, bundle.target, sim)
+    # both walks start every stream at draw 0: the visit walk reads the return walk's first chunk
+    shared = SharedDraws(sim)
+    stats = sample_return_times(bundle.chain, bundle.target, sim, shared)
+    counts, var_rate = visit_counts(bundle.chain, bundle.target, sim, shared)
     tails = bundle.config.tails or [(1.0, "upper")]
     verdicts.extend(stochastic_checks(bundle, stats, counts, var_rate, tails))
 

@@ -8,6 +8,12 @@ partitioned into blocks or chunks; merging is by sample index.  Each block
 serves all of its samples' streams from one Philox bit generator, re-keyed
 per sample and positioned by its counter, and stores the draws step-major so
 that a chain step reads one contiguous row.
+
+``validate`` walks every stream twice, once for the return times and once
+for the visit counts, and both walks start at draw 0.  A
+:class:`SharedDraws` passed to both calls carries one block's first chunk
+from the return walk to the visit walk, which reads it in place instead of
+drawing it again.
 """
 
 from __future__ import annotations
@@ -75,6 +81,28 @@ class EmpiricalScgf(NamedTuple):
 class TailRate(NamedTuple):
     rate_estimate: float
     count: int
+
+
+class SharedDraws:
+    """One block's first draws, carried from :func:`sample_return_times` to :func:`visit_counts`.
+
+    Given a holder, the return walk draws each block's first chunk at least
+    ``rows`` rows long (the visit walk's first chunk), and leaves the last
+    block's here in place of the previous block's.  The visit walk takes it
+    out, walks that block on it in place, and draws only the positions past
+    it.  A block the holder does not hold is drawn as without one.
+    """
+
+    def __init__(self, cfg: SimConfig) -> None:
+        self.rows = min(CHUNK_STEPS, cfg.horizon)
+        self.block: tuple[int, int, int] | None = None  # (seed, lo, hi) of the draws
+        self.draws: np.ndarray | None = None
+
+    def _take(self, block: tuple[int, int, int]) -> np.ndarray | None:
+        """The held draws if they are ``block``'s; the holder is empty afterwards."""
+        draws = self.draws if self.block == block else None
+        self.block = self.draws = None
+        return draws
 
 
 class _BlockStreams:
@@ -153,24 +181,29 @@ def _advance(
 
 
 def _run_blocks(
-    n_samples: int, block_fn: Callable[[int, int], np.ndarray], dtype: type
+    n_samples: int, block_fn: Callable[[int, int], np.ndarray], dtype: type, reverse: bool = False
 ) -> np.ndarray:
-    """Blocks of BLOCK_SIZE samples, run in order.  The kernel's fill and step
-    loops hold the GIL, so worker threads would only contend for it."""
+    """Blocks of BLOCK_SIZE samples, run in order, or last first if ``reverse``.
+    The kernel's fill and step loops hold the GIL, so worker threads would
+    only contend for it."""
     out = np.empty(n_samples, dtype=dtype)
-    for lo in range(0, n_samples, BLOCK_SIZE):
+    starts = range(0, n_samples, BLOCK_SIZE)
+    for lo in reversed(starts) if reverse else starts:
         hi = min(lo + BLOCK_SIZE, n_samples)
         out[lo:hi] = block_fn(lo, hi)
     return out
 
 
 def sample_return_times(
-    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig
+    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig,
+    shared: SharedDraws | None = None,
 ) -> EmpiricalStats:
     """Times of the cfg.n_returns-th entry into the target, one per sample.
 
     Starts are drawn from the stationary distribution conditioned on the
     target; each sample walks its own Philox stream until the n-th hit.
+    With ``shared``, the last block's first chunk is left there for
+    :func:`visit_counts`.
     """
     targets = np.array(sorted(int(a) for a in target_states), dtype=int)
     n_states = chain.n_states
@@ -185,12 +218,18 @@ def sample_return_times(
     n = cfg.n_returns
     # the start draw and enough steps for nearly every sample to finish
     first_rows = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32) + 1)
+    if shared is not None:
+        first_rows = max(first_rows, shared.rows)
 
     def run_block(lo: int, hi: int) -> np.ndarray:
         streams = _BlockStreams(cfg.seed)
         size = hi - lo
+        if shared is not None:
+            shared.block = shared.draws = None  # freed before this block's draws are allocated
         steps = np.empty((first_rows, size))
         streams.fill(steps, np.arange(lo, hi), 0)
+        if shared is not None:
+            shared.block, shared.draws = (cfg.seed, lo, hi), steps
         state = targets[np.searchsorted(start_cum, steps[0], side="right")]
         steps = steps[1:]
         result = np.zeros(size, dtype=np.int64)
@@ -262,13 +301,14 @@ def empirical_scgf(stats: EmpiricalStats, alpha: float) -> EmpiricalScgf:
     return EmpiricalScgf(value=value, effective_sample_size=s1 * s1 / s2)
 
 
-def empirical_tail_rate(
-    stats: EmpiricalStats, mu_target: float, u: float, side: str
-) -> TailRate:
-    """-(1/n) log of the empirical frequency of the deviation event.
+def tail_cut(n: int, mu_target: float, u: float, side: str) -> int:
+    """The integer edge of the deviation event of the n-th return time T.
 
-    ``upper``: {r^n / n >= 1/mu + u}; ``lower``: {r^n / n <= 1/mu - u}.
-    A zero frequency is reported as an infinite rate with count 0.
+    ``upper``: the least T in {T / n >= 1/mu + u}; ``lower``: the greatest T
+    in {T / n <= 1/mu - u}.  An edge n (1/mu +- u) within roundoff of an
+    integer is that integer: at n = 45, mu = 2/3 and u = 0.7 it computes to
+    99.00000000000001, and T = 99 is in the upper event.  The empirical count
+    and the exact tail probability both take their event from here.
     """
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
@@ -277,12 +317,28 @@ def empirical_tail_rate(
     mean = 1.0 / mu_target
     if side == "lower" and u >= mean:
         raise DomainError(f"lower deviation {u} >= 1/mu = {mean}; event is empty")
+    edge = n * (mean + u) if side == "upper" else n * (mean - u)
+    nearest = round(edge)
+    if abs(edge - nearest) <= 4.0 * np.finfo(float).eps * n * (mean + u):
+        return nearest
+    return math.ceil(edge) if side == "upper" else math.floor(edge)
+
+
+def empirical_tail_rate(
+    stats: EmpiricalStats, mu_target: float, u: float, side: str
+) -> TailRate:
+    """-(1/n) log of the empirical frequency of the deviation event.
+
+    ``upper``: {r^n / n >= 1/mu + u}; ``lower``: {r^n / n <= 1/mu - u}, both
+    cut at :func:`tail_cut`.  A zero frequency is reported as an infinite
+    rate with count 0.
+    """
     n = stats.n_returns
-    scaled = stats.samples / n
+    cut = tail_cut(n, mu_target, u, side)
     if side == "upper":
-        count = int((scaled >= mean + u).sum())
+        count = int((stats.samples >= cut).sum())
     else:
-        count = int((scaled <= mean - u).sum())
+        count = int((stats.samples <= cut).sum())
     if count == 0:
         return TailRate(rate_estimate=float("inf"), count=0)
     freq = count / stats.samples.size
@@ -309,13 +365,15 @@ def empirical_clt(stats: EmpiricalStats, sigma_pred: float, mu_target: float) ->
 
 
 def visit_counts(
-    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig
+    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig,
+    shared: SharedDraws | None = None,
 ) -> tuple[np.ndarray, float]:
     """Target visit counts over the horizon, from stationary starts.
 
     Counts hits at times 0 .. horizon-1 (the start state included) and
     returns the per-sample counts together with Var(count)/horizon, the
-    simulation estimate of the counting variance rate.
+    simulation estimate of the counting variance rate.  The block whose
+    first draws ``shared`` holds walks on them; ``shared`` is empty afterwards.
     """
     targets = np.array(sorted(int(a) for a in target_states), dtype=int)
     n_states = chain.n_states
@@ -331,12 +389,14 @@ def visit_counts(
         streams = _BlockStreams(cfg.seed)
         size = hi - lo
         indices = np.arange(lo, hi)
-        draws = np.empty((rows, size))
-        streams.fill(draws, indices, 0)
+        draws = None if shared is None else shared._take((cfg.seed, lo, hi))
+        if draws is None:
+            draws = np.empty((rows, size))
+            streams.fill(draws, indices, 0)
         state = np.searchsorted(start_cum, draws[0], side="right")
         nxt, thr, hit = np.empty_like(state), np.empty(size), np.empty(size, dtype=bool)
         counts = target_mask[state].astype(np.int64)
-        steps, done = draws[1:], 1
+        steps, done = draws[1:horizon], 1
         while True:
             for u in steps:
                 state, nxt = _advance(state, u, cols, nxt, thr, hit), state
@@ -348,6 +408,8 @@ def visit_counts(
             steps = draws[: min(rows, horizon - done)]
             streams.fill(steps, indices, done)
 
-    counts = _run_blocks(cfg.n_samples, run_block, np.int64)
+    # the held block is the last one: walked first, its draws are freed
+    # before any other block's are allocated
+    counts = _run_blocks(cfg.n_samples, run_block, np.int64, reverse=True)
     variance_rate = float(counts.var(ddof=1) / horizon) if cfg.n_samples > 1 else 0.0
     return counts, variance_rate

@@ -77,21 +77,33 @@ def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     return comps
 
 
+def _reach(adj: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes reachable from ``start`` along the edges of ``adj``."""
+    reach = np.zeros(adj.shape[0], dtype=bool)
+    reach[start] = True
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in np.flatnonzero(adj[node]):
+            if not reach[nxt]:
+                reach[nxt] = True
+                queue.append(nxt)
+    return reach
+
+
 def _unreachable_witness(adj: np.ndarray) -> tuple[int, int] | None:
-    """A pair (i, j) with no directed path i -> j, or None if strongly connected."""
-    n = adj.shape[0]
-    for i in range(n):
-        reach = np.zeros(n, dtype=bool)
-        reach[i] = True
-        queue = deque([i])
-        while queue:
-            node = queue.popleft()
-            for nxt in np.flatnonzero(adj[node]):
-                if not reach[nxt]:
-                    reach[nxt] = True
-                    queue.append(nxt)
-        if not reach.all():
-            return i, int(np.flatnonzero(~reach)[0])
+    """The least i with some j it cannot reach, and the least such j; None if strongly connected.
+
+    Two searches suffice.  If 0 misses a node, i = 0.  Otherwise every node
+    that reaches 0 reaches everything, so i is the least node that does not
+    reach 0, and j = 0.
+    """
+    forward = _reach(adj, 0)
+    if not forward.all():
+        return 0, int(np.flatnonzero(~forward)[0])
+    backward = _reach(adj.T, 0)
+    if not backward.all():
+        return int(np.flatnonzero(~backward)[0]), 0
     return None
 
 

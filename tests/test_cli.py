@@ -2,11 +2,14 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sftreturns import cli, gibbs_chain, oracle, return_op, thermo, variance_report
+from sftreturns.deviations import TWO_ROUTE_TOL
+from sftreturns.montecarlo import RNG_ALGORITHM, EmpiricalStats
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -185,7 +188,7 @@ class TestValidate:
         verdicts = {v["name"]: v for v in report["verdicts"]}
         assert all(v["passed"] for v in verdicts.values())
         assert "lambda_at_pressure" in verdicts
-        assert "variance_two_routes" in verdicts
+        assert verdicts["variance_two_routes"]["tolerance"] == TWO_ROUTE_TOL == 1e-6
         assert any(v["kind"] == "stochastic" for v in report["verdicts"])
         for name in ("scgf.csv", "rate.csv", "clt.csv", "tails.csv"):
             assert (tmp_path / name).exists()
@@ -293,6 +296,26 @@ class TestValidate:
         path = write_config(tmp_path, cfg)
         assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_NUMERIC
         assert "restricted pressure lies below double range" in capsys.readouterr().err
+
+
+def test_tail_count_and_exact_probability_share_one_cut(tmp_path):
+    # n (1/mu + u) computes to 99.00000000000001 at n = 45, mu = 2/3, u = 0.7;
+    # T = 99 is in the event on both sides of the z-test
+    bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, full2_config()), None, None))
+    law, _ = bundle.law, bundle.variance  # built on the full 2-shift before the stub below
+    bundle.op = SimpleNamespace(mu_target=2 / 3)
+    samples = np.repeat([80, 98, 99, 100], [600, 200, 150, 50])
+    values, freq = np.unique(samples, return_counts=True)
+    stats = EmpiricalStats(samples=samples, n_returns=45, mean=float(samples.mean()),
+                           variance=float(samples.var(ddof=1)), histogram=dict(zip(values, freq)),
+                           seed=0, rng_algorithm=RNG_ALGORITHM, flags=())
+    counts = np.arange(1000) % 7
+    verdicts = cli.stochastic_checks(bundle, stats, counts, 1.0, [(0.7, "upper")])
+    tail = {v["name"]: v for v in verdicts}["tail_count_upper_u=0.7"]
+    assert tail["count"] == 200
+    assert tail["expected"] == oracle.exact_tail_probability(law, 45, 99, "upper") * 1000
+    assert oracle.exact_tail_probability(law, 45, 99, "upper") > oracle.exact_tail_probability(
+        law, 45, 100, "upper")
 
 
 def test_build_solves_full_perron_pair_once(tmp_path, monkeypatch):

@@ -28,7 +28,13 @@ from sftreturns import (
     sample_return_times,
     visit_counts,
 )
-from sftreturns.montecarlo import _BlockStreams
+from sftreturns.montecarlo import (
+    RNG_ALGORITHM,
+    EmpiricalStats,
+    SharedDraws,
+    _BlockStreams,
+    tail_cut,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +177,15 @@ PINNED_DIGESTS = {
 }
 
 
-def output_digests(system: str, case: str) -> tuple[str, str, str]:
+def output_digests(system: str, case: str, share: bool = False) -> tuple[str, str, str]:
     rec = recode_higher_block(PINNED_SYSTEMS[system]())
     chain = gibbs_chain(rec)
     cfg = SimConfig(seed=4242, **PINNED_CASES[case])
-    samples = sample_return_times(chain, rec.target_blocks, cfg).samples
-    counts, var_rate = visit_counts(chain, rec.target_blocks, cfg)
+    shared = SharedDraws(cfg) if share else None
+    samples = sample_return_times(chain, rec.target_blocks, cfg, shared).samples
+    counts, var_rate = visit_counts(chain, rec.target_blocks, cfg, shared)
+    if share:
+        assert shared.draws is None and shared.block is None
     return tuple(
         hashlib.sha256(data).hexdigest()
         for data in (samples.tobytes(), counts.tobytes(), repr(var_rate).encode())
@@ -187,6 +196,72 @@ def output_digests(system: str, case: str) -> tuple[str, str, str]:
 @pytest.mark.parametrize("system", sorted(PINNED_SYSTEMS))
 def test_outputs_match_pinned_digests(system, case):
     assert output_digests(system, case) == PINNED_DIGESTS[system, case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+@pytest.mark.parametrize("system", sorted(PINNED_SYSTEMS))
+def test_shared_draws_match_pinned_digests(system, case):
+    # the visit walk on the return walk's first chunk, which it leaves empty
+    assert output_digests(system, case, share=True) == PINNED_DIGESTS[system, case]
+
+
+@pytest.fixture
+def seek_positions(monkeypatch):
+    """The position of every ``_BlockStreams.seek`` call, in order."""
+    positions = []
+    seek = _BlockStreams.seek
+
+    def recording(self, index, position):
+        positions.append(position)
+        return seek(self, index, position)
+
+    monkeypatch.setattr(_BlockStreams, "seek", recording)
+    return positions
+
+
+class TestSharedDraws:
+    def test_return_walk_widens_its_first_chunk_to_the_visit_walks(
+        self, full2_chain, full2_recoded, seek_positions
+    ):
+        # the return walk's own first chunk is 40 rows here, the visit walk's 200;
+        # two blocks, the last of 7,232 samples
+        target = full2_recoded.target_blocks
+        cfg = SimConfig(seed=8, n_returns=3, n_samples=40_000, horizon=200)
+        shared = SharedDraws(cfg)
+        stats = sample_return_times(full2_chain, target, cfg, shared)
+        assert shared.block == (8, 32768, 40_000) and shared.draws.shape == (200, 7232)
+        counts, var_rate = visit_counts(full2_chain, target, cfg, shared)
+        assert shared.draws is None and shared.block is None
+        # the visit walk draws its first chunk only for the block not held
+        assert seek_positions.count(0) == 40_000 + 32768
+        assert np.array_equal(stats.samples, sample_return_times(full2_chain, target, cfg).samples)
+        alone, alone_rate = visit_counts(full2_chain, target, cfg)
+        assert np.array_equal(counts, alone) and var_rate == alone_rate
+
+    def test_each_stream_sought_once_for_the_shared_chunk(
+        self, full2_chain, full2_recoded, seek_positions
+    ):
+        # validate on the full 2-shift: 20,000 samples of T_40, visit horizon 16
+        target = full2_recoded.target_blocks
+        cfg = SimConfig(seed=12, n_returns=40, n_samples=20_000, horizon=16)
+        shared = SharedDraws(cfg)
+        sample_return_times(full2_chain, target, cfg, shared)
+        assert shared.draws.shape == (133, 20_000)
+        returns = len(seek_positions)
+        visit_counts(full2_chain, target, cfg, shared)
+        assert seek_positions.count(0) == 20_000
+        assert len(seek_positions) == returns
+        assert shared.draws is None
+
+    def test_a_block_not_held_is_drawn(self, full2_chain, full2_recoded):
+        target = full2_recoded.target_blocks
+        held = SimConfig(seed=3, n_returns=5, n_samples=500, horizon=30)
+        other = SimConfig(seed=4, n_returns=5, n_samples=500, horizon=30)
+        shared = SharedDraws(held)
+        sample_return_times(full2_chain, target, held, shared)
+        counts, _ = visit_counts(full2_chain, target, other, shared)
+        assert np.array_equal(counts, visit_counts(full2_chain, target, other)[0])
+        assert shared.draws is None
 
 
 class TestSampleLaw:
@@ -273,6 +348,16 @@ class TestTailRate:
             empirical_tail_rate(stats, 0.5, 3.0, "lower")
         with pytest.raises(DomainError):
             empirical_tail_rate(stats, 0.5, -1.0, "upper")
+
+    def test_edge_within_roundoff_of_an_integer_is_that_integer(self):
+        # n (1/mu + u) computes to 99.00000000000001 at n = 45, mu = 2/3, u = 0.7
+        assert 45 * (1.0 / (2 / 3) + 0.7) > 99
+        assert tail_cut(45, 2 / 3, 0.7, "upper") == 99
+        assert tail_cut(45, 2 / 3, 0.7, "lower") == 36
+        assert tail_cut(45, 2 / 3, 0.71, "upper") == 100
+        stats = EmpiricalStats(samples=np.array([99]), n_returns=45, mean=99.0, variance=0.0,
+                               histogram={99: 1}, seed=0, rng_algorithm=RNG_ALGORITHM, flags=())
+        assert empirical_tail_rate(stats, 2 / 3, 0.7, "upper").count == 1
 
     def test_typical_event_rate_near_zero(self, full2_chain, full2_recoded):
         cfg = SimConfig(seed=57, n_returns=50, n_samples=20_000)

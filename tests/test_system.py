@@ -1,5 +1,7 @@
 """Shift-core: validation, recoding, and return-time combinatorics."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,26 @@ from sftreturns import (
     validate_system,
     zero_potential,
 )
+from sftreturns.system import _unreachable_witness
 from conftest import constant_potential, full_shift, golden_mean, make_system
+
+
+def witness_by_search_from_every_node(adj):
+    """The least i that misses a node and the least node it misses: one search per node."""
+    n = adj.shape[0]
+    for i in range(n):
+        reach = np.zeros(n, dtype=bool)
+        reach[i] = True
+        queue = deque([i])
+        while queue:
+            node = queue.popleft()
+            for nxt in np.flatnonzero(adj[node]):
+                if not reach[nxt]:
+                    reach[nxt] = True
+                    queue.append(nxt)
+        if not reach.all():
+            return i, int(np.flatnonzero(~reach)[0])
+    return None
 
 
 class TestValidation:
@@ -37,6 +58,23 @@ class TestValidation:
     def test_reducible_names_witness(self):
         with pytest.raises(InvalidSystemError, match="not transitive.*1.*0|not transitive.*0.*"):
             make_system([[1, 1], [0, 1]], (0,))
+
+    def test_witness_matches_search_from_every_node(self):
+        rng = np.random.default_rng(1212)
+        non_transitive = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 10))
+            adj = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+            expected = witness_by_search_from_every_node(adj)
+            non_transitive += expected is not None
+            assert _unreachable_witness(adj) == expected
+        assert non_transitive >= 300
+
+    def test_witness_that_cannot_reach_symbol_0(self):
+        # 0 reaches everything, 2 reaches only itself and 3, 1 reaches 0
+        adj = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=int)
+        with pytest.raises(InvalidSystemError, match="symbol 2 cannot reach symbol 0"):
+            make_system(adj, (0,))
 
     def test_empty_row_rejected(self):
         with pytest.raises(InvalidSystemError, match="no successor|0 or 1"):
