@@ -59,6 +59,7 @@ from .system import (
     TargetSet,
     admissible_words,
     first_return_durations,
+    first_return_lengths,
     longest_first_return_durations,
     maximal_return_cycle_mean,
     minimal_return_cycle_mean,
@@ -112,6 +113,7 @@ __all__ = [
     "exact_tail_probability",
     "first_return_durations",
     "first_return_law",
+    "first_return_lengths",
     "first_return_series",
     "gibbs_chain",
     "longest_first_return_durations",

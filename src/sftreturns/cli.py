@@ -16,10 +16,11 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
     DomainError,
     InvalidSystemError,
     NumericError,
+    SftReturnsError,
 )
 from .montecarlo import (
     RNG_ALGORITHM,
@@ -153,6 +155,17 @@ def _parse_system(raw: dict, notices: list[str]) -> SymbolicSystem:
     )
 
 
+@contextmanager
+def _block(name: str) -> Iterator[None]:
+    """Re-raise a bare TypeError or ValueError (``int("a")``, say) as a ConfigurationError naming the block."""
+    try:
+        yield
+    except SftReturnsError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"'{name}' block: {exc}") from exc
+
+
 def load_config(path: Path, seed_override: int | None, samples_override: int | None) -> AnalysisConfig:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -163,28 +176,31 @@ def load_config(path: Path, seed_override: int | None, samples_override: int | N
     if not isinstance(raw, dict):
         raise ConfigurationError("config document must be a JSON object")
     notices: list[str] = []
-    system = _parse_system(_need(raw, "system", "config"), notices)
-
-    alpha_grid = _parse_grid(raw["alpha_grid"], "alpha_grid") if "alpha_grid" in raw else None
-    u_grid = _parse_grid(raw["u_grid"], "u_grid") if "u_grid" in raw else None
+    with _block("system"):
+        system = _parse_system(_need(raw, "system", "config"), notices)
+    with _block("alpha_grid"):
+        alpha_grid = _parse_grid(raw["alpha_grid"], "alpha_grid") if "alpha_grid" in raw else None
+    with _block("u_grid"):
+        u_grid = _parse_grid(raw["u_grid"], "u_grid") if "u_grid" in raw else None
 
     simulation = None
     tails: list[tuple[float, str]] = []
     if "simulation" in raw:
         sim = raw["simulation"]
-        simulation = SimConfig(
-            seed=seed_override if seed_override is not None else int(_need(sim, "seed", "simulation")),
-            n_returns=int(sim.get("n_returns", 1)),
-            n_samples=samples_override if samples_override is not None else int(sim.get("n_samples", 1)),
-            horizon=int(sim.get("horizon", 1)),
-            workers=int(sim.get("workers", 1)),
-        )
-        for k, item in enumerate(sim.get("tails", [])):
-            u = float(_need(item, "u", f"tails entry {k}"))
-            side = _need(item, "side", f"tails entry {k}")
-            if side not in ("upper", "lower"):
-                raise ConfigurationError(f"tails entry {k}: side must be 'upper' or 'lower'")
-            tails.append((u, side))
+        with _block("simulation"):
+            simulation = SimConfig(
+                seed=seed_override if seed_override is not None else int(_need(sim, "seed", "simulation")),
+                n_returns=int(sim.get("n_returns", 1)),
+                n_samples=samples_override if samples_override is not None else int(sim.get("n_samples", 1)),
+                horizon=int(sim.get("horizon", 1)),
+                workers=int(sim.get("workers", 1)),
+            )
+            for k, item in enumerate(sim.get("tails", [])):
+                u = float(_need(item, "u", f"tails entry {k}"))
+                side = _need(item, "side", f"tails entry {k}")
+                if side not in ("upper", "lower"):
+                    raise ConfigurationError(f"tails entry {k}: side must be 'upper' or 'lower'")
+                tails.append((u, side))
     return AnalysisConfig(
         system=system,
         alpha_grid=alpha_grid,

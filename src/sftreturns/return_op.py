@@ -24,7 +24,6 @@ sliced once, at the first evaluation, and only scaled by exp(shift - S).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -32,12 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .perron import perron_eigendata, powered_rowsum_bound
-from .system import (
-    RecodedSystem,
-    maximal_return_cycle_mean,
-    minimal_return_cycle_mean,
-    minimal_return_time,
-)
+from .system import RecodedSystem, return_time_bounds
 from .thermo import restricted_spectrum
 
 CRITICAL_MARGIN = 1e-8
@@ -117,21 +111,14 @@ class ReturnOperator:
         self._A = np.array(self.target, dtype=int)
         self._C = np.array(recoded.complement_blocks, dtype=int)
         self.mu_target = float(self._stationary[self._A].sum())
-        self.minimal_return = minimal_return_time(recoded)
-        self.min_cycle_mean: Fraction = minimal_return_cycle_mean(recoded)
-        complement_cycle = any(
-            len(c) > 1 or recoded.transitions[c[0], c[0]] for c in self.restricted_components
-        )
-        if complement_cycle and not np.isfinite(self.s_critical):
+        # max_cycle_mean is finite only when return times are bounded (acyclic
+        # complement); then it caps the attainable range of Psi'
+        self.minimal_return, self.min_cycle_mean, self.max_cycle_mean = return_time_bounds(recoded)
+        if self.max_cycle_mean is None and not np.isfinite(self.s_critical):
             raise NumericError(
                 "the target complement has a cycle, but every cycle weight underflows: "
                 "the restricted pressure lies below double range"
             )
-        # finite only when return times are bounded (acyclic complement);
-        # then it caps the attainable range of Psi'
-        self.max_cycle_mean: Fraction | None = (
-            None if complement_cycle else maximal_return_cycle_mean(recoded)
-        )
         self._evals: dict[float, ReturnOperatorEval] = {}
         self._derivatives: dict[float, tuple[float, float]] = {}
 

@@ -9,6 +9,15 @@ Potentials of depth k > 2 are recoded onto the higher-block presentation
 whose states are admissible (k-1)-words, so that every downstream
 computation works with a depth-2 potential attached to single transitions.
 Return times to the target are preserved exactly by that conjugacy.
+
+Graph structure comes from boolean matrix products.  Reachability is the
+reflexive-transitive closure, found by repeated squaring; it gives the
+strongly connected components and the witness of a non-transitive graph.
+First returns of length t are the support of the oracle's kernel V_t P_CA,
+V_t = P_AC P_CC^(t-1): a walk from the target through the complement C,
+landing back in the target, for t <= |C| + 1.  Every shortest first return
+fits in that range, and so does every first return when C is acyclic; a
+walk still alive after |C| steps shows that C has a cycle.
 """
 
 from __future__ import annotations
@@ -30,81 +39,35 @@ Word = tuple[int, ...]
 # Graph utilities (directed graphs given by boolean adjacency matrices)
 # ---------------------------------------------------------------------------
 
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure by boolean squaring: ``reach[i, j]`` when i reaches j."""
+    reach = np.asarray(adj, dtype=bool) | np.eye(adj.shape[0], dtype=bool)
+    while True:
+        step = reach.astype(float)
+        grown = step @ step > 0.0
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
 def strongly_connected_components(adj: np.ndarray) -> list[list[int]]:
     """Strongly connected components of a directed graph, as sorted index lists.
 
-    Iterative Kosaraju; components are returned sorted by smallest member so
-    the output is deterministic.
+    i and j share a component when each reaches the other; every node is
+    labelled by the least member of its component, so the components come
+    out sorted by smallest member.
     """
-    n = adj.shape[0]
-    order: list[int] = []
-    seen = np.zeros(n, dtype=bool)
-    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
-    pred = [np.flatnonzero(adj[:, j]).tolist() for j in range(n)]
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        seen[start] = True
-        while stack:
-            node, ptr = stack[-1]
-            if ptr < len(succ[node]):
-                stack[-1] = (node, ptr + 1)
-                nxt = succ[node][ptr]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-                stack.pop()
-    comp_of = np.full(n, -1, dtype=int)
-    comps: list[list[int]] = []
-    for root in reversed(order):
-        if comp_of[root] >= 0:
-            continue
-        members = [root]
-        comp_of[root] = len(comps)
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nxt in pred[node]:
-                if comp_of[nxt] < 0:
-                    comp_of[nxt] = len(comps)
-                    members.append(nxt)
-                    queue.append(nxt)
-        comps.append(sorted(members))
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
-def _reach(adj: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the nodes reachable from ``start`` along the edges of ``adj``."""
-    reach = np.zeros(adj.shape[0], dtype=bool)
-    reach[start] = True
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in np.flatnonzero(adj[node]):
-            if not reach[nxt]:
-                reach[nxt] = True
-                queue.append(nxt)
-    return reach
+    if adj.shape[0] == 0:
+        return []
+    reach = _closure(adj)
+    label = np.argmax(reach & reach.T, axis=1)
+    return [np.flatnonzero(label == root).tolist() for root in np.unique(label)]
 
 
 def _unreachable_witness(adj: np.ndarray) -> tuple[int, int] | None:
-    """The least i with some j it cannot reach, and the least such j; None if strongly connected.
-
-    Two searches suffice.  If 0 misses a node, i = 0.  Otherwise every node
-    that reaches 0 reaches everything, so i is the least node that does not
-    reach 0, and j = 0.
-    """
-    forward = _reach(adj, 0)
-    if not forward.all():
-        return 0, int(np.flatnonzero(~forward)[0])
-    backward = _reach(adj.T, 0)
-    if not backward.all():
-        return int(np.flatnonzero(~backward)[0]), 0
-    return None
+    """The least i with some j it cannot reach, and the least such j; None if strongly connected."""
+    missed = np.argwhere(~_closure(adj))
+    return (int(missed[0, 0]), int(missed[0, 1])) if len(missed) else None
 
 
 def graph_period(adj: np.ndarray) -> int:
@@ -183,12 +146,12 @@ class TargetSet:
 
 def admissible_words(transitions: np.ndarray, depth: int) -> list[Word]:
     """All admissible words of the given depth, in lexicographic order."""
+    if depth < 1:
+        raise InvalidSystemError(f"potential depth must be >= 1, got {depth}")
     n = transitions.shape[0]
-    if depth == 1:
-        return [(i,) for i in range(n)]
-    words: list[Word] = []
-    for head in admissible_words(transitions, depth - 1):
-        words.extend(head + (j,) for j in range(n) if transitions[head[-1], j])
+    words: list[Word] = [(i,) for i in range(n)]
+    for _ in range(depth - 1):
+        words = [w + (j,) for w in words for j in range(n) if transitions[w[-1], j]]
     return words
 
 
@@ -309,7 +272,7 @@ class RecodedSystem:
             raise InvalidSystemError("recoded tables must match the number of block states")
         if not self.target_blocks or len(self.target_blocks) >= n:
             raise InvalidSystemError("recoded target must be nonempty and proper")
-        if len(strongly_connected_components(adj)) != 1:
+        if not _closure(adj).all():
             raise InvalidSystemError("recoded graph is not strongly connected")
 
     @property
@@ -337,43 +300,26 @@ class RecodedSystem:
 def recode_higher_block(sys: SymbolicSystem) -> RecodedSystem:
     """Recode to a depth-2 potential on the (k-1)-block presentation.
 
-    Depth <= 2 passes through (depth 1 is promoted by ignoring the second
-    coordinate).  For depth k > 2 the states are admissible (k-1)-words,
-    transitions are suffix/prefix overlaps of length k-2, and the new pair
-    potential evaluates the original on the k-word formed by extending the
-    source block with the last symbol of the destination block.
+    Depth <= 2 keeps the symbols as states (depth 1 is promoted by
+    ignoring the second coordinate).  For depth k > 2 the states are
+    admissible (k-1)-words, transitions are suffix/prefix overlaps of
+    length k-2, and the new pair potential evaluates the original on the
+    k-word formed by extending the source block with the last symbol of
+    the destination block.
     """
-    n = sys.n_symbols
     adj = sys.transitions
     depth = sys.potential.depth
-    if depth <= 2:
-        pot = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if adj[i, j]:
-                    pot[i, j] = sys.potential[(i,)] if depth == 1 else sys.potential[(i, j)]
-        return RecodedSystem(
-            block_states=tuple((i,) for i in range(n)),
-            transitions=adj.copy(),
-            potential2=pot,
-            target_blocks=sys.target.symbols,
-            block_length=1,
-        )
-
-    states = admissible_words(adj, depth - 1)
+    states = admissible_words(adj, max(depth - 1, 1))
     index = {w: i for i, w in enumerate(states)}
     m = len(states)
     trans = np.zeros((m, m), dtype=bool)
     pot = np.zeros((m, m))
+    successors = [np.flatnonzero(row).tolist() for row in adj]
     for w, i in index.items():
-        suffix = w[1:]
-        for j_sym in range(n):
-            if not adj[w[-1], j_sym]:
-                continue
-            w2 = suffix + (j_sym,)
-            j = index[w2]
+        for s in successors[w[-1]]:
+            j = index[w[1:] + (s,)]
             trans[i, j] = True
-            pot[i, j] = sys.potential[w + (j_sym,)]
+            pot[i, j] = sys.potential[(w + (s,))[:depth]]
     target = set(sys.target.symbols)
     target_blocks = tuple(i for i, w in enumerate(states) if w[0] in target)
     return RecodedSystem(
@@ -381,7 +327,7 @@ def recode_higher_block(sys: SymbolicSystem) -> RecodedSystem:
         transitions=trans,
         potential2=pot,
         target_blocks=target_blocks,
-        block_length=depth - 1,
+        block_length=len(states[0]),
     )
 
 
@@ -389,38 +335,44 @@ def recode_higher_block(sys: SymbolicSystem) -> RecodedSystem:
 # Return-time combinatorics
 # ---------------------------------------------------------------------------
 
-def _graph_and_target(system: SymbolicSystem | RecodedSystem) -> tuple[np.ndarray, tuple[int, ...]]:
-    if isinstance(system, SymbolicSystem):
-        return system.transitions, system.target.symbols
-    return system.transitions, system.target_blocks
+def first_return_lengths(system: SymbolicSystem | RecodedSystem) -> tuple[np.ndarray, bool]:
+    """Support of the first-return series by duration, and whether durations are unbounded.
+
+    ``hits[t - 1, a, a']`` is true when a path of length t runs from target
+    state a to target state a' through the complement C only: the support of
+    V_t P_CA.  The walk through C stops once it dies, or after |C| steps;
+    alive then, it has repeated a state of C, so ``unbounded`` is true.
+    """
+    adj = system.transitions
+    target = system.target.symbols if isinstance(system, SymbolicSystem) else system.target_blocks
+    m, inside = len(target), set(target)
+    order = list(target) + [i for i in range(len(adj)) if i not in inside]
+    paths = adj[np.ix_(order, order)].astype(float)
+    step, land, walk = paths[m:, m:], paths[m:, :m], paths[:m, m:]
+    hits = [paths[:m, :m] > 0.0]
+    for _ in range(len(adj) - m):
+        if not walk.any():
+            break
+        hits.append(walk @ land > 0.0)
+        walk = (walk @ step > 0.0).astype(float)
+    return np.array(hits), bool(walk.any())
+
+
+def _shortest(hits: np.ndarray) -> np.ndarray:
+    return np.where(hits.any(axis=0), np.argmax(hits, axis=0) + 1, np.inf)
+
+
+def _longest(hits: np.ndarray) -> np.ndarray:
+    return np.where(hits.any(axis=0), len(hits) - np.argmax(hits[::-1], axis=0), -np.inf)
 
 
 def minimal_return_time(system: SymbolicSystem | RecodedSystem) -> int:
     """Shortest k >= 1 such that some length-k path starts and ends in the target.
 
-    Intermediate symbols are unrestricted; by irreducibility such a path
-    always exists.  Found by breadth-first search from the target set.
+    Intermediate symbols are unrestricted, so this is the least shortest
+    first-return duration; by irreducibility it is finite.
     """
-    adj, target = _graph_and_target(system)
-    n = adj.shape[0]
-    target_mask = np.zeros(n, dtype=bool)
-    target_mask[list(target)] = True
-    dist = np.full(n, -1, dtype=np.int64)
-    queue: deque[int] = deque()
-    for a in target:
-        for b in np.flatnonzero(adj[a]):
-            if dist[b] < 0:
-                dist[b] = 1
-                queue.append(int(b))
-    while queue:
-        node = queue.popleft()
-        if target_mask[node]:
-            return int(dist[node])
-        for nxt in np.flatnonzero(adj[node]):
-            if dist[nxt] < 0:
-                dist[nxt] = dist[node] + 1
-                queue.append(int(nxt))
-    raise InvalidSystemError("no return path found; graph is not irreducible")
+    return int(first_return_durations(system).min())
 
 
 def first_return_durations(system: SymbolicSystem | RecodedSystem) -> np.ndarray:
@@ -430,33 +382,7 @@ def first_return_durations(system: SymbolicSystem | RecodedSystem) -> np.ndarray
     target state a' whose intermediate states all avoid the target
     (``inf`` when no such path exists).
     """
-    adj, target = _graph_and_target(system)
-    n = adj.shape[0]
-    target = list(target)
-    m = len(target)
-    in_target = np.zeros(n, dtype=bool)
-    in_target[target] = True
-    pos = {a: k for k, a in enumerate(target)}
-    out = np.full((m, m), np.inf)
-    for k, a in enumerate(target):
-        for b in np.flatnonzero(adj[a]):
-            if in_target[b]:
-                out[k, pos[b]] = min(out[k, pos[b]], 1.0)
-        dist = np.full(n, -1, dtype=np.int64)
-        queue: deque[int] = deque()
-        for b in np.flatnonzero(adj[a]):
-            if not in_target[b] and dist[b] < 0:
-                dist[b] = 1
-                queue.append(int(b))
-        while queue:
-            node = queue.popleft()
-            for nxt in np.flatnonzero(adj[node]):
-                if in_target[nxt]:
-                    out[k, pos[nxt]] = min(out[k, pos[nxt]], dist[node] + 1.0)
-                elif dist[nxt] < 0:
-                    dist[nxt] = dist[node] + 1
-                    queue.append(int(nxt))
-    return out
+    return _shortest(first_return_lengths(system)[0])
 
 
 def _karp_min_mean_cycle(d: np.ndarray) -> Fraction:
@@ -508,57 +434,27 @@ def minimal_return_cycle_mean(system: SymbolicSystem | RecodedSystem) -> Fractio
     return _karp_min_mean_cycle(first_return_durations(system))
 
 
-def longest_first_return_durations(system: SymbolicSystem | RecodedSystem) -> np.ndarray:
-    """Longest first-return duration between target states.
+def _maximal_cycle_mean(longest: np.ndarray) -> Fraction:
+    return -_karp_min_mean_cycle(np.where(longest > 0, -longest, np.inf))
 
-    Only defined when the complement graph is acyclic (otherwise durations
-    are unbounded); computed by longest-path dynamic programming over a
-    topological order of the complement.
+
+def return_time_bounds(system: SymbolicSystem | RecodedSystem) -> tuple[int, Fraction, Fraction | None]:
+    """Minimal return time and the least and greatest first-return cycle means, from one walk.
+
+    The greatest is None when first returns are unbounded.
     """
-    adj, target = _graph_and_target(system)
-    n = adj.shape[0]
-    target = list(target)
-    pos = {a: k for k, a in enumerate(target)}
-    m = len(target)
-    comp = [i for i in range(n) if i not in pos]
-    comp_index = {c: i for i, c in enumerate(comp)}
-    sub = adj[np.ix_(comp, comp)] if comp else np.zeros((0, 0), dtype=bool)
-    indeg = sub.sum(axis=0).astype(int) if comp else np.zeros(0, dtype=int)
-    order: list[int] = []
-    queue = deque(int(i) for i in np.flatnonzero(indeg == 0))
-    remaining = indeg.copy()
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for j in np.flatnonzero(sub[i]):
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                queue.append(int(j))
-    if len(order) != len(comp):
-        raise InvalidSystemError(
-            "complement graph has a cycle; first-return durations are unbounded"
-        )
-    out = np.full((m, m), -np.inf)
-    for k, a in enumerate(target):
-        # longest[i]: longest admissible path a -> ... -> comp[i] through complement
-        longest = np.full(len(comp), -np.inf)
-        for b in np.flatnonzero(adj[a]):
-            if b in pos:
-                out[k, pos[b]] = max(out[k, pos[b]], 1.0)
-            else:
-                longest[comp_index[b]] = max(longest[comp_index[b]], 1.0)
-        for i in order:
-            if longest[i] == -np.inf:
-                continue
-            for j in np.flatnonzero(sub[i]):
-                longest[j] = max(longest[j], longest[i] + 1.0)
-        for i, c in enumerate(comp):
-            if longest[i] == -np.inf:
-                continue
-            for b in np.flatnonzero(adj[c]):
-                if b in pos:
-                    out[k, pos[b]] = max(out[k, pos[b]], longest[i] + 1.0)
-    return out
+    hits, unbounded = first_return_lengths(system)
+    shortest = _shortest(hits)
+    greatest = None if unbounded else _maximal_cycle_mean(_longest(hits))
+    return int(shortest.min()), _karp_min_mean_cycle(shortest), greatest
+
+
+def longest_first_return_durations(system: SymbolicSystem | RecodedSystem) -> np.ndarray:
+    """Longest first-return duration between target states; defined when the complement is acyclic."""
+    hits, unbounded = first_return_lengths(system)
+    if unbounded:
+        raise InvalidSystemError("complement graph has a cycle; first-return durations are unbounded")
+    return _longest(hits)
 
 
 def maximal_return_cycle_mean(system: SymbolicSystem | RecodedSystem) -> Fraction:
@@ -567,6 +463,4 @@ def maximal_return_cycle_mean(system: SymbolicSystem | RecodedSystem) -> Fractio
     The supremum of attainable long-run return averages; finite exactly when
     the complement graph is acyclic.
     """
-    d = longest_first_return_durations(system)
-    neg = np.where(d > 0, -d, np.inf)
-    return -_karp_min_mean_cycle(neg)
+    return _maximal_cycle_mean(longest_first_return_durations(system))

@@ -87,6 +87,21 @@ class TestConfigErrors:
         path = write_config(tmp_path, cfg)
         assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_nonpositive_depth_rejected(self, tmp_path, capsys, depth):
+        cfg = full2_config()
+        cfg["system"]["potential"] = {"depth": depth, "values": []}
+        path = write_config(tmp_path, cfg)
+        assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_CONFIG
+        assert f"potential depth must be >= 1, got {depth}" in capsys.readouterr().err
+
+    def test_non_integer_target_names_block(self, tmp_path, capsys):
+        cfg = full2_config()
+        cfg["system"]["target"] = ["a"]
+        path = write_config(tmp_path, cfg)
+        assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_CONFIG
+        assert "configuration error: 'system' block: invalid literal for int()" in capsys.readouterr().err
+
     def test_degenerate_system_is_numeric_failure(self, tmp_path):
         # pure 2-cycle: deterministic returns, variance not strictly positive
         cfg = full2_config()

@@ -14,6 +14,7 @@ from sftreturns import (
     exact_tail_probability,
     first_return_durations,
     first_return_law,
+    first_return_lengths,
     gibbs_chain,
     mgf_matrix,
     minimal_return_time,
@@ -149,6 +150,14 @@ class TestFirstReturnLaw:
             probs = law.duration_probabilities()
             first = int(np.flatnonzero(probs > 0.0)[0]) + 1
             assert first == minimal_return_time(rec)
+
+    def test_kernel_support_is_the_first_return_walk(self, random_recoded):
+        for rec in random_recoded:
+            law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
+            hits, _ = first_return_lengths(rec)
+            for t in range(1, min(law.t_max, len(rec.complement_blocks) + 1) + 1):
+                expected = hits[t - 1] if t <= len(hits) else np.zeros_like(hits[0])
+                assert np.array_equal(law.kernels[t - 1] > 0.0, expected)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.45, 0.55, 0.9])
     def test_tilted_horizon_matches_per_step_reference(self, random_recoded, fraction):

@@ -10,13 +10,16 @@ from sftreturns import (
     InvalidSystemError,
     TargetSet,
     first_return_durations,
+    first_return_lengths,
+    longest_first_return_durations,
+    maximal_return_cycle_mean,
     minimal_return_cycle_mean,
     minimal_return_time,
     recode_higher_block,
     validate_system,
     zero_potential,
 )
-from sftreturns.system import _unreachable_witness
+from sftreturns.system import _unreachable_witness, strongly_connected_components
 from conftest import constant_potential, full_shift, golden_mean, make_system
 
 
@@ -36,6 +39,159 @@ def witness_by_search_from_every_node(adj):
         if not reach.all():
             return i, int(np.flatnonzero(~reach)[0])
     return None
+
+
+def components_by_kosaraju(adj):
+    """Strongly connected components by two depth-first passes, sorted by least member."""
+    n = adj.shape[0]
+    succ = [np.flatnonzero(adj[i]).tolist() for i in range(n)]
+    pred = [np.flatnonzero(adj[:, j]).tolist() for j in range(n)]
+    order, seen = [], [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, 0)]
+        while stack:
+            node, ptr = stack[-1]
+            if ptr < len(succ[node]):
+                stack[-1] = (node, ptr + 1)
+                nxt = succ[node][ptr]
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append((nxt, 0))
+            else:
+                order.append(node)
+                stack.pop()
+    comp_of = [-1] * n
+    comps = []
+    for root in reversed(order):
+        if comp_of[root] >= 0:
+            continue
+        comp_of[root] = len(comps)
+        members, queue = [root], deque([root])
+        while queue:
+            for nxt in pred[queue.popleft()]:
+                if comp_of[nxt] < 0:
+                    comp_of[nxt] = len(comps)
+                    members.append(nxt)
+                    queue.append(nxt)
+        comps.append(sorted(members))
+    return sorted(comps)
+
+
+def shortest_returns_by_search_per_target(adj, target):
+    """Shortest first-return durations: one breadth-first search through the complement per target state."""
+    pos = {a: k for k, a in enumerate(target)}
+    out = np.full((len(target), len(target)), np.inf)
+    for k, a in enumerate(target):
+        dist = {}
+        queue = deque()
+        for b in np.flatnonzero(adj[a]).tolist():
+            if b in pos:
+                out[k, pos[b]] = 1.0
+            else:
+                dist[b] = 1
+                queue.append(b)
+        while queue:
+            node = queue.popleft()
+            for nxt in np.flatnonzero(adj[node]).tolist():
+                if nxt in pos:
+                    out[k, pos[nxt]] = min(out[k, pos[nxt]], dist[node] + 1.0)
+                elif nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    queue.append(nxt)
+    return out
+
+
+def longest_returns_by_topological_order(adj, target):
+    """Longest first-return durations by a longest-path pass over a topological order of the complement.
+
+    None when the complement has a cycle (no topological order exists).
+    """
+    pos = {a: k for k, a in enumerate(target)}
+    comp = [i for i in range(adj.shape[0]) if i not in pos]
+    sub = adj[np.ix_(comp, comp)]
+    remaining = sub.sum(axis=0).astype(int)
+    order, queue = [], deque(np.flatnonzero(remaining == 0).tolist())
+    while queue:
+        i = queue.popleft()
+        order.append(i)
+        for j in np.flatnonzero(sub[i]).tolist():
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                queue.append(j)
+    if len(order) != len(comp):
+        return None
+    out = np.full((len(target), len(target)), -np.inf)
+    for k, a in enumerate(target):
+        longest = np.full(len(comp), -np.inf)
+        for b in np.flatnonzero(adj[a]).tolist():
+            if b in pos:
+                out[k, pos[b]] = 1.0
+            else:
+                longest[comp.index(b)] = 1.0
+        for i in order:
+            for j in np.flatnonzero(sub[i]):
+                longest[j] = max(longest[j], longest[i] + 1.0)
+        for i, c in enumerate(comp):
+            for b in np.flatnonzero(adj[c]).tolist():
+                if b in pos:
+                    out[k, pos[b]] = max(out[k, pos[b]], longest[i] + 1.0)
+    return out
+
+
+class TestGraphReferences:
+    """The matrix-product graph layer against classical searches, on random graphs."""
+
+    def test_components_match_kosaraju(self):
+        rng = np.random.default_rng(4141)
+        non_transitive = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 14))
+            adj = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            expected = components_by_kosaraju(adj)
+            non_transitive += len(expected) > 1
+            assert strongly_connected_components(adj) == expected
+        assert non_transitive >= 300
+
+    def test_first_returns_match_searches(self):
+        rng = np.random.default_rng(4242)
+        cyclic = acyclic = 0
+        while cyclic + acyclic < 600:
+            n = int(rng.integers(2, 11))
+            adj = (rng.random((n, n)) < rng.uniform(0.1, 0.6)).astype(int)
+            target = sorted(rng.choice(n, int(rng.integers(1, n)), replace=False).tolist())
+            try:
+                sys = make_system(adj, target)
+            except InvalidSystemError:
+                continue
+            shortest = shortest_returns_by_search_per_target(sys.transitions, target)
+            longest = longest_returns_by_topological_order(sys.transitions, target)
+            hits, unbounded = first_return_lengths(sys)
+            assert len(hits) <= n - len(target) + 1
+            assert unbounded == (longest is None)
+            assert np.array_equal(first_return_durations(sys), shortest)
+            assert minimal_return_time(sys) == int(shortest.min())
+            if longest is None:
+                cyclic += 1
+                with pytest.raises(InvalidSystemError) as info:
+                    longest_first_return_durations(sys)
+                assert str(info.value) == "complement graph has a cycle; first-return durations are unbounded"
+            else:
+                acyclic += 1
+                assert np.array_equal(longest_first_return_durations(sys), longest)
+        assert cyclic >= 100 and acyclic >= 100
+
+    def test_cycle_meets_the_walk_bound(self):
+        n = 200
+        sys = make_system(np.roll(np.eye(n, dtype=int), 1, axis=1), (0,))
+        hits, unbounded = first_return_lengths(sys)
+        assert hits.shape == (n, 1, 1) and not unbounded
+        assert minimal_return_time(sys) == n
+        assert first_return_durations(sys).tolist() == [[n]]
+        assert longest_first_return_durations(sys).tolist() == [[n]]
+        assert minimal_return_cycle_mean(sys) == maximal_return_cycle_mean(sys) == n
 
 
 class TestValidation:
