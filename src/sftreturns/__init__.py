@@ -37,7 +37,6 @@ from .montecarlo import (
 from .oracle import (
     ExactReturnStats,
     FirstReturnLaw,
-    cycle_covariance,
     exact_mgf,
     exact_return_distribution,
     exact_tail_probability,
@@ -49,7 +48,6 @@ from .return_op import (
     CgfCurve,
     ReturnOperator,
     ReturnOperatorEval,
-    first_return_series,
 )
 from .system import (
     DepthKPotential,
@@ -103,7 +101,6 @@ __all__ = [
     "TargetSet",
     "VarianceReport",
     "admissible_words",
-    "cycle_covariance",
     "deviation_limit",
     "empirical_clt",
     "empirical_scgf",
@@ -114,7 +111,6 @@ __all__ = [
     "first_return_durations",
     "first_return_law",
     "first_return_lengths",
-    "first_return_series",
     "gibbs_chain",
     "longest_first_return_durations",
     "maximal_return_cycle_mean",

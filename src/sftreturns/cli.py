@@ -90,6 +90,17 @@ class AnalysisConfig:
     notices: list[str] = field(default_factory=list)
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+
+
+def _typed(value: Any, kind: type, context: str) -> Any:
+    """``value`` if it is a JSON object (``dict``) or array (``list``) as ``kind`` asks."""
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), "number")
+        raise ConfigurationError(f"{context} must be a JSON {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
 def _need(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigurationError(f"missing '{key}' in {context}")
@@ -110,6 +121,7 @@ def _parse_grid(spec: Any, context: str) -> np.ndarray:
 
 
 def _parse_system(raw: dict, notices: list[str]) -> SymbolicSystem:
+    _typed(raw, dict, "system")
     n = int(_need(raw, "n_symbols", "system"))
     rows = _need(raw, "transitions", "system")
     if not isinstance(rows, list) or len(rows) != n:
@@ -122,10 +134,11 @@ def _parse_system(raw: dict, notices: list[str]) -> SymbolicSystem:
                 raise ConfigurationError(f"transition entry ({i},{j}) must be 0 or 1")
     transitions = np.asarray(rows, dtype=int)
 
-    pot_raw = _need(raw, "potential", "system")
+    pot_raw = _typed(_need(raw, "potential", "system"), dict, "potential")
     depth = int(_need(pot_raw, "depth", "potential"))
     values: dict[tuple[int, ...], float] = {}
-    for k, item in enumerate(pot_raw.get("values", [])):
+    for k, item in enumerate(_typed(pot_raw.get("values", []), list, "potential values")):
+        _typed(item, dict, f"potential value {k}")
         word = tuple(int(s) for s in _need(item, "word", f"potential value {k}"))
         val = _need(item, "value", f"potential value {k}")
         if not isinstance(val, (int, float)) or not math.isfinite(float(val)):
@@ -186,7 +199,7 @@ def load_config(path: Path, seed_override: int | None, samples_override: int | N
     simulation = None
     tails: list[tuple[float, str]] = []
     if "simulation" in raw:
-        sim = raw["simulation"]
+        sim = _typed(raw["simulation"], dict, "simulation")
         with _block("simulation"):
             simulation = SimConfig(
                 seed=seed_override if seed_override is not None else int(_need(sim, "seed", "simulation")),
@@ -195,7 +208,8 @@ def load_config(path: Path, seed_override: int | None, samples_override: int | N
                 horizon=int(sim.get("horizon", 1)),
                 workers=int(sim.get("workers", 1)),
             )
-            for k, item in enumerate(sim.get("tails", [])):
+            for k, item in enumerate(_typed(sim.get("tails", []), list, "tails")):
+                _typed(item, dict, f"tails entry {k}")
                 u = float(_need(item, "u", f"tails entry {k}"))
                 side = _need(item, "side", f"tails entry {k}")
                 if side not in ("upper", "lower"):
@@ -411,8 +425,7 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
     vari = abs(bundle.chain.entropy + _mean_potential(bundle) - bundle.chain.pressure)
     out.append(_verdict("variational_identity", "deterministic", vari <= 1e-10,
                         residual=vari, tolerance=1e-10))
-    report = bundle.variance
-    two_routes = abs(report.sigma2 - report.series_sigma2)
+    two_routes = bundle.variance.two_route_gap
     out.append(_verdict("variance_two_routes", "deterministic", two_routes <= TWO_ROUTE_TOL,
                         residual=two_routes, tolerance=TWO_ROUTE_TOL))
 
@@ -525,6 +538,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
+    variance = bundle.variance
+    if variance.two_route_gap > TWO_ROUTE_TOL:
+        raise NumericError(
+            f"variance routes disagree: Psi''(0)={variance.sigma2!r} vs series={variance.series_sigma2!r}"
+        )
     report = _report_skeleton(args, bundle)
     report["scalars"] = scalar_block(bundle)
     report["restricted_components"] = bundle.op.restricted_components

@@ -59,6 +59,11 @@ class VarianceReport:
     mu_target: float
     series_sigma2: float
 
+    @property
+    def two_route_gap(self) -> float:
+        """|Psi''(0) - series|; the routes agree when it is at most TWO_ROUTE_TOL."""
+        return abs(self.sigma2 - self.series_sigma2)
+
 
 def _attainable_range(op: ReturnOperator) -> tuple[float, float]:
     """Open range of Psi': bounded below by the minimum mean return cycle and
@@ -194,8 +199,8 @@ def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:
     solves on P_CA; Z = (I - Pi + 1 s)^-1 - 1 s is the group inverse of
     I - Pi (Meyer), the Cesaro sum of Pi^k - 1 s, so the sum is right when
     the landing chain Pi is periodic.  The route uses P, not R(S), so it is
-    independent of Psi''.  The two routes must agree within 1e-6 and the
-    variance must be strictly positive.
+    independent of Psi''.  The variance must be strictly positive; whether the
+    routes agree within TWO_ROUTE_TOL is the caller's verdict.
     """
     _, sigma2 = op.scgf_derivatives(0.0)
     if not sigma2 > SIGMA2_FLOOR:
@@ -221,10 +226,6 @@ def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:
     zg = np.linalg.solve(np.eye(A.size) - landing + start, g)
     covariances = float(start @ g1 @ zg) - float(start @ g) ** 2
     series = float(start @ g2.sum(axis=1)) - 1.0 / mu**2 + 2.0 * covariances
-    if abs(series - sigma2) > TWO_ROUTE_TOL:
-        raise NumericError(
-            f"variance routes disagree: Psi''(0)={sigma2!r} vs series={series!r}"
-        )
     return VarianceReport(
         sigma2=float(sigma2),
         sigma2_bar=float(sigma2 * mu**3),

@@ -9,9 +9,11 @@ independent cross-checks for the spectral route.
 
 Each piece of work is done once.  With V_t = P_ac P_cc^(t-1) and the tilted
 step X = e^alpha P_cc, the window identity V_t X^j = e^(alpha j) V_(t+j) turns
-the tilted tail bound at every horizon t into a weighted sum of k values of
-the horizon loop's own tail sequence, so the tilted horizon search costs
-t_max + k products instead of k per checked step.  The n-return dynamic
+the tilted tail bound at every horizon t into a weighted sum of the k tails
+r_t .. r_(t+k-1) of the horizon loop's own V sequence, so the tilted horizon
+search costs t_max + k - 1 products.  Each Python step does one product; the
+tails, the kernels and the stop rule are read off each block of products in
+bulk, the bounds over a sliding window of the log tails.  The n-return dynamic
 program keeps its frontier (the state after the most returns yet computed)
 on the law, so the distributions for n = 1..N together cost N - 1 steps.
 
@@ -31,14 +33,16 @@ Each exact quantity comes from arithmetic sized to what is asked:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import ceil, expm1, floor, log, log1p
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .perron import _contraction, _geometric_sum, spectral_radius_reducible
+from .perron import _contraction, _geometric_sum, _product_blocks, spectral_radius_reducible
 from .thermo import GibbsChain
 
 MAX_HORIZON = 10**6
@@ -106,7 +110,7 @@ class FirstReturnLaw:
             step = np.exp(alpha) * self._p_cc
             k, beta = _tilt_contraction(alpha, step, self._contractions)
             raw = _geometric_sum(step, self._v_next, k, beta)
-            self._tail_bounds[alpha] = _scaled_tail(alpha, self.t_max, raw)
+            self._tail_bounds[alpha] = float(_scaled_tail(alpha, self.t_max, raw))
         return self._tail_bounds[alpha]
 
     def moment_tail_bound(self, order: int) -> float:
@@ -137,9 +141,10 @@ def first_return_law(
     most ``tol`` for every start state, and, when ``alpha_max > 0``, until
     the certified exp(alpha_max * p)-weighted tail is also below ``tol`` (so
     the law supports moment generating functions up to that tilt).  That
-    tilted bound is ``weighted_tail_bound`` at each horizon, evaluated through
-    the window identity V_t X^j = e^(alpha j) V_(t+j) from the tail sequence
-    read k steps ahead (see :class:`_TiltedTail`).
+    tilted bound is ``weighted_tail_bound`` at each horizon t, which the window
+    identity V_t X^j = e^(alpha j) V_(t+j) reads off the tails r_t .. r_(t+k-1)
+    of the law's own V sequence, in bulk once a block of them is in (see
+    :func:`_horizon`).
     """
     if not 0.0 < tol <= 1e-6:
         raise ConfigurationError(f"tol must lie in (0, 1e-6], got {tol}")
@@ -158,38 +163,81 @@ def first_return_law(
     mu = float(pi_a.sum())
     start = pi_a / mu
 
-    kernels = [Paa]
-    V = Pac.copy()
-    tail = float(V.sum(axis=1).max())
     cache: dict[float, tuple[int, float] | str] = {}  # one contraction search for every horizon
-    tilted: _TiltedTail | None = None
-    t = 1
-    while t < MAX_HORIZON:
-        # the contraction is searched lazily, at the first horizon whose tail needs it
-        if tilted is None and tail <= tol and alpha_max > 0.0 and V.any():
-            tilted = _TiltedTail(alpha_max, Pcc, V, tail, cache)
-        if tail <= tol and (tilted is None or tilted.bound(t) <= tol):
-            law = FirstReturnLaw(
-                kernels=np.stack(kernels),
-                tail_bound=tail,
-                start=start,
-                target_states=targets,
-                mu_target=mu,
-                _p_cc=Pcc,
-                _v_next=V.copy(),
-                _contractions=cache,
-            )
-            _validate_law(law)
-            return law
-        kernels.append(V @ Pca)
-        V = V @ Pcc
-        tail = float(V.sum(axis=1).max())
-        t += 1
-        if tilted is not None:
-            tilted.advance()
-    raise NumericError(
-        f"first-return tail still {tail:.3e} after horizon {MAX_HORIZON}; tol unreachable"
+    kernels, tail, v_next = _horizon(Paa, Pac, Pca, Pcc, tol, alpha_max, cache)
+    law = FirstReturnLaw(
+        kernels=kernels,
+        tail_bound=tail,
+        start=start,
+        target_states=targets,
+        mu_target=mu,
+        _p_cc=Pcc,
+        _v_next=v_next,
+        _contractions=cache,
     )
+    _validate_law(law)
+    return law
+
+
+def _horizon(p_aa, p_ac, p_ca, p_cc, tol: float, alpha_max: float, cache: dict) -> tuple:
+    """(kernels K_1 .. K_(t_max), r_(t_max), V_(t_max)) at the law's stop, r_t = max-rowsum(V_t).
+
+    V_t comes in blocks of products, and the block of V_s .. V_e gives the
+    kernels K_(s+1) .. K_(e+1) = V_t P_ca in one batched product.  The first
+    t0 with r_t0 <= tol is the stop unless the tilt is needed; then it is the
+    first t >= t0 with r_t <= tol and a tilted bound <= tol, decided once
+    r_(t+k-1) is in.  One block of V is held, plus V at the start of each block
+    that holds an undecided horizon, from which V_(t_max) is recomputed bit for bit.
+    """
+    kernels, checkpoints = [], []
+    tilt = None  # (k, beta, alpha j for j < k) once the tilted bound is needed
+    first, logs, tails = 0, np.empty(0), np.empty(0)  # log r_t and r_t of undecided t >= first
+    cap_tail, s = 0.0, 1
+    for block in itertools.chain([p_ac[np.newaxis]], _product_blocks(p_ac, p_cc, np.inf)):
+        e = s + block.shape[0] - 1  # block[i] = V_(s + i)
+        r = block.sum(axis=2).max(axis=1)
+        kernels.append((s, np.matmul(block, p_ca)))
+        if s <= MAX_HORIZON <= e:
+            cap_tail = float(r[MAX_HORIZON - s])
+        if tilt is not None:
+            checkpoints.append((s, block[0].copy()))
+        elif (hits := np.flatnonzero(r[:MAX_HORIZON - s] <= tol)).size:
+            first = s + int(hits[0])
+            if not (alpha_max > 0.0 and block[hits[0]].any()):
+                t_max, tail, v = first, float(r[hits[0]]), block[hits[0]].copy()
+                break
+            k, beta = _tilt_contraction(alpha_max, np.exp(alpha_max) * p_cc, cache)
+            tilt = k, beta, alpha_max * np.arange(k)
+            checkpoints.append((first, block[hits[0]].copy()))
+        if tilt is not None:
+            k, beta, ramp = tilt
+            new = r[max(first - s, 0):].tolist()
+            logs = np.append(logs, [log(x) if x > 0.0 else -np.inf for x in new])
+            tails = np.append(tails, new)
+            last = min(e - k + 1, MAX_HORIZON - 1)  # the last horizon whose window is in
+            if last >= first:
+                count = last - first + 1
+                raw = np.exp(ramp + sliding_window_view(logs, k)[:count]).sum(axis=1) / (1.0 - beta)
+                bound = _scaled_tail(alpha_max, np.arange(first, last + 1), raw)
+                stops = np.flatnonzero((tails[:count] <= tol) & (bound <= tol))
+                if stops.size:
+                    t_max = first + int(stops[0])
+                    pos, v = (t_max, block[t_max - s].copy()) if t_max >= s else [
+                        c for c in checkpoints if c[0] <= t_max][-1]
+                    for _ in range(t_max - pos):
+                        v = v @ p_cc
+                    tail = float(tails[stops[0]])
+                    break
+                first, logs, tails = last + 1, logs[count:], tails[count:]
+                checkpoints = [c for c, after in zip(checkpoints, checkpoints[1:] + [(np.inf,)])
+                               if after[0] > first]
+        if e >= MAX_HORIZON and (tilt is None or first >= MAX_HORIZON):
+            raise NumericError(
+                f"first-return tail still {cap_tail:.3e} after horizon {MAX_HORIZON}; tol unreachable"
+            )
+        s = e + 1
+    kernels = [p_aa[np.newaxis]] + [K[:max(t_max - start, 0)] for start, K in kernels]
+    return np.concatenate(kernels), tail, v
 
 
 def _tilt_contraction(alpha: float, step: np.ndarray, cache: dict) -> tuple[int, float]:
@@ -205,52 +253,12 @@ def _tilt_contraction(alpha: float, step: np.ndarray, cache: dict) -> tuple[int,
     return cache[alpha]
 
 
-def _scaled_tail(alpha: float, t_max: int, raw: float) -> float:
-    """e^(alpha (t_max + 1)) raw, in log space: inf once it is beyond the range of floats."""
-    if raw <= 0.0:
-        return 0.0
-    log_bound = alpha * (t_max + 1) + np.log(raw)
-    return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
-
-
-class _TiltedTail:
-    """``weighted_tail_bound`` at successive horizons t of the law's loop, one product per step.
-
-    With X = e^alpha P_cc, V_t X^j = e^(alpha j) V_(t+j), so the bound at t is
-    e^(alpha (t+1)) / (1 - beta) * sum_{j<k} e^(alpha j) r_(t+j), where
-    r_i = max-rowsum(V_i) is the loop's own tail sequence.  A lead copy of
-    the V recursion, started at the first horizon that needs the bound, runs
-    k - 1 steps ahead; log r_t .. log r_(t+k-1) sit in a ring buffer stored
-    twice over, so the window is always the contiguous slice [pos, pos + k).
-    The terms are e^(alpha j + log r), which stay finite where e^(alpha j) alone
-    would overflow.
-    """
-
-    def __init__(self, alpha: float, p_cc: np.ndarray, v: np.ndarray, tail: float, cache: dict):
-        k, beta = _tilt_contraction(alpha, np.exp(alpha) * p_cc, cache)
-        self.alpha, self.p_cc, self.beta, self.k = alpha, p_cc, beta, k
-        self.ramp = alpha * np.arange(k)
-        self.logs = np.empty(2 * k)
-        self.pos = 0
-        self.lead = v
-        self._store(0, tail)
-        for j in range(1, k):
-            self.lead = self.lead @ p_cc
-            self._store(j, float(self.lead.sum(axis=1).max()))
-
-    def _store(self, slot: int, r: float) -> None:
-        self.logs[slot] = self.logs[slot + self.k] = log(r) if r > 0.0 else -np.inf
-
-    def advance(self) -> None:
-        """Slide the window from r_t .. r_(t+k-1) to r_(t+1) .. r_(t+k)."""
-        self.lead = self.lead @ self.p_cc
-        self._store(self.pos, float(self.lead.sum(axis=1).max()))
-        self.pos = (self.pos + 1) % self.k
-
-    def bound(self, t: int) -> float:
-        window = self.logs[self.pos:self.pos + self.k]
-        raw = float(np.exp(self.ramp + window).sum()) / (1.0 - self.beta)
-        return _scaled_tail(self.alpha, t, raw)
+def _scaled_tail(alpha: float, t_max, raw):
+    """e^(alpha (t_max + 1)) raw, elementwise in log space: 0 where raw is 0, inf once
+    it is beyond the range of floats."""
+    with np.errstate(divide="ignore", over="ignore"):
+        log_bound = alpha * (np.asarray(t_max) + 1) + np.log(raw)
+        return np.where(raw <= 0.0, 0.0, np.where(log_bound < 700.0, np.exp(log_bound), np.inf))
 
 
 def _validate_law(law: FirstReturnLaw) -> None:
@@ -439,51 +447,3 @@ def _tilted_kernel(law: FirstReturnLaw, alpha: float) -> np.ndarray:
         Q.flags.writeable = False
         law._tilted[alpha] = Q
     return law._tilted[alpha]
-
-
-def _normalized_moments(law: FirstReturnLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Pi, G1, G2) of the per-state normalized (exactly stochastic) kernels.
-
-    Normalizing away the truncation deficit (at most the law's tail bound)
-    removes the spurious mass drift that would otherwise contaminate long
-    covariance chains.
-    """
-    mass = law.kernels.sum(axis=(0, 2))
-    kernels = law.kernels / mass[np.newaxis, :, np.newaxis]
-    p = np.arange(1, law.t_max + 1, dtype=float)
-    Pi = kernels.sum(axis=0)
-    G1 = np.tensordot(p, kernels, axes=(0, 0))
-    G2 = np.tensordot(p * p, kernels, axes=(0, 0))
-    return Pi, G1, G2
-
-
-def stationary_cycle_moment(law: FirstReturnLaw, order: int) -> float:
-    """E[(tau^1)^order] under the stationary conditional start (normalized law)."""
-    if order not in (1, 2):
-        raise DomainError(f"only moments of order 1 and 2 are provided, got {order}")
-    _, G1, G2 = _normalized_moments(law)
-    G = G1 if order == 1 else G2
-    return float(law.start @ G.sum(axis=1))
-
-
-def cycle_covariance(law: FirstReturnLaw, j: int) -> float:
-    """Cov(tau^1, tau^j) under the stationary conditional start.
-
-    Intermediate cycle durations are marginalized exactly: the covariance
-    reduces to the landing-state chain bridging the first and j-th cycles.
-    Cov(tau^1, tau^1) is the variance of a single cycle.
-    """
-    if j < 1:
-        raise DomainError(f"cycle index must be >= 1, got {j}")
-    Pi, G1, G2 = _normalized_moments(law)
-    mean_by_state = G1.sum(axis=1)
-    mean = float(law.start @ mean_by_state)
-    if j == 1:
-        return float(law.start @ G2.sum(axis=1)) - mean * mean
-    x = law.start @ G1
-    w = law.start.copy()
-    for _ in range(j - 2):
-        x = x @ Pi
-        w = w @ Pi
-    # E[tau^j] is recomputed along the same chain so truncation drifts cancel
-    return float(x @ mean_by_state) - mean * float((w @ Pi) @ mean_by_state)

@@ -15,11 +15,14 @@ all but near-reducible cases, and rho = u M v with u.v = 1.
 
 Tail certificates search for a power of X with max-rowsum <= 1/2, which
 cannot exist when rho(X) >= 1: a Collatz-Wielandt lower bound on rho(X)
-(Horn & Johnson, Matrix Analysis, 8.1) stops such searches early.
+(Horn & Johnson, Matrix Analysis, 8.1) stops such searches after
+CW_CHECK_STEPS products.  The searches and sums run over growing blocks of
+powers, one product a Python step, and read the row sums off each block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,8 @@ POLISH_SHIFT = 1e-10
 # residual is near g anyway: two 3-cliques joined by 1e-11 need 25 solves
 MAX_SOLVES = 33
 CW_CHECK_STEPS = 64
+BLOCK_STEPS = 64  # the longest block of products read off at once,
+BLOCK_BYTES = 1 << 18  # and its largest size
 _TINY = np.finfo(float).tiny
 
 
@@ -131,6 +136,37 @@ def spectral_radius_reducible(M: np.ndarray, adj: np.ndarray) -> tuple[float, li
     return radius, comps
 
 
+def _product_blocks(first: np.ndarray, X: np.ndarray, total: float):
+    """first X, first X^2, ..., first X^total (total may be inf) in blocks, one ``np.matmul`` a product.
+
+    The blocks grow 8, 8, 16, 32 products, then stay at BLOCK_STEPS, or at
+    the largest power of two that fits BLOCK_BYTES, so a search that stops
+    early wastes at most as many products as it used and a block edge falls
+    on CW_CHECK_STEPS.  Each block is a view into one buffer that the next
+    block overwrites; everything else is read off it in a few array operations.
+    """
+    shape = (first.shape[0], X.shape[1])
+    fits = BLOCK_BYTES // (8 * max(shape[0] * shape[1], 1))
+    most = min(BLOCK_STEPS, 1 << max(fits.bit_length() - 1, 0))
+    buf, prev, done = np.empty((0,) + shape), first, 0
+    while done < total:
+        size = min(max(done, 8), most, total - done)
+        if buf.shape[0] < size:
+            buf = np.empty((size,) + shape)
+            rows = list(buf)  # views made once: a view costs a fifth of a small product
+        np.matmul(prev, X, out=rows[0])
+        for i in range(1, size):
+            np.matmul(rows[i - 1], X, out=rows[i])
+        yield buf[:size]
+        prev, done = rows[size - 1], done + size
+
+
+def _max_rowsums(first: np.ndarray, X: np.ndarray, total: float):
+    """max-rowsum(first X^j) for j = 1, 2, ..., total, read off each block of products in bulk."""
+    for block in _product_blocks(first, X, total):
+        yield from block.sum(axis=2).max(axis=1).tolist()
+
+
 def _contraction(X: np.ndarray, max_steps: int = 4096) -> tuple[int, float]:
     """Smallest k <= max_steps with beta = max-rowsum(X^k) <= 1/2, and that beta.
 
@@ -138,14 +174,11 @@ def _contraction(X: np.ndarray, max_steps: int = 4096) -> tuple[int, float]:
     overflow, or after CW_CHECK_STEPS steps if min_{x_i > 0} (X x)_i / x_i,
     x = |dominant eigenvector|, a lower bound on rho(X), exceeds 1.
     """
-    power = np.eye(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_steps + 1):
-            power = power @ X
-            beta = float(power.sum(axis=1).max())
+        for k, beta in enumerate(_max_rowsums(np.eye(X.shape[0]), X, max_steps), start=1):
             if beta <= 0.5:
                 return k, beta
-            if not np.isfinite(beta):
+            if not math.isfinite(beta):
                 break
             if k == CW_CHECK_STEPS:
                 w, vecs = np.linalg.eig(X)
@@ -159,25 +192,11 @@ def _contraction(X: np.ndarray, max_steps: int = 4096) -> tuple[int, float]:
 
 
 def _geometric_sum(X: np.ndarray, V: np.ndarray, k: int, beta: float) -> float:
-    """sum_{j<k} max-rowsum(V @ X^j) / (1 - beta), given the contraction (k, beta) of X."""
-    prefix = 0.0
-    for _ in range(k):
-        prefix += float(V.sum(axis=1).max())
-        V = V @ X
-    return prefix / (1.0 - beta)
+    """sum_{j<k} max-rowsum(V @ X^j) / (1 - beta), given the contraction (k, beta) of X.
 
-
-def powered_rowsum_bound(X: np.ndarray, V: np.ndarray, max_contraction_steps: int = 4096) -> float:
-    """Rigorous upper bound on sum_{j>=0} max-rowsum(V @ X^j) for nonnegative X, V.
-
-    Finds k with max-rowsum(X^k) <= 1/2, sums the first k terms directly and
-    bounds the remainder by the geometric series of k-step blocks.  Raises
-    :class:`NumericError` when no such k exists within the cap (the series
-    cannot be certified to converge), after CW_CHECK_STEPS steps already
-    when the Collatz-Wielandt bound proves rho(X) > 1.
+    The terms are read off blocks of the products and summed left to right.
     """
-    X = np.asarray(X, dtype=float)
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if X.size == 0 or V.size == 0:
-        return float(V.sum(axis=1).max(initial=0.0))
-    return _geometric_sum(X, V, *_contraction(X, max_contraction_steps))
+    prefix = float(V.sum(axis=1).max())
+    for term in _max_rowsums(V, X, k - 1):
+        prefix += term
+    return prefix / (1.0 - beta)

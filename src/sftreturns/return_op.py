@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .perron import perron_eigendata, powered_rowsum_bound
+from .perron import perron_eigendata
 from .system import RecodedSystem, return_time_bounds
 from .thermo import restricted_spectrum
 
@@ -245,38 +245,3 @@ class ReturnOperator:
             )
         psi, psi1, psi2 = np.array([self.scgf_and_derivatives(a) for a in grid]).T
         return CgfCurve(alpha_grid=grid, psi=psi, psi1=psi1, psi2=psi2)
-
-
-# ---------------------------------------------------------------------------
-# Direct series route (the cross-check of the resolvent form)
-# ---------------------------------------------------------------------------
-
-def first_return_series(
-    recoded: RecodedSystem, S: float, n_terms: int
-) -> tuple[np.ndarray, float]:
-    """Direct truncated series sum_{p <= n_terms} exp(-pS) F_p with a tail bound.
-
-    F_p is the weight matrix of first-return paths of duration p, built by
-    iterated products through the complement; the certified bound covers the
-    omitted entries.  This is the series route against which the resolvent
-    form of R(S) is validated.
-    """
-    M = recoded.weight_matrix()  # exp(-pS) M^p = t^p weight_matrix()^p
-    A = np.array(recoded.target_blocks, dtype=int)
-    C = np.array(recoded.complement_blocks, dtype=int)
-    Maa = M[np.ix_(A, A)]
-    Mac = M[np.ix_(A, C)]
-    Mca = M[np.ix_(C, A)]
-    Mcc = M[np.ix_(C, C)]
-    t = float(np.exp(recoded.weight_shift - S))
-    total = t * Maa
-    V = Mac.copy()
-    factor = t
-    for _ in range(2, n_terms + 1):
-        factor *= t
-        total = total + factor * (V @ Mca)
-        V = V @ Mcc
-    tail = powered_rowsum_bound(t * Mcc, (factor * t) * V) * max(
-        float(Mca.sum(axis=1).max(initial=0.0)), 0.0
-    )
-    return total, tail

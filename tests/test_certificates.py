@@ -33,8 +33,9 @@ from sftreturns import (
     variance_report,
 )
 from sftreturns import cli, oracle
-from sftreturns.perron import CW_CHECK_STEPS, _contraction, powered_rowsum_bound
+from sftreturns.perron import CW_CHECK_STEPS, _contraction
 from conftest import GOLDEN_RATIO, full_shift, golden_mean, make_system
+from references import powered_rowsum_bound
 
 NO_CONTRACTION = (
     "geometric tail cannot be certified: no contracting power of the step matrix found within {} steps"

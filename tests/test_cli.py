@@ -1,5 +1,6 @@
 """CLI: config parsing, command outputs, exit codes, reproducibility."""
 
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -101,6 +102,32 @@ class TestConfigErrors:
         path = write_config(tmp_path, cfg)
         assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_CONFIG
         assert "configuration error: 'system' block: invalid literal for int()" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, value, message", [
+        ("system", [], "system must be a JSON object, got array"),
+        ("potential", "x", "potential must be a JSON object, got string"),
+        ("values", {"word": [0]}, "potential values must be a JSON array, got object"),
+        ("value", 3, "potential value 0 must be a JSON object, got number"),
+        ("simulation", "abc", "simulation must be a JSON object, got string"),
+        ("tails", "x", "tails must be a JSON array, got string"),
+        ("tail", None, "tails entry 0 must be a JSON object, got null"),
+    ])
+    def test_block_of_the_wrong_json_type_names_it(self, tmp_path, capsys, block, value, message):
+        cfg = full2_config()
+        where = {
+            "system": (cfg, "system"),
+            "potential": (cfg["system"], "potential"),
+            "values": (cfg["system"]["potential"], "values"),
+            "value": (cfg["system"]["potential"]["values"], 0),
+            "simulation": (cfg, "simulation"),
+            "tails": (cfg["simulation"], "tails"),
+            "tail": (cfg["simulation"]["tails"], 0),
+        }
+        parent, key = where[block]
+        parent[key] = value
+        path = write_config(tmp_path, cfg)
+        assert run(["simulate", "--config", path, "--out", tmp_path, "--seed", 3]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_degenerate_system_is_numeric_failure(self, tmp_path):
         # pure 2-cycle: deterministic returns, variance not strictly positive
@@ -422,3 +449,32 @@ def test_validate_solves_each_operator_parameter_once(tmp_path, monkeypatch, sys
     assert run(["validate", "--config", path, "--out", tmp_path]) in (EXIT_OK, EXIT_VALIDATION)
     assert len(set(requested)) < len(requested)
     assert sum(n in sizes for n in solves) == len(set(requested))
+
+
+def _series_off_by(delta):
+    """A stand-in for ``variance_report`` whose series route is off by ``delta``."""
+    def report(op, chain):
+        true = variance_report(op, chain)
+        return dataclasses.replace(true, series_sigma2=true.series_sigma2 + delta)
+    return report
+
+
+def test_variance_route_disagreement_stops_analyze(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "variance_report", _series_off_by(1e-3))
+    path = write_config(tmp_path, full2_config())
+    assert run(["analyze", "--config", path, "--out", tmp_path]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: variance routes disagree: Psi''(0)=2.0")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_variance_route_disagreement_fails_its_validate_verdict(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "variance_report", _series_off_by(1e-3))
+    path = write_config(tmp_path, full2_config())
+    assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation failed: variance_two_routes\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    verdict = {v["name"]: v for v in report["verdicts"]}["variance_two_routes"]
+    assert not verdict["passed"]
+    assert verdict["residual"] == pytest.approx(1e-3, rel=1e-9)
+    assert verdict["tolerance"] == TWO_ROUTE_TOL

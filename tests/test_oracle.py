@@ -8,7 +8,6 @@ from sftreturns import (
     DomainError,
     NumericError,
     ReturnOperator,
-    cycle_covariance,
     exact_mgf,
     exact_return_distribution,
     exact_tail_probability,
@@ -20,9 +19,10 @@ from sftreturns import (
     minimal_return_time,
     recode_higher_block,
 )
-from sftreturns.oracle import _normalized_moments, largest_certifiable_alpha, stationary_cycle_moment
+from sftreturns.oracle import largest_certifiable_alpha
 from sftreturns.perron import _contraction, _geometric_sum
 from conftest import GOLDEN_RATIO, golden_mean, variance_of
+from references import cycle_covariance, normalized_moments, stationary_cycle_moment
 
 
 def reference_weighted_tail(alpha, p_cc, v_next, t_max, cache):
@@ -355,9 +355,7 @@ class TestCycleCovariance:
         for rec in random_recoded[:8]:
             chain = gibbs_chain(rec)
             law = first_return_law(chain, rec.target_blocks, tol=1e-12)
-            from sftreturns.oracle import _normalized_moments
-
-            Pi, G1, _ = _normalized_moments(law)
+            Pi, G1, _ = normalized_moments(law)
             md = G1.sum(axis=1)
             w = law.start
             e1 = float(w @ md)
@@ -398,7 +396,7 @@ def _covariance_cutoff(law, tol):
     whose Dobrushin coefficient is at most 1/2, ||d Pi^(k+iL)||_1 <= 2^-i ||d Pi^k||_1,
     and the terms after J sum to at most L (max g - min g) ||d Pi^(J-1)||_1.
     """
-    Pi, G1, _ = _normalized_moments(law)
+    Pi, G1, _ = normalized_moments(law)
     power, L = Pi, 1
     while 0.5 * np.abs(power[:, None, :] - power[None, :, :]).sum(axis=2).max() > 0.5:
         power, L = power @ Pi, L + 1

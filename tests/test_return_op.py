@@ -10,11 +10,11 @@ from sftreturns import (
     DomainError,
     NumericError,
     ReturnOperator,
-    first_return_series,
     recode_higher_block,
     return_op,
 )
 from conftest import GOLDEN_RATIO, full_shift, make_system
+from references import first_return_series
 
 
 def psi_full2(alpha):
