@@ -10,7 +10,6 @@ same quantities independently and are meant to be cross-checked.
 from .deviations import (
     RateFunction,
     VarianceReport,
-    deviation_limit,
     rate_curve,
     rate_function,
     variance_report,
@@ -101,7 +100,6 @@ __all__ = [
     "TargetSet",
     "VarianceReport",
     "admissible_words",
-    "deviation_limit",
     "empirical_clt",
     "empirical_scgf",
     "empirical_tail_rate",

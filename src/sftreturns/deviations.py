@@ -167,29 +167,6 @@ def rate_curve(op: ReturnOperator, u_grid: np.ndarray) -> RateFunction:
     return RateFunction(u_grid=grid, rate=values, alpha_star=stars)
 
 
-def deviation_limit(op: ReturnOperator, u: float, side: str) -> float:
-    """Limit value of the large-deviation theorem at deviation size u.
-
-    ``upper`` is the event {r^n/n >= 1/mu + u} for u > 0; ``lower`` is
-    {r^n/n <= 1/mu - u} for 0 < u < 1/mu.  The value is -I(abscissa), equal
-    to -inf when the abscissa falls below every attainable return average.
-    """
-    if side not in ("upper", "lower"):
-        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
-    if not u > 0.0:
-        raise DomainError(f"deviation size must be positive, got {u}")
-    mean = 1.0 / op.mu_target
-    if side == "lower" and u >= mean:
-        raise DomainError(
-            f"lower deviation {u} >= 1/mu = {mean}; returns below zero are impossible"
-        )
-    abscissa = mean + u if side == "upper" else mean - u
-    floor, ceiling = _attainable_range(op)
-    if abscissa < floor - BOUNDARY_BAND or abscissa > ceiling + BOUNDARY_BAND:
-        return float("-inf")
-    return -rate_function(op, abscissa)[0]
-
-
 def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:
     """sigma^2 = Psi''(0) cross-checked against the cycle-covariance series.
 

@@ -9,6 +9,12 @@ serves all of its samples' streams from one Philox bit generator, re-keyed
 per sample and positioned by its counter, and stores the draws step-major so
 that a chain step reads one contiguous row.
 
+A step from state s on uniform u goes to #{j < m-1 : cum[s, j] <= u}, with
+row s of the cumulative table closed to 1.0 from its last positive entry on,
+so that no step takes a transition of probability 0.  The count only jumps
+at the row's distinct thresholds in (0, 1), and rows of a recoded chain are
+sparse, so the walks step on codes that carry just those (:class:`_StepTable`).
+
 ``validate`` walks every stream twice, once for the return times and once
 for the visit counts, and both walks start at draw 0.  A
 :class:`SharedDraws` passed to both calls carries one block's first chunk
@@ -31,6 +37,7 @@ RNG_ALGORITHM = "numpy-philox4x64-10, key=(seed, sample_index)"
 BLOCK_SIZE = 32768
 CHUNK_STEPS = 512
 STEP_CAP = 10**9
+STEP_TABLE_BYTES = 2**24  # largest code table; past it the walks step on the state columns
 
 
 @dataclass(frozen=True)
@@ -156,28 +163,63 @@ def _start_cum(weights: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _step_columns(transition_probs: np.ndarray) -> list[np.ndarray]:
-    """Per-column cumulative thresholds; the last column (always 1) is dropped.
+class _StepTable:
+    """The chain's step on a uniform u, read off each row's distinct thresholds.
 
-    The next state from s on uniform u is the number of thresholds
-    cum[s, j] <= u, so a step is one gather-and-compare per column.
+    Row s of the cumulative table is closed to 1.0 from its last positive
+    entry on, so no u < 1 steps to a successor of probability 0.  The next
+    state, #{j < m-1 : cum[s, j] <= u}, then jumps only at the row's distinct
+    thresholds in (0, 1): a threshold 0 always passes and one of 1 never does.
+    With w the most such thresholds in a row, the walk steps on codes: codes
+    0..m-1 start at their state, and code m + s (w+1) + i is the state reached
+    from s past i of its thresholds.  A step from code c is its ``base``,
+    m + state (w+1), plus one compare per column k < w of the state's
+    thresholds, padded with inf.  The walk steps on states and the m-1
+    columns of cum instead when w = m-1, where codes would only add a gather,
+    and when the m (w+2) w thresholds of the codes pass STEP_TABLE_BYTES
+    (a dense chain of a thousand states would need gigabytes).
     """
-    cum = np.cumsum(transition_probs, axis=1)
-    return [np.ascontiguousarray(cum[:, j]) for j in range(cum.shape[1] - 1)]
 
+    def __init__(self, transition_probs: np.ndarray, targets: np.ndarray) -> None:
+        m = transition_probs.shape[0]
+        cum = np.cumsum(transition_probs, axis=1)
+        last = m - 1 - np.argmax(transition_probs[:, ::-1] > 0.0, axis=1)
+        cum[np.arange(m) >= last[:, None]] = 1.0
+        cum = cum[:, :-1]
+        rows = [np.unique(r[(r > 0.0) & (r < 1.0)]) for r in cum]
+        w = max(r.size for r in rows)
+        self.base: np.ndarray | None = None
+        self.states = np.arange(m)
+        if w == m - 1 or 8 * m * (w + 2) * w > STEP_TABLE_BYTES:
+            self.cols = [np.ascontiguousarray(c) for c in cum.T]
+        else:
+            thresholds = np.full((m, w), np.inf)
+            for s, r in enumerate(rows):
+                thresholds[s, : r.size] = r
+            # the state past i thresholds is the step on u = threshold i (u = 0 for none)
+            probes = np.hstack([np.zeros((m, 1)), thresholds])
+            past = (cum[:, None, :] <= probes[:, :, None]).sum(axis=2)
+            self.states = np.concatenate([self.states, past.ravel()])
+            self.base = m + self.states * (w + 1)
+            self.cols = [np.ascontiguousarray(c) for c in thresholds[self.states].T]
+        self.hits = np.isin(self.states, targets)
 
-def _advance(
-    state: np.ndarray, u: np.ndarray, cols: list[np.ndarray],
-    nxt: np.ndarray, thr: np.ndarray, above: np.ndarray,
-) -> np.ndarray:
-    """Next states into ``nxt``; ``thr`` (float) and ``above`` (bool) are scratch."""
-    np.take(cols[0], state, out=thr, mode="clip")
-    np.greater_equal(u, thr, out=nxt)
-    for col in cols[1:]:
-        np.take(col, state, out=thr, mode="clip")
-        np.greater_equal(u, thr, out=above)
-        nxt += above
-    return nxt
+    def advance(
+        self, code: np.ndarray, u: np.ndarray, nxt: np.ndarray, thr: np.ndarray, above: np.ndarray
+    ) -> np.ndarray:
+        """Next codes into ``nxt``; ``thr`` (float) and ``above`` (bool) are scratch."""
+        cols = self.cols
+        if self.base is None:
+            cols[0].take(code, out=thr, mode="clip")
+            np.greater_equal(u, thr, out=nxt)
+            cols = cols[1:]
+        else:
+            self.base.take(code, out=nxt, mode="clip")
+        for col in cols:
+            col.take(code, out=thr, mode="clip")
+            np.greater_equal(u, thr, out=above)
+            nxt += above
+        return nxt
 
 
 def _run_blocks(
@@ -206,15 +248,12 @@ def sample_return_times(
     :func:`visit_counts`.
     """
     targets = np.array(sorted(int(a) for a in target_states), dtype=int)
-    n_states = chain.n_states
-    if targets.size == 0 or targets.size >= n_states:
+    if targets.size == 0 or targets.size >= chain.n_states:
         raise ConfigurationError("target must be a nonempty proper subset of the states")
-    target_mask = np.zeros(n_states, dtype=bool)
-    target_mask[targets] = True
     pi = chain.stationary
     mu = float(pi[targets].sum())
     start_cum = _start_cum(pi[targets] / mu)
-    cols = _step_columns(chain.transition_probs)
+    table = _StepTable(chain.transition_probs, targets)
     n = cfg.n_returns
     # the start draw and enough steps for nearly every sample to finish
     first_rows = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32) + 1)
@@ -230,19 +269,19 @@ def sample_return_times(
         streams.fill(steps, np.arange(lo, hi), 0)
         if shared is not None:
             shared.block, shared.draws = (cfg.seed, lo, hi), steps
-        state = targets[np.searchsorted(start_cum, steps[0], side="right")]
+        code = targets[np.searchsorted(start_cum, steps[0], side="right")]
         steps = steps[1:]
         result = np.zeros(size, dtype=np.int64)
         orig = np.arange(size)
         counts = np.zeros(size, dtype=np.int64)
         time = 0
         while orig.size:
-            nxt, thr = np.empty_like(state), np.empty(orig.size)
+            nxt, thr = np.empty_like(code), np.empty(orig.size)
             hit, newly = np.empty(orig.size, dtype=bool), np.empty(orig.size, dtype=bool)
             for u in steps:
                 time += 1
-                state, nxt = _advance(state, u, cols, nxt, thr, hit), state
-                np.take(target_mask, state, out=hit, mode="clip")
+                code, nxt = table.advance(code, u, nxt, thr, hit), code
+                table.hits.take(code, out=hit, mode="clip")
                 counts += hit
                 np.equal(counts, n, out=newly)
                 newly &= hit  # counts rise by at most one per step: the n-th return
@@ -252,7 +291,7 @@ def sample_return_times(
                         break
             keep = counts < n
             orig = orig[keep]
-            state = state[keep]
+            code = code[keep]
             counts = counts[keep]
             if time > STEP_CAP:
                 raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
@@ -376,11 +415,8 @@ def visit_counts(
     first draws ``shared`` holds walks on them; ``shared`` is empty afterwards.
     """
     targets = np.array(sorted(int(a) for a in target_states), dtype=int)
-    n_states = chain.n_states
-    target_mask = np.zeros(n_states, dtype=bool)
-    target_mask[targets] = True
     start_cum = _start_cum(chain.stationary.copy())
-    cols = _step_columns(chain.transition_probs)
+    table = _StepTable(chain.transition_probs, targets)
     horizon = cfg.horizon
     # one row for the start draw, then one per step; later chunks reuse the rows
     rows = min(CHUNK_STEPS, horizon)
@@ -393,14 +429,14 @@ def visit_counts(
         if draws is None:
             draws = np.empty((rows, size))
             streams.fill(draws, indices, 0)
-        state = np.searchsorted(start_cum, draws[0], side="right")
-        nxt, thr, hit = np.empty_like(state), np.empty(size), np.empty(size, dtype=bool)
-        counts = target_mask[state].astype(np.int64)
+        code = np.searchsorted(start_cum, draws[0], side="right")
+        nxt, thr, hit = np.empty_like(code), np.empty(size), np.empty(size, dtype=bool)
+        counts = table.hits[code].astype(np.int64)
         steps, done = draws[1:horizon], 1
         while True:
             for u in steps:
-                state, nxt = _advance(state, u, cols, nxt, thr, hit), state
-                np.take(target_mask, state, out=hit, mode="clip")
+                code, nxt = table.advance(code, u, nxt, thr, hit), code
+                table.hits.take(code, out=hit, mode="clip")
                 counts += hit
             done += steps.shape[0]
             if done == horizon:

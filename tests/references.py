@@ -13,6 +13,14 @@ not use: its variance route sums the covariance series in closed form.
 The direct series of R(S) over first-return paths (``first_return_series``),
 certified by ``powered_rowsum_bound``, against which the resolvent form of
 R(S) is validated.
+
+The limit value of the large-deviation theorem (``deviation_limit``), which
+no command reports.
+
+The Monte Carlo step on every column of the cumulative table
+(``step_columns``, ``advance``), which ``montecarlo._StepTable`` replaced by
+a step on each row's distinct thresholds; its rows are closed to 1.0 from
+their last positive entry on, as the table's are.
 """
 
 from math import log
@@ -21,6 +29,7 @@ import numpy as np
 
 from sftreturns import DomainError, NumericError
 from sftreturns import oracle
+from sftreturns.deviations import BOUNDARY_BAND, _attainable_range, rate_function
 from sftreturns.perron import CW_CHECK_STEPS, _contraction, _geometric_sum
 
 
@@ -224,3 +233,50 @@ def first_return_series(recoded, S, n_terms):
         float(Mca.sum(axis=1).max(initial=0.0)), 0.0
     )
     return total, tail
+
+
+def deviation_limit(op, u, side):
+    """Limit value of the large-deviation theorem at deviation size u.
+
+    ``upper`` is the event {r^n/n >= 1/mu + u} for u > 0; ``lower`` is
+    {r^n/n <= 1/mu - u} for 0 < u < 1/mu.  The value is -I(abscissa), equal
+    to -inf when the abscissa falls below every attainable return average.
+    """
+    if side not in ("upper", "lower"):
+        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    if not u > 0.0:
+        raise DomainError(f"deviation size must be positive, got {u}")
+    mean = 1.0 / op.mu_target
+    if side == "lower" and u >= mean:
+        raise DomainError(
+            f"lower deviation {u} >= 1/mu = {mean}; returns below zero are impossible"
+        )
+    abscissa = mean + u if side == "upper" else mean - u
+    floor, ceiling = _attainable_range(op)
+    if abscissa < floor - BOUNDARY_BAND or abscissa > ceiling + BOUNDARY_BAND:
+        return float("-inf")
+    return -rate_function(op, abscissa)[0]
+
+
+def step_columns(transition_probs):
+    """Per-column cumulative thresholds, each row closed to 1.0 from its last
+    positive entry on; the last column (always 1) is dropped.
+
+    The next state from s on uniform u is the number of thresholds
+    cum[s, j] <= u, so a step is one gather-and-compare per column.
+    """
+    cum = np.cumsum(transition_probs, axis=1)
+    for s, row in enumerate(transition_probs):
+        cum[s, np.flatnonzero(row)[-1]:] = 1.0
+    return [np.ascontiguousarray(cum[:, j]) for j in range(cum.shape[1] - 1)]
+
+
+def advance(state, u, cols, nxt, thr, above):
+    """Next states into ``nxt``; ``thr`` (float) and ``above`` (bool) are scratch."""
+    np.take(cols[0], state, out=thr, mode="clip")
+    np.greater_equal(u, thr, out=nxt)
+    for col in cols[1:]:
+        np.take(col, state, out=thr, mode="clip")
+        np.greater_equal(u, thr, out=above)
+        nxt += above
+    return nxt

@@ -8,12 +8,12 @@ from sftreturns import (
     DomainError,
     NumericError,
     ReturnOperator,
-    deviation_limit,
     rate_curve,
     rate_function,
     recode_higher_block,
 )
 from conftest import GOLDEN_RATIO, make_system, variance_of
+from references import deviation_limit
 
 # the landing chain of target states {0, 1} swaps them (0 -> 2 ... 2 -> 1, 1 -> 0),
 # so the covariance series oscillates and only its Cesaro sum exists

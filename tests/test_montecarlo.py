@@ -9,7 +9,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import full_shift, golden_mean, make_system
+import references as ref
+from conftest import full_shift, golden_mean, make_system, random_instance
 from sftreturns import (
     ConfigurationError,
     DepthKPotential,
@@ -28,11 +29,13 @@ from sftreturns import (
     sample_return_times,
     visit_counts,
 )
+from sftreturns import montecarlo
 from sftreturns.montecarlo import (
     RNG_ALGORITHM,
     EmpiricalStats,
     SharedDraws,
     _BlockStreams,
+    _StepTable,
     tail_cut,
 )
 
@@ -262,6 +265,117 @@ class TestSharedDraws:
         counts, _ = visit_counts(full2_chain, target, other, shared)
         assert np.array_equal(counts, visit_counts(full2_chain, target, other)[0])
         assert shared.draws is None
+
+
+LAST_DRAW = np.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest uniform Philox gives
+
+
+def step(table, codes, u):
+    """The states the table steps to from ``codes`` on the uniforms ``u``."""
+    nxt = np.empty_like(codes)
+    above = np.empty(codes.size, dtype=bool)
+    return table.states[table.advance(codes, u, nxt, np.empty(codes.size), above)]
+
+
+def reference_step(probs, states, u):
+    nxt = np.empty_like(states)
+    above = np.empty(states.size, dtype=bool)
+    return ref.advance(states, u, ref.step_columns(probs), nxt, np.empty(states.size), above)
+
+
+def random_step_chain(rng):
+    """m from 2 to 16 and one out-degree from 1 to m, on random columns (so rows
+    have leading and middle zeros), about a third of the rows redrawn until
+    their sum falls short of 1."""
+    m = int(rng.integers(2, 17))
+    degree = int(rng.integers(1, m + 1))
+    probs = np.zeros((m, m))
+    for row in probs:
+        columns = rng.choice(m, size=degree, replace=False)
+        for _ in range(100 if rng.random() < 1 / 3 else 1):
+            weights = rng.random(degree) ** 3
+            row[columns] = weights / weights.sum()
+            if np.cumsum(row)[-1] < 1.0:
+                break
+    return probs
+
+
+def probe_uniforms(probs, rng):
+    """0, every cumulative threshold and its neighbours, the last draw and random
+    draws, all in [0, 1)."""
+    cum = np.cumsum(probs, axis=1).ravel()
+    u = np.concatenate([
+        [0.0, LAST_DRAW], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), rng.random(64),
+    ])
+    return np.unique(u[u < 1.0])
+
+
+def depth3_chain():
+    """12 states, out-degree 3: the 2-words of the complete graph on 4 symbols."""
+    rng = np.random.default_rng(3)
+    transitions = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
+    words = admissible_words(transitions.astype(bool), 3)
+    potential = DepthKPotential(3, {w: float(rng.uniform(-1.0, 1.0)) for w in words})
+    return gibbs_chain(recode_higher_block(make_system(transitions, (0,), potential=potential)))
+
+
+class TestStepTable:
+    # row 0 sums to 0.9999999999999999, so u = 1 - 2^-53 passes all three of its
+    # unclosed thresholds, which would step to state 3
+    SHORT_ROW_CHAIN = [[0.7, 0.2, 0.1, 0.0], [0.25] * 4, [0.0, 0.5, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]]
+
+    # a full second row keeps the state columns, a sparse one takes codes
+    @pytest.mark.parametrize("second_row", [[0.25] * 4, [0.0, 0.0, 0.3, 0.7]])
+    def test_no_step_takes_a_zero_probability_transition(self, second_row):
+        first, _, *rest = self.SHORT_ROW_CHAIN
+        chains = [np.array([first, second_row, *rest])]
+        assert np.cumsum(chains[0][0])[-1] < 1.0
+        # both chains have rows that fall short of 1 ahead of zero entries
+        rng = np.random.default_rng(0)
+        chains += [gibbs_chain(recode_higher_block(random_instance(rng))).transition_probs for _ in range(2)]
+        for probs in chains:
+            table = _StepTable(probs, [0])
+            codes = np.arange(table.states.size)
+            nxt = step(table, codes, np.full(codes.size, LAST_DRAW))
+            assert (probs[table.states, nxt] > 0.0).all()
+
+    def test_step_matches_the_column_reference(self):
+        rng = np.random.default_rng(15)
+        paths, short_rows = set(), 0
+        for _ in range(200):
+            probs = random_step_chain(rng)
+            short_rows += int((np.cumsum(probs, axis=1)[:, -1] < 1.0).sum())
+            table = _StepTable(probs, [0])
+            paths.add(table.base is None)
+            u = probe_uniforms(probs, rng)
+            codes = np.repeat(np.arange(table.states.size), u.size)
+            u = np.tile(u, table.states.size)
+            assert np.array_equal(step(table, codes, u), reference_step(probs, table.states[codes], u))
+            assert np.array_equal(table.hits, table.states == 0)
+        assert paths == {True, False} and short_rows >= 50
+
+    def test_state_columns_past_the_table_budget(self, monkeypatch):
+        probs = depth3_chain().transition_probs
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 8 * 12 * 4 * 2 - 1)
+        table = _StepTable(probs, [0])
+        assert table.base is None and len(table.cols) == 11
+        u = probe_uniforms(probs, np.random.default_rng(7))
+        states = np.repeat(np.arange(12), u.size)
+        u = np.tile(u, 12)
+        assert np.array_equal(step(table, states, u), reference_step(probs, states, u))
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 8 * 12 * 4 * 2)
+        assert _StepTable(probs, [0]).base is not None
+
+    def test_state_columns_on_full_rows_codes_on_sparse_ones(self, full2_chain, golden_chain):
+        for chain in (full2_chain, golden_chain):
+            table = _StepTable(chain.transition_probs, [0])
+            assert table.base is None and len(table.cols) == 1
+        rare3 = gibbs_chain(recode_higher_block(rare_target_system()))
+        depth3 = depth3_chain()
+        assert depth3.n_states == 12
+        for chain in (rare3, depth3):
+            table = _StepTable(chain.transition_probs, [0])
+            assert table.base is not None and len(table.cols) < chain.n_states - 1
 
 
 class TestSampleLaw:
