@@ -7,13 +7,7 @@ exact combinatorial route (``first_return_law`` and friends) compute the
 same quantities independently and are meant to be cross-checked.
 """
 
-from .deviations import (
-    RateFunction,
-    VarianceReport,
-    rate_curve,
-    rate_function,
-    variance_report,
-)
+from .deviations import VarianceReport, rate_function, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -34,13 +28,11 @@ from .montecarlo import (
     visit_counts,
 )
 from .oracle import (
-    ExactReturnStats,
     FirstReturnLaw,
     exact_mgf,
-    exact_return_distribution,
-    exact_tail_probability,
     first_return_law,
     mgf_matrix,
+    return_time_law,
 )
 from .perron import PerronData, perron_eigendata, spectral_radius_reducible
 from .return_op import (
@@ -82,13 +74,11 @@ __all__ = [
     "DomainError",
     "EmpiricalScgf",
     "EmpiricalStats",
-    "ExactReturnStats",
     "FirstReturnLaw",
     "GibbsChain",
     "InvalidSystemError",
     "NumericError",
     "PerronData",
-    "RateFunction",
     "RecodedSystem",
     "ReturnOperator",
     "ReturnOperatorEval",
@@ -104,8 +94,6 @@ __all__ = [
     "empirical_scgf",
     "empirical_tail_rate",
     "exact_mgf",
-    "exact_return_distribution",
-    "exact_tail_probability",
     "first_return_durations",
     "first_return_law",
     "first_return_lengths",
@@ -118,10 +106,10 @@ __all__ = [
     "normal_cdf",
     "perron_eigendata",
     "pressure",
-    "rate_curve",
     "rate_function",
     "recode_higher_block",
     "restricted_spectrum",
+    "return_time_law",
     "sample_return_times",
     "spectral_radius_reducible",
     "target_measure",

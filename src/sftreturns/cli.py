@@ -45,14 +45,7 @@ from .montecarlo import (
     tail_cut,
     visit_counts,
 )
-from .oracle import (
-    MAX_CONVOLUTION_RETURNS,
-    FirstReturnLaw,
-    exact_mgf,
-    exact_tail_probability,
-    first_return_law,
-    mgf_matrix,
-)
+from .oracle import FirstReturnLaw, exact_mgf, first_return_law, mgf_matrix, return_time_law
 from .return_op import ReturnOperator
 from .system import (
     DepthKPotential,
@@ -494,19 +487,21 @@ def stochastic_checks(
     ks_gate = max(0.05, 1.0 / math.sqrt(n))
     out.append(_verdict("clt_ks", "stochastic", ks <= ks_gate, statistic=ks, tolerance=ks_gate))
 
-    if n <= MAX_CONVOLUTION_RETURNS:
-        for u, side in tails:
-            p_exact = exact_tail_probability(bundle.law, n, tail_cut(n, mu, u, side), side)
-            count = empirical_tail_rate(stats, mu, u, side).count
-            expected = p_exact * n_samples
-            if expected >= 10.0:
-                z = abs(count - expected) / math.sqrt(expected * (1.0 - p_exact))
-                out.append(_verdict(f"tail_count_{side}_u={u}", "stochastic", z <= 5.0,
-                                    z_score=z, tolerance=5.0, count=count, expected=expected))
-            else:
-                out.append(_verdict(f"tail_count_{side}_u={u}", "stochastic", True,
-                                    note=f"expected count {expected:.2f} < 10; z-test skipped",
-                                    count=count, expected=expected))
+    for u, side in tails:
+        # P(T_n >= cut) is the mass beyond cut - 1, P(T_n <= cut) the mass up to cut
+        cut = tail_cut(n, mu, u, side)
+        probs, beyond = return_time_law(bundle.chain, bundle.target, n, cut - (side == "upper"))
+        p_exact = beyond if side == "upper" else float(probs.sum())
+        count = empirical_tail_rate(stats, mu, u, side).count
+        expected = p_exact * n_samples
+        if expected >= 10.0:
+            z = abs(count - expected) / math.sqrt(expected * (1.0 - p_exact))
+            out.append(_verdict(f"tail_count_{side}_u={u}", "stochastic", z <= 5.0,
+                                z_score=z, tolerance=5.0, count=count, expected=expected))
+        else:
+            out.append(_verdict(f"tail_count_{side}_u={u}", "stochastic", True,
+                                note=f"expected count {expected:.2f} < 10; z-test skipped",
+                                count=count, expected=expected))
     return out
 
 

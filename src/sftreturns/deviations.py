@@ -34,23 +34,6 @@ TWO_ROUTE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class RateFunction:
-    """Rate values on a grid of deviation abscissae (time-per-return units)."""
-
-    u_grid: np.ndarray
-    rate: np.ndarray
-    alpha_star: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("u_grid", "rate", "alpha_star"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if (self.rate < -1e-12).any():
-            raise NumericError("rate function came out negative")
-
-
-@dataclass(frozen=True)
 class VarianceReport:
     """CLT variance through both routes, plus the counting-variance relation."""
 
@@ -155,16 +138,6 @@ def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
         alpha = newton if lo < newton < hi else 0.5 * (lo + hi)
         if not lo < alpha < hi:
             raise NumericError(f"Newton iteration left residual {residual:.3e} at u={u}")
-
-
-def rate_curve(op: ReturnOperator, u_grid: np.ndarray) -> RateFunction:
-    """Rate function on a grid of abscissae."""
-    grid = np.asarray(u_grid, dtype=float)
-    values = np.empty_like(grid)
-    stars = np.empty_like(grid)
-    for i, u in enumerate(grid):
-        values[i], stars[i] = rate_function(op, float(u))
-    return RateFunction(u_grid=grid, rate=values, alpha_star=stars)
 
 
 def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:

@@ -2,10 +2,10 @@
 
 Everything here works directly on the Gibbs chain, with no reference to the
 induced operator's spectral data: first-return kernels are built by iterated
-vector-matrix products through the complement, n-fold return distributions
-by dynamic programming over (target state, accumulated duration), and every
-truncation carries a rigorous geometric certificate.  These are the
-independent cross-checks for the spectral route.
+vector-matrix products through the complement, the law of the n-th return
+time by a recursion on the chain's visit counts, and every truncation
+carries a rigorous geometric certificate.  These are the independent
+cross-checks for the spectral route.
 
 Each piece of work is done once.  With V_t = P_ac P_cc^(t-1) and the tilted
 step X = e^alpha P_cc, the window identity V_t X^j = e^(alpha j) V_(t+j) turns
@@ -13,20 +13,17 @@ the tilted tail bound at every horizon t into a weighted sum of the k tails
 r_t .. r_(t+k-1) of the horizon loop's own V sequence, so the tilted horizon
 search costs t_max + k - 1 products.  Each Python step does one product; the
 tails, the kernels and the stop rule are read off each block of products in
-bulk, the bounds over a sliding window of the log tails.  The n-return dynamic
-program keeps its frontier (the state after the most returns yet computed)
-on the law, so the distributions for n = 1..N together cost N - 1 steps.
+bulk, the bounds over a sliding window of the log tails.
 
 Each exact quantity comes from arithmetic sized to what is asked:
 
-- ``exact_return_distribution``: the whole law of T_n, by the full dynamic
-  program (n^2 t_max^2 m^2 work, capped at n = 64).
+- ``return_time_law``: P(T_n = t) for t up to a horizon and P(T_n > horizon),
+  by renewal duality, {T_n > t} = {at most n - 1 target visits in steps
+  1..t}: one product with P per step over (visit count < n, state), any n,
+  no kernel and no truncation.
 - ``exact_mgf``: E e^(alpha T_n) = start Q(alpha)^n 1, n vector-matrix
   products with the tilted kernel Q(alpha) = sum_p e^(alpha p) K_p (the
   Markov-additive identity of Ney and Nummelin), built once per tilt.
-- ``exact_tail_probability``: one tail of T_n, by the same dynamic program
-  run only over durations below its threshold; for the upper tail the mass
-  past the threshold collects in one cell per landing state.
 - ``weighted_tail_bound``: kept on the law per tilt, so each tilt's geometric
   sum is computed once.
 """
@@ -35,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import ceil, expm1, floor, log, log1p
+from math import expm1, log, log1p
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +43,6 @@ from .perron import _contraction, _geometric_sum, _product_blocks, spectral_radi
 from .thermo import GibbsChain
 
 MAX_HORIZON = 10**6
-MAX_CONVOLUTION_RETURNS = 64
 KAC_SLACK = 1e-9
 
 
@@ -72,8 +68,6 @@ class FirstReturnLaw:
     _contractions: dict[float, tuple[int, float] | str] = field(default_factory=dict, repr=False)
     _tail_bounds: dict[float, float] = field(default_factory=dict, repr=False)
     _tilted: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
-    _dist_cache: dict[int, "ExactReturnStats"] = field(default_factory=dict, repr=False)
-    _frontier: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def t_max(self) -> int:
@@ -148,12 +142,7 @@ def first_return_law(
     """
     if not 0.0 < tol <= 1e-6:
         raise ConfigurationError(f"tol must lie in (0, 1e-6], got {tol}")
-    targets = tuple(int(a) for a in target_states)
-    n = chain.n_states
-    if not targets or len(targets) >= n:
-        raise ConfigurationError("target must be a nonempty proper subset of the states")
-    A = np.array(targets, dtype=int)
-    C = np.array([i for i in range(n) if i not in set(targets)], dtype=int)
+    A, C = _partition(chain, target_states)
     P = chain.transition_probs
     Paa = P[np.ix_(A, A)]
     Pac = P[np.ix_(A, C)]
@@ -169,7 +158,7 @@ def first_return_law(
         kernels=kernels,
         tail_bound=tail,
         start=start,
-        target_states=targets,
+        target_states=tuple(A.tolist()),
         mu_target=mu,
         _p_cc=Pcc,
         _v_next=v_next,
@@ -177,6 +166,15 @@ def first_return_law(
     )
     _validate_law(law)
     return law
+
+
+def _partition(chain: GibbsChain, target_states: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(target states, complement states) of the chain, the target in its given order."""
+    targets = [int(a) for a in target_states]
+    if not targets or len(targets) >= chain.n_states:
+        raise ConfigurationError("target must be a nonempty proper subset of the states")
+    rest = [i for i in range(chain.n_states) if i not in set(targets)]
+    return np.array(targets, dtype=int), np.array(rest, dtype=int)
 
 
 def _horizon(p_aa, p_ac, p_ca, p_cc, tol: float, alpha_max: float, cache: dict) -> tuple:
@@ -274,74 +272,6 @@ def _validate_law(law: FirstReturnLaw) -> None:
         )
 
 
-@dataclass
-class ExactReturnStats:
-    """Distribution of the n-th return time, exact up to a certified tail.
-
-    ``probs[i]`` is the probability of total duration ``offset + i``; the
-    omitted mass is ``1 - total_mass`` and is bounded by n times the law's
-    per-cycle tail.  Mean and variance are computed from the normalized
-    truncated distribution.
-    """
-
-    n: int
-    offset: int
-    probs: np.ndarray
-    total_mass: float
-    mean: float
-    variance: float
-
-    @property
-    def durations(self) -> np.ndarray:
-        return self.offset + np.arange(self.probs.size)
-
-    @property
-    def support_min(self) -> int:
-        return int(self.offset + np.flatnonzero(self.probs > 0.0)[0])
-
-
-def exact_return_distribution(law: FirstReturnLaw, n: int) -> ExactReturnStats:
-    """n-fold first-return convolution over the Markov-additive chain.
-
-    Dynamic programming over (landing target state, accumulated duration),
-    started from the stationary conditional distribution on the target.  The
-    state after k returns does not depend on the n asked for, so the law
-    keeps one frontier, the deepest state computed so far and its k, and a
-    larger n extends it; a smaller uncached n restarts from the first return.
-    Either way every state comes from the same convolutions in the same order.
-    """
-    _check_convolution(law, n)
-    if n in law._dist_cache:
-        return law._dist_cache[n]
-    m = law.n_target
-    t_max = law.t_max
-    if law._frontier is not None and law._frontier[0] <= n:
-        done, cur = law._frontier
-    else:
-        # cur[a, i] = P(k returns so far, duration i + k, currently at target state a)
-        done, cur = 1, np.einsum("a,pab->bp", law.start, law.kernels)
-    for _ in range(done + 1, n + 1):
-        length = cur.shape[1] + t_max - 1
-        new = np.zeros((m, length))
-        for a in range(m):
-            for b in range(m):
-                new[b] += np.convolve(cur[a], law.kernels[:, a, b])
-        cur = new
-    if law._frontier is None or law._frontier[0] < n:
-        law._frontier = (n, cur)
-    probs = cur.sum(axis=0)
-    total = float(probs.sum())
-    norm = probs / total
-    durations = n + np.arange(probs.size)
-    mean = float(norm @ durations)
-    variance = float(norm @ (durations - mean) ** 2)
-    stats = ExactReturnStats(
-        n=n, offset=n, probs=probs, total_mass=total, mean=mean, variance=variance
-    )
-    law._dist_cache[n] = stats
-    return stats
-
-
 def _check_fine_law(law: FirstReturnLaw) -> None:
     if law.tail_bound > 1e-10:
         raise ConfigurationError(
@@ -349,53 +279,39 @@ def _check_fine_law(law: FirstReturnLaw) -> None:
         )
 
 
-def _check_convolution(law: FirstReturnLaw, n: int) -> None:
-    if not 1 <= n <= MAX_CONVOLUTION_RETURNS:
-        raise ConfigurationError(
-            f"n must lie in [1, {MAX_CONVOLUTION_RETURNS}] (desk-scale cap), got {n}"
-        )
-    _check_fine_law(law)
+def return_time_law(
+    chain: GibbsChain, target_states: Sequence[int], n: int, horizon: int
+) -> tuple[np.ndarray, float]:
+    """(probs, beyond): ``probs[t - 1]`` = P(T_n = t) for t = 1..horizon, ``beyond`` = P(T_n > horizon).
 
-
-def exact_tail_probability(law: FirstReturnLaw, n: int, threshold: float, side: str) -> float:
-    """P(T_n >= threshold) for ``side`` 'upper', P(T_n <= threshold) for 'lower'.
-
-    The dynamic program of :func:`exact_return_distribution`, run only over
-    the durations below the cut (the least integer duration the tail does
-    not count for 'lower', the least it does count for 'upper'), so a step
-    costs at most cut min(cut, t_max) m^2.  For 'upper', the paths at or past
-    the cut gather in one cell per landing state, fed through the reverse
-    cumulative sums of the kernels: every term is nonnegative, so no mass is
-    lost to cancellation.  T_n is an integer in [n, n t_max] on the law.
+    T_n is the time of the n-th target visit after time 0, with X_0 drawn
+    from the stationary law conditioned on the target (the law's ``start``).
+    By renewal duality T_n > t exactly when steps 1..t visit the target at
+    most n - 1 times, so the law is one recursion on P over
+    f[k, s] = P(X_t = s, k visits so far), k < n: each step is f @ P, then
+    the target columns move down one row, and the mass that leaves row n - 1
+    is P(T_n = t).  The target states come first, so the move is two slice
+    assignments.  Every entry is a sum of nonnegative terms, so both tails are
+    exact up to roundoff, at any n, with no kernel to truncate.
     """
-    if side not in ("upper", "lower"):
-        raise ConfigurationError(f"side must be 'upper' or 'lower', got {side!r}")
-    if np.isnan(threshold):
-        raise ConfigurationError("threshold must be a number, got nan")
-    _check_convolution(law, n)
-    m, t_max = law.n_target, law.t_max
-    edge = min(max(float(threshold), 0.0), float(n * t_max + 1))
-    cut = max(ceil(edge) if side == "upper" else floor(edge) + 1, 1)
-    width = min(cut - 1, t_max)  # the returns that can stay below the cut
-    lag = min(cut, t_max)  # a return crosses the cut only from the last lag durations
-    past = np.cumsum(law.kernels[::-1], axis=0)[::-1]  # past[j - 1] = sum_{p >= j} K_p
-    # cur[a, d] = P(k returns so far, total duration d < cut, now at target state a)
-    cur = np.zeros((m, cut))
-    cur[:, 0] = law.start
-    beyond = np.zeros(m)
-    for k in range(n):
-        if side == "upper":
-            crossing = np.einsum("ad,dab->b", cur[:, cut - lag:], past[lag - 1::-1])
-            beyond = beyond @ past[0] + crossing
-        live = min(cut, k * t_max + 1)  # after k returns the duration is at most k t_max
-        new = np.zeros((m, cut))
-        if width:
-            for a in range(m):
-                for b in range(m):
-                    conv = np.convolve(cur[a, :live], law.kernels[:width, a, b])
-                    new[b, 1:live + width] += conv[:cut - 1]
-        cur = new
-    return float(beyond.sum() if side == "upper" else cur.sum())
+    if n < 1:
+        raise ConfigurationError(f"n must be at least 1, got {n}")
+    if horizon < 0:
+        raise ConfigurationError(f"horizon must be nonnegative, got {horizon}")
+    A, C = _partition(chain, target_states)
+    order = np.concatenate([A, C])
+    P = chain.transition_probs[np.ix_(order, order)]
+    a = A.size
+    pi_a = chain.stationary[A]
+    f = np.zeros((n, order.size))
+    f[0, :a] = pi_a / float(pi_a.sum())
+    probs = np.empty(horizon)
+    for t in range(horizon):
+        f = f @ P
+        probs[t] = f[n - 1, :a].sum()
+        f[1:, :a] = f[:-1, :a]
+        f[0, :a] = 0.0
+    return probs, float(f.sum())
 
 
 def exact_mgf(law: FirstReturnLaw, n: int, alpha: float) -> tuple[float, float]:

@@ -26,12 +26,12 @@ from sftreturns import (
     empirical_clt,
     empirical_tail_rate,
     exact_mgf,
-    exact_return_distribution,
     first_return_law,
     gibbs_chain,
     mgf_matrix,
     rate_function,
     recode_higher_block,
+    return_time_law,
     sample_return_times,
     visit_counts,
 )
@@ -218,9 +218,8 @@ def test_criterion_09_large_deviations(full2_recoded):
     target_rate = limit_rate + prefactor
     rel = abs(rate - target_rate) / target_rate
 
-    law = first_return_law(chain, full2_recoded.target_blocks, tol=1e-12)
-    dist = exact_return_distribution(law, n)
-    p_exact = float(dist.probs[dist.durations >= u * n].sum())
+    # P(T_n >= u n) is the mass of the exact law beyond u n - 1
+    p_exact = return_time_law(chain, full2_recoded.target_blocks, n, round(u * n) - 1)[1]
     oracle_rate = -math.log(p_exact) / n
     oracle_rel = abs(oracle_rate - target_rate) / target_rate
     expected = n_samples * p_exact

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -344,7 +346,7 @@ def test_tail_count_and_exact_probability_share_one_cut(tmp_path):
     # n (1/mu + u) computes to 99.00000000000001 at n = 45, mu = 2/3, u = 0.7;
     # T = 99 is in the event on both sides of the z-test
     bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, full2_config()), None, None))
-    law, _ = bundle.law, bundle.variance  # built on the full 2-shift before the stub below
+    _ = bundle.variance  # built on the full 2-shift before the stub below
     bundle.op = SimpleNamespace(mu_target=2 / 3)
     samples = np.repeat([80, 98, 99, 100], [600, 200, 150, 50])
     values, freq = np.unique(samples, return_counts=True)
@@ -355,9 +357,30 @@ def test_tail_count_and_exact_probability_share_one_cut(tmp_path):
     verdicts = cli.stochastic_checks(bundle, stats, counts, 1.0, [(0.7, "upper")])
     tail = {v["name"]: v for v in verdicts}["tail_count_upper_u=0.7"]
     assert tail["count"] == 200
-    assert tail["expected"] == oracle.exact_tail_probability(law, 45, 99, "upper") * 1000
-    assert oracle.exact_tail_probability(law, 45, 99, "upper") > oracle.exact_tail_probability(
-        law, 45, 100, "upper")
+    p_99 = oracle.return_time_law(bundle.chain, bundle.target, 45, 98)[1]  # P(T_45 >= 99)
+    assert tail["expected"] == p_99 * 1000
+    assert p_99 > oracle.return_time_law(bundle.chain, bundle.target, 45, 99)[1]
+
+
+def test_tail_count_runs_past_64_returns(tmp_path):
+    # on the full 2-shift T_n >= t when steps 1..t-1 visit the target at most n - 1 times,
+    # and T_n <= t when steps 1..t visit it at least n times: each visit is a fair coin
+    def at_most(trials, k_max):
+        return Fraction(sum(comb(trials, k) for k in range(k_max + 1)), 2**trials)
+
+    n, n_samples = 100, 4000
+    cfg = full2_config()
+    cfg["simulation"].update(n_returns=n, n_samples=n_samples,
+                             tails=[{"u": 0.3, "side": "upper"}, {"u": 0.3, "side": "lower"}])
+    path = write_config(tmp_path, cfg)
+    assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_OK
+    verdicts = {v["name"]: v for v in json.loads((tmp_path / "report.json").read_text())["verdicts"]}
+    # the cuts are 100 (2 + 0.3) = 230 and 100 (2 - 0.3) = 170
+    exact = {"upper": at_most(229, n - 1), "lower": 1 - at_most(170, n - 1)}
+    for side, p in exact.items():
+        tail = verdicts[f"tail_count_{side}_u=0.3"]
+        assert "z_score" in tail
+        assert tail["expected"] == pytest.approx(n_samples * float(p), rel=1e-12)
 
 
 def test_build_solves_full_perron_pair_once(tmp_path, monkeypatch):
@@ -400,13 +423,8 @@ SANDWICH_SYSTEM = {
 
 
 def test_validate_takes_exact_checks_without_the_full_distribution(tmp_path, monkeypatch):
-    # the tail test runs the cut dynamic program and the mgf the tilted-kernel products;
+    # the tail test runs the visit-count recursion and the mgf the tilted-kernel products;
     # each law keeps its tilted tail bounds, so no geometric sum is computed twice
-    def forbidden(*args, **kwargs):
-        raise AssertionError("validate built a full n-return distribution")
-
-    monkeypatch.setattr(oracle, "exact_return_distribution", forbidden)
-    monkeypatch.setattr(cli, "exact_return_distribution", forbidden, raising=False)
     sums = []
 
     def counting(X, V, k, beta, original=oracle._geometric_sum):

@@ -21,11 +21,10 @@ from sftreturns import (
     empirical_clt,
     empirical_scgf,
     empirical_tail_rate,
-    exact_return_distribution,
-    first_return_law,
     gibbs_chain,
     normal_cdf,
     recode_higher_block,
+    return_time_law,
     sample_return_times,
     visit_counts,
 )
@@ -399,13 +398,13 @@ class TestSampleLaw:
         n, n_samples = 4, 120_000
         cfg = SimConfig(seed=29, n_returns=n, n_samples=n_samples)
         stats = sample_return_times(golden_chain, golden_recoded.target_blocks, cfg)
-        law = first_return_law(golden_chain, golden_recoded.target_blocks, tol=1e-12)
-        dist = exact_return_distribution(law, n)
-        exact = {int(d): float(p) for d, p in zip(dist.durations, dist.probs)}
+        horizon = max(stats.histogram)
+        probs, beyond = return_time_law(golden_chain, golden_recoded.target_blocks, n, horizon)
+        exact = {t: float(p) for t, p in enumerate(probs, start=1)}
         support = set(exact) | set(stats.histogram)
-        tv = 0.5 * sum(
+        tv = 0.5 * (beyond + sum(
             abs(exact.get(k, 0.0) - stats.histogram.get(k, 0) / n_samples) for k in support
-        )
+        ))
         assert tv <= 5.0 / np.sqrt(n_samples)
 
     def test_mean_flag_fires_on_wrong_target(self, full2_chain, full2_recoded):

@@ -1,4 +1,7 @@
-"""Exact first-return laws, n-fold distributions, tilted kernels, covariances."""
+"""Exact first-return laws, the law of T_n, tilted kernels, covariances."""
+
+from fractions import Fraction
+from math import ceil, floor, fsum
 
 import numpy as np
 import pytest
@@ -9,8 +12,6 @@ from sftreturns import (
     NumericError,
     ReturnOperator,
     exact_mgf,
-    exact_return_distribution,
-    exact_tail_probability,
     first_return_durations,
     first_return_law,
     first_return_lengths,
@@ -18,6 +19,7 @@ from sftreturns import (
     mgf_matrix,
     minimal_return_time,
     recode_higher_block,
+    return_time_law,
 )
 from sftreturns.oracle import largest_certifiable_alpha
 from sftreturns.perron import _contraction, _geometric_sum
@@ -79,10 +81,6 @@ def reference_distributions(law, n_max):
         yield cur.sum(axis=0)
 
 
-def reference_distribution(law, n):
-    return list(reference_distributions(law, n))[-1]
-
-
 def reference_mgfs(law, n_max, alpha):
     """E e^(alpha T_n) for n = 1..n_max, summed over the dynamic program's law in log space."""
     values = []
@@ -94,10 +92,33 @@ def reference_mgfs(law, n_max, alpha):
     return values
 
 
-def tail_of(stats, threshold, side):
-    """P(T_n >= threshold) or P(T_n <= threshold), summed over the whole distribution."""
-    keep = stats.durations >= threshold if side == "upper" else stats.durations <= threshold
-    return float(stats.probs[keep].sum())
+def tail_of(probs, n, threshold, side):
+    """P(T_n >= threshold) or P(T_n <= threshold), summed over the dynamic program's law."""
+    durations = n + np.arange(probs.size)
+    keep = durations >= threshold if side == "upper" else durations <= threshold
+    return fsum(probs[keep])
+
+
+def tails_of_law(probs, beyond, threshold):
+    """(P(T_n >= threshold), P(T_n <= threshold)) read off return_time_law to horizon
+    probs.size; an upper cut past the horizon reads 0, which is within beyond of the tail."""
+    cut = max(ceil(threshold), 1)  # the least duration in the upper event
+    upper = fsum(probs[cut - 1:]) + beyond if cut <= probs.size + 1 else 0.0
+    return upper, fsum(probs[:max(min(floor(threshold), probs.size), 0)])
+
+
+def direct_tails(chain, target, n, threshold):
+    """Both tails at the horizons validate asks for: the mass beyond cut - 1, the mass up to cut."""
+    upper = return_time_law(chain, target, n, max(ceil(threshold), 1) - 1)[1]
+    lower = return_time_law(chain, target, n, max(floor(threshold), 0))[0].sum()
+    return upper, float(lower)
+
+
+def edge_thresholds(n, t_max, mu_target):
+    top = n * t_max
+    middle = n / mu_target
+    return (-2.0, 0.0, 0.5, 1.0, n - 0.5, n, top, top + 0.5, top + 7.0, 1e300,
+            middle + 0.25, middle + 0.5, middle - 0.75, np.floor(middle) + 0.5)
 
 
 def assert_relative(value, expected, tol):
@@ -108,6 +129,25 @@ def assert_relative(value, expected, tol):
 def full2_law(full2_recoded):
     chain = gibbs_chain(full2_recoded)
     return first_return_law(chain, full2_recoded.target_blocks, tol=1e-12, alpha_max=0.45)
+
+
+@pytest.fixture(scope="module")
+def full2_chain(full2_recoded):
+    return gibbs_chain(full2_recoded)
+
+
+@pytest.fixture(scope="module")
+def kernel_dp(random_recoded):
+    """(n, law, kernel DP probs, return_time_law to horizon n t_max + 7) on every instance."""
+    cases = []
+    for rec in random_recoded:
+        chain = gibbs_chain(rec)
+        law = first_return_law(chain, rec.target_blocks, tol=1e-12)
+        for n, probs in enumerate(reference_distributions(law, 64), start=1):
+            if n in (1, 2, 5, 25, 64):
+                exact = return_time_law(chain, rec.target_blocks, n, n * law.t_max + 7)
+                cases.append((n, law, probs, exact))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -182,15 +222,33 @@ class TestFirstReturnLaw:
 
 
 class TestExactDistribution:
-    def test_n1_is_start_averaged_law(self, full2_law):
-        stats = exact_return_distribution(full2_law, 1)
-        assert stats.offset == 1
-        assert np.allclose(stats.probs, full2_law.duration_probabilities(), atol=1e-15)
+    def test_n1_is_start_averaged_law(self, full2_law, full2_chain):
+        probs, beyond = return_time_law(full2_chain, full2_law.target_states, 1, full2_law.t_max)
+        assert np.allclose(probs, full2_law.duration_probabilities(), atol=1e-15)
+        assert beyond <= full2_law.tail_bound + 1e-15
 
-    def test_full2_n2_negative_binomial(self, full2_law):
-        stats = exact_return_distribution(full2_law, 2)
-        ks = stats.durations
-        assert np.abs(stats.probs - (ks - 1) * 0.5**ks).max() <= 1e-14
+    def test_full2_n2_negative_binomial(self, full2_chain):
+        probs, beyond = return_time_law(full2_chain, (0,), 2, 60)
+        ts = np.arange(1, 61)
+        assert np.abs(probs - (ts - 1) * 0.5**ts).max() <= 1e-14
+        assert_relative(beyond, 61 * 0.5**60, 1e-13)  # at most one visit in 60 steps
+
+    @pytest.mark.parametrize("n", [400, 3200])
+    def test_full2_binomial_tails(self, full2_chain, n):
+        # T_n >= t when steps 1..t-1 visit at most n - 1 times; T_n <= t when steps 1..t visit
+        # at least n times; each visit is a fair coin, so both tails are binomial sums
+        def at_most(trials, k_max):
+            """P(Bin(trials, 1/2) <= k_max), exactly."""
+            term = total = 1
+            for k in range(1, k_max + 1):
+                term = term * (trials - k + 1) // k
+                total += term
+            return Fraction(total, 2**trials)
+
+        upper = return_time_law(full2_chain, (0,), n, 3 * n - 1)[1]
+        assert_relative(upper, float(at_most(3 * n - 1, n - 1)), 1e-13)
+        lower = return_time_law(full2_chain, (0,), n, 3 * n // 2)[0].sum()
+        assert_relative(lower, float(1 - at_most(3 * n // 2, n - 1)), 1e-13)
 
     def test_mean_is_kac_multiple(self, random_recoded):
         for rec in random_recoded[:8]:
@@ -198,85 +256,84 @@ class TestExactDistribution:
             law = first_return_law(chain, rec.target_blocks, tol=1e-12)
             mu = float(chain.stationary[list(rec.target_blocks)].sum())
             for n in (1, 3, 7):
-                stats = exact_return_distribution(law, n)
-                assert stats.mean == pytest.approx(n / mu, abs=1e-6 * n)
+                probs, beyond = return_time_law(chain, rec.target_blocks, n, n * law.t_max)
+                assert beyond <= n * law.tail_bound + 1e-15
+                mean = float(np.arange(1, probs.size + 1) @ probs / probs.sum())
+                assert mean == pytest.approx(n / mu, abs=1e-6 * n)
 
     def test_support_minimum_by_bfs_dp(self, random_recoded):
         for rec in random_recoded[:10]:
             chain = gibbs_chain(rec)
-            law = first_return_law(chain, rec.target_blocks, tol=1e-12)
             d = first_return_durations(rec)
             n = 5
-            stats = exact_return_distribution(law, n)
-            m = d.shape[0]
             best = np.where(np.isfinite(d), d, np.inf)
             dp = best.copy()
             for _ in range(n - 1):
                 dp = np.min(dp[:, :, None] + best[None, :, :], axis=1)
-            assert stats.support_min == int(dp.min())
+            probs, _ = return_time_law(chain, rec.target_blocks, n, int(dp.min()))
+            assert not probs[:-1].any() and probs[-1] > 0.0
 
-    def test_frontier_reuse_matches_fresh_dynamic_program(self, golden_recoded, random_recoded):
-        picked = [golden_recoded] + [r for r in random_recoded if 1 < len(r.target_blocks) <= 4][:3]
-        for rec in picked:
-            law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
-            for n in (8, 3, 25, 1, 25, 2):
-                probs = exact_return_distribution(law, n).probs
-                assert np.array_equal(probs, reference_distribution(law, n))
-            assert law._frontier[0] == 25
+    def test_shorter_horizon_is_a_prefix(self, golden_recoded, random_recoded):
+        for rec in [golden_recoded] + random_recoded[:6]:
+            chain = gibbs_chain(rec)
+            probs, beyond = return_time_law(chain, rec.target_blocks, 6, 80)
+            for h in (0, 1, 17, 79):
+                head, rest = return_time_law(chain, rec.target_blocks, 6, h)
+                assert np.array_equal(head, probs[:h])
+                # the recursion keeps the mass of each step up to roundoff, about an ulp a step
+                assert rest == pytest.approx(probs[h:].sum() + beyond, rel=80 * np.finfo(float).eps)
 
-    def test_cap_enforced(self, full2_law):
-        with pytest.raises(ConfigurationError, match="desk-scale"):
-            exact_return_distribution(full2_law, 65)
-
-    def test_coarse_law_rejected(self, full2_recoded):
-        chain = gibbs_chain(full2_recoded)
-        law = first_return_law(chain, full2_recoded.target_blocks, tol=1e-8)
-        with pytest.raises(ConfigurationError, match="tail"):
-            exact_return_distribution(law, 2)
+    def test_rejects_bad_input(self, full2_chain):
+        with pytest.raises(ConfigurationError, match="n must be"):
+            return_time_law(full2_chain, (0,), 0, 5)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            return_time_law(full2_chain, (0,), 2, -1)
+        for target in ((), (0, 1)):
+            with pytest.raises(ConfigurationError, match="proper subset"):
+                return_time_law(full2_chain, target, 2, 5)
 
 
 class TestExactTailProbability:
     @pytest.mark.parametrize("side", ["upper", "lower"])
-    def test_matches_full_distribution(self, random_recoded, side):
-        for rec in random_recoded:
-            law = first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
-            for n in (1, 2, 5, 25):
-                stats = exact_return_distribution(law, n)
-                for u in (0.3, 1.0, 3.0):
-                    shift = u if side == "upper" else -u
-                    threshold = n * (1.0 / law.mu_target + shift)
-                    expected = tail_of(stats, threshold, side)
-                    assert_relative(exact_tail_probability(law, n, threshold, side), expected, 1e-13)
+    def test_matches_full_distribution(self, kernel_dp, side):
+        # the kernel DP drops the paths with a cycle past t_max, at most n tail_bound of mass;
+        # a tail near 1 also carries up to an ulp of mass per return from either route's
+        # n-fold products (at n = 64 the DP's total mass reads 1 + 1.8e-15 on an instance
+        # whose kernels drop nothing)
+        for n, law, reference, (probs, beyond) in kernel_dp:
+            slack = n * law.tail_bound + 1e-15
+            padded = np.zeros(probs.size)
+            padded[n - 1:n - 1 + reference.size] = reference
+            assert np.abs(probs - padded).max() <= slack
+            for threshold in edge_thresholds(n, law.t_max, law.mu_target):
+                value = tails_of_law(probs, beyond, threshold)[side == "lower"]
+                reference_tail = tail_of(reference, n, threshold, side)
+                assert abs(value - reference_tail) <= slack + n * np.finfo(float).eps
 
-    def test_edge_cuts(self, full2_law, golden_law, random_recoded):
-        laws = [full2_law, golden_law] + [
-            first_return_law(gibbs_chain(rec), rec.target_blocks, tol=1e-12)
-            for rec in random_recoded if len(rec.target_blocks) > 1
-        ][:3]
-        for law in laws:
-            for n in (1, 3, 6):
-                stats = exact_return_distribution(law, n)
+    def test_edge_cuts(self, full2_recoded, golden_recoded, random_recoded):
+        # each tail straight from the horizon validate asks for; no horizon reaches 1e300,
+        # which test_matches_full_distribution reads off one long law
+        picked = [full2_recoded, golden_recoded] + [
+            rec for rec in random_recoded if len(rec.target_blocks) > 1][:3]
+        for rec in picked:
+            chain, target = gibbs_chain(rec), rec.target_blocks
+            law = first_return_law(chain, target, tol=1e-12)
+            for n, reference in enumerate(reference_distributions(law, 6), start=1):
+                if n not in (1, 3, 6):
+                    continue
+                slack = n * law.tail_bound + 1e-15
                 top = n * law.t_max
-                middle = n / law.mu_target
-                thresholds = (-2.0, 0.0, 0.5, 1.0, n - 0.5, n, top, top + 0.5, top + 7.0, 1e300,
-                              middle + 0.25, middle + 0.5, middle - 0.75, np.floor(middle) + 0.5)
-                for threshold in thresholds:
-                    for side in ("upper", "lower"):
-                        expected = tail_of(stats, threshold, side)
-                        value = exact_tail_probability(law, n, threshold, side)
-                        assert_relative(value, expected, 1e-13)
-                # below the shortest and past the longest duration a tail is all or nothing
-                assert_relative(exact_tail_probability(law, n, 0.5, "upper"), stats.total_mass, 1e-13)
-                assert exact_tail_probability(law, n, 0.5, "lower") == 0.0
-                assert exact_tail_probability(law, n, top + 0.5, "upper") == 0.0
-
-    def test_rejects_bad_input_and_cap(self, full2_law):
-        with pytest.raises(ConfigurationError, match="side"):
-            exact_tail_probability(full2_law, 2, 3.0, "both")
-        with pytest.raises(ConfigurationError, match="desk-scale"):
-            exact_tail_probability(full2_law, 65, 3.0, "upper")
-        with pytest.raises(ConfigurationError, match="threshold"):
-            exact_tail_probability(full2_law, 2, float("nan"), "lower")
+                for threshold in edge_thresholds(n, law.t_max, law.mu_target):
+                    if threshold > top + 7.0:
+                        continue
+                    tails = direct_tails(chain, target, n, threshold)
+                    for side, value in zip(("upper", "lower"), tails):
+                        assert abs(value - tail_of(reference, n, threshold, side)) <= slack
+                # below the shortest duration a tail is all or nothing, and past the longest
+                # kernel duration only the mass the kernels drop is left
+                upper, lower = direct_tails(chain, target, n, 0.5)
+                assert abs(upper - 1.0) <= 1e-15 and lower == 0.0
+                assert direct_tails(chain, target, n, top + 0.5)[0] <= n * law.tail_bound
 
 
 class TestExactMgf:
@@ -322,6 +379,12 @@ class TestExactMgf:
             psi = op.scgf(alpha)
             cs = [abs(np.log(exact_mgf(law, n, alpha)[0]) - n * psi) for n in range(1, 13)]
             assert max(cs[6:]) <= 1.5 * max(cs[:6]) + 1e-9
+
+    def test_coarse_law_rejected(self, full2_recoded):
+        chain = gibbs_chain(full2_recoded)
+        law = first_return_law(chain, full2_recoded.target_blocks, tol=1e-8)
+        with pytest.raises(ConfigurationError, match="tail"):
+            exact_mgf(law, 2, 0.1)
 
     def test_uncertifiable_alpha_raises(self, full2_law):
         with pytest.raises(DomainError, match="certifiable"):
