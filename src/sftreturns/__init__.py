@@ -7,7 +7,7 @@ exact combinatorial route (``first_return_law`` and friends) compute the
 same quantities independently and are meant to be cross-checked.
 """
 
-from .deviations import VarianceReport, rate_function, variance_report
+from .deviations import VarianceReport, rate_function, rate_grid, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -34,7 +34,7 @@ from .oracle import (
     mgf_matrix,
     return_time_law,
 )
-from .perron import PerronData, perron_eigendata, spectral_radius_reducible
+from .perron import PerronData, perron_eigendata, perron_stack, spectral_radius_reducible
 from .return_op import (
     CgfCurve,
     ReturnOperator,
@@ -105,8 +105,10 @@ __all__ = [
     "minimal_return_time",
     "normal_cdf",
     "perron_eigendata",
+    "perron_stack",
     "pressure",
     "rate_function",
+    "rate_grid",
     "recode_higher_block",
     "restricted_spectrum",
     "return_time_law",

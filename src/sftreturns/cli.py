@@ -25,7 +25,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .deviations import TWO_ROUTE_TOL, VarianceReport, rate_function, variance_report
+from .deviations import TWO_ROUTE_TOL, VarianceReport, rate_function, rate_grid, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -334,10 +334,9 @@ def write_scgf_csv(bundle: Bundle, grid: np.ndarray, out: Path) -> Path:
 
 
 def write_rate_csv(bundle: Bundle, grid: np.ndarray, out: Path) -> Path:
-    rows = []
-    for u in grid:
-        value, alpha_star = rate_function(bundle.op, float(u))
-        rows.append([float(u), float(value), float(alpha_star)])
+    us = [float(u) for u in grid]
+    points = rate_grid(bundle.op, us)
+    rows = [[u, float(value), float(alpha_star)] for u, (value, alpha_star) in zip(us, points)]
     path = out / "rate.csv"
     write_csv(path, ["u", "rate", "alpha_star"], rows)
     return path
@@ -423,6 +422,11 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
                         residual=two_routes, tolerance=TWO_ROUTE_TOL))
 
     conj_tilt, sandwich_tilts = _oracle_tilts(op)
+    conj_tilts = (-1.0, 0.0, conj_tilt)
+    try:
+        op.solve([op.pressure - alpha for alpha in (*conj_tilts, *sandwich_tilts)])
+    except SftReturnsError:
+        pass  # each tilt below meets its own failure, in order
     law = bundle.law
     mean = float(law.start @ law.duration_moment_matrix(1).sum(axis=1))
     slack = law.moment_tail_bound(1) + 1e-9
@@ -431,7 +435,7 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
                         residual=kac_oracle, tolerance=slack))
 
     worst = 0.0
-    for alpha in (-1.0, 0.0, conj_tilt):
+    for alpha in conj_tilts:
         Q, _ = mgf_matrix(law, alpha)
         ev = op.eval(op.pressure - alpha)
         v_t = op.right_vec[np.array(op.target)]

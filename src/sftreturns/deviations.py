@@ -7,6 +7,10 @@ first-return durations; at u = c the supremum is a limit as alpha -> -inf,
 and below c it is infinite (the deviation event is impossible at scale n).
 Inside the range the conjugate point solves Psi'(alpha) = u by safeguarded
 Newton steps, each taking the exact Psi' and Psi'' of one R(S) evaluation.
+The search is written once, as a generator that yields the alpha it needs
+next; ``rate_grid`` advances the searches of a whole u grid in lockstep and
+solves each round's alphas in one stacked pass of ``ReturnOperator.solve``,
+and ``rate_function`` is a grid of one.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
 series of Poincare cycles, summed exactly in the Gibbs chain P: with target
 A, complement C and the complement resolvent N = (I - P_CC)^-1, the landing
@@ -20,10 +24,11 @@ from sigma_bar^2 = sigma^2 mu(A)^3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, SftReturnsError
 from .return_op import ReturnOperator
 from .thermo import GibbsChain
 
@@ -55,11 +60,12 @@ def _attainable_range(op: ReturnOperator) -> tuple[float, float]:
     return float(op.min_cycle_mean), ceiling
 
 
-def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float) -> float:
-    """Limit of u*alpha - Psi(alpha) as alpha -> direction * inf, at a boundary u."""
+def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float):
+    """Limit of u*alpha - Psi(alpha) as alpha -> direction * inf, at a boundary u; a search as below."""
     alpha = direction
     prev = None
     while abs(alpha) < 2.0**20:
+        yield alpha, False
         try:
             value = u * alpha - op.scgf(alpha)
         except (NumericError, DomainError):
@@ -75,15 +81,18 @@ def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float) -> flo
     return prev
 
 
-def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
-    """(I(u), alpha_star) by safeguarded Newton on Psi'(alpha) = u inside a bracket.
+def _slope(op: ReturnOperator, alpha: float):
+    yield alpha, True
+    return op.scgf_slope(alpha)
 
-    Each step takes Psi' and Psi'' from one evaluation, shrinks the bracket on
-    the sign of Psi' - u and bisects where Newton would leave it, until
-    |Psi' - u| <= ROOT_TOL max(1, u).  Newton runs on 1/Psi' = 1/u, which is
-    nearly linear near the pole of Psi' at alpha0.  ``alpha_star`` solves
-    Psi'(alpha) = u; at the edges of the attainable range the supremum is a
-    limit and ``alpha_star`` is -inf or +inf.
+
+def _conjugate_search(op: ReturnOperator, u: float):
+    """The search of :func:`rate_function` at one u, as a generator.
+
+    It yields (alpha, derivatives) for each R(P - alpha) it needs next, the
+    derivatives only if it reads Psi' or Psi'', and reads the point off the
+    operator's memo when resumed, so a caller can solve the needs of many
+    searches in one stacked pass.  It returns (I(u), alpha_star).
     """
     if not u > 0.0:
         raise DomainError(f"deviation abscissa must be positive, got {u}")
@@ -94,15 +103,15 @@ def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
             "no finite conjugate point exists"
         )
     if u <= floor + BOUNDARY_BAND:
-        return _asymptotic_conjugate(op, u, -1.0), float("-inf")
+        return (yield from _asymptotic_conjugate(op, u, -1.0)), float("-inf")
     if u >= ceiling - BOUNDARY_BAND:
-        return _asymptotic_conjugate(op, u, 1.0), float("inf")
+        return (yield from _asymptotic_conjugate(op, u, 1.0)), float("inf")
 
     lo = -1.0
     if np.isfinite(op.alpha0):
         hi = op.alpha0 - 1e-4
         gap = 1e-4
-        while op.scgf_slope(hi) < u:
+        while (yield from _slope(op, hi)) < u:
             gap /= 4.0
             if gap < 2e-8:
                 raise NumericError(
@@ -111,11 +120,11 @@ def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
             hi = op.alpha0 - gap
     else:
         hi = 1.0
-        while op.scgf_slope(hi) < u:
+        while (yield from _slope(op, hi)) < u:
             hi *= 2.0
             if hi > 2.0**16:
                 raise NumericError(f"Psi'={u} not bracketed; expansion cap reached")
-    while op.scgf_slope(lo) > u:
+    while (yield from _slope(op, lo)) > u:
         hi = lo
         lo *= 2.0
         if lo < -2.0**20:
@@ -125,6 +134,7 @@ def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
             )
     alpha = 0.5 * (lo + hi)
     while True:
+        yield alpha, True
         psi, psi1, psi2 = op.scgf_and_derivatives(alpha)
         residual = psi1 - u
         newton = alpha - (psi1 / u) * residual / psi2
@@ -138,6 +148,60 @@ def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
         alpha = newton if lo < newton < hi else 0.5 * (lo + hi)
         if not lo < alpha < hi:
             raise NumericError(f"Newton iteration left residual {residual:.3e} at u={u}")
+
+
+def rate_grid(op: ReturnOperator, us: Sequence[float]) -> list[tuple[float, float]]:
+    """(I(u), alpha_star) for every u of a grid, the searches advancing in lockstep.
+
+    Each round gathers the alpha every unfinished search needs next and
+    solves them in one stacked pass, with and without derivatives, then
+    resumes the searches, which read their points off the memo.  A pass that
+    fails leaves each search to meet its own failure on its own solve, so
+    every value equals :func:`rate_function` at that u bit for bit, and the
+    error raised is the failure of the first failing u in grid order.
+    """
+    searches = [_conjugate_search(op, u) for u in us]
+    results: list = [None] * len(searches)
+    asks: dict[int, tuple[float, bool]] = {}
+
+    def advance(i: int) -> None:
+        try:
+            asks[i] = next(searches[i])
+        except StopIteration as stop:
+            results[i] = stop.value
+        except SftReturnsError as exc:
+            results[i] = exc
+
+    for i in range(len(searches)):
+        advance(i)
+    while asks:
+        for derivatives in (False, True):
+            S_values = [op.pressure - alpha for alpha, d in asks.values() if d == derivatives]
+            if S_values:
+                try:
+                    op.solve(S_values, derivatives)
+                except SftReturnsError:
+                    pass  # each search meets its own failure when it reads its point
+        for i in list(asks):
+            del asks[i]
+            advance(i)
+    for result in results:
+        if isinstance(result, SftReturnsError):
+            raise result
+    return results
+
+
+def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
+    """(I(u), alpha_star) by safeguarded Newton on Psi'(alpha) = u inside a bracket; a grid of one.
+
+    Each step takes Psi' and Psi'' from one evaluation, shrinks the bracket on
+    the sign of Psi' - u and bisects where Newton would leave it, until
+    |Psi' - u| <= ROOT_TOL max(1, u).  Newton runs on 1/Psi' = 1/u, which is
+    nearly linear near the pole of Psi' at alpha0.  ``alpha_star`` solves
+    Psi'(alpha) = u; at the edges of the attainable range the supremum is a
+    limit and ``alpha_star`` is -inf or +inf.
+    """
+    return rate_grid(op, [u])[0]
 
 
 def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:

@@ -13,6 +13,13 @@ ones vector.  Each solve damps the other eigen-directions by
 of the normalized pair passes RESIDUAL_TOL, one right and two left solves in
 all but near-reducible cases, and rho = u M v with u.v = 1.
 
+The solve runs on a stack of matrices (k, n, n) in one pass of stacked
+``eig``, ``solve`` and ``@`` calls, which work slice by slice, so every
+slice gets exactly the numbers it gets alone; slices polish in lockstep and
+leave the stack as they converge.  The right and the left solves of a
+round share one stacked solve on A over A^T.  A single matrix is the stack
+of one.
+
 Tail certificates search for a power of X with max-rowsum <= 1/2, which
 cannot exist when rho(X) >= 1: a Collatz-Wielandt lower bound on rho(X)
 (Horn & Johnson, Matrix Analysis, 8.1) stops such searches after
@@ -39,6 +46,7 @@ CW_CHECK_STEPS = 64
 BLOCK_STEPS = 64  # the longest block of products read off at once,
 BLOCK_BYTES = 1 << 18  # and its largest size
 _TINY = np.finfo(float).tiny
+_NON_FINITE = "matrix has non-finite entries; no Perron data exists"
 
 
 @dataclass(frozen=True)
@@ -59,57 +67,137 @@ class PerronData:
 
 def _inverse_step(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = np.linalg.solve(A, x)
-    return y / np.abs(y).max()
+    return y / np.abs(y).max(axis=1, keepdims=True)
+
+
+def _positivity_error(M: np.ndarray) -> NumericError:
+    if len(strongly_connected_components(M > 0.0)) == 1:
+        return NumericError(
+            "Perron vectors are not strictly positive: the matrix is irreducible, but "
+            "its Perron vector spans more orders of magnitude than double precision resolves"
+        )
+    return NumericError("Perron vectors are not strictly positive; matrix not irreducible")
+
+
+def _perron_pass(M: np.ndarray) -> tuple:
+    """The pass of :func:`perron_stack`; raises on the first failing slice it meets.
+
+    W stacks the right vectors over the left ones, all as columns (2k, n, 1),
+    so one stacked solve on A over A^T polishes both, and one reduction
+    checks their signs.  The left vectors are read as rows (k, 1, n) through
+    a transposed view, so every product is a plain stacked ``@``; per-slice
+    scalars are checked as Python floats, whose arithmetic is the same IEEE
+    double arithmetic.
+    """
+    k, n = M.shape[0], M.shape[-1]
+    if n == 1:
+        rho = M[:, 0, 0].tolist()
+        if not all(math.isfinite(r) for r in rho):
+            raise NumericError(_NON_FINITE)
+        if not all(r > 0.0 for r in rho):
+            raise NumericError("1x1 matrix with nonpositive entry has no Perron data")
+        ones = np.ones((2, k, 1))
+        return rho, ones[0], ones[1], [0] * k, [0.0] * k
+    try:
+        eigenvalues, vectors = np.linalg.eig(M)  # raises on non-finite entries
+        slices = np.arange(k)
+        top = eigenvalues.real.argmax(axis=1)
+        seed = eigenvalues.real.max(axis=1)
+        for i, dominant in enumerate(seed.tolist()):
+            if not _TINY < dominant < np.inf:
+                if not M[i].max() > 0.0:  # a nonnegative matrix with no positive entry is 0
+                    raise NumericError("matrix has no positive entry; no Perron data exists")
+                raise NumericError(
+                    f"dominant eigenvalue {dominant!r} is not a positive normal float; "
+                    "the matrix is effectively nilpotent or its scale is out of range"
+                )
+        A = np.eye(n) * (seed * (1.0 + POLISH_SHIFT))[:, np.newaxis, np.newaxis]
+        A -= M
+        # the right solve (on A) and the second left one (on A^T) go in one stacked solve
+        pair = np.concatenate([A, A.swapaxes(1, 2)])
+        first_left = _inverse_step(pair[k:], np.ones((k, n, 1)))
+        seeds = np.abs(vectors[slices, :, top].real)[..., np.newaxis]
+        W = _inverse_step(pair, np.concatenate([seeds, first_left]))
+        solves, parts = 3, []
+        while True:
+            if not W.min() > 0.0:
+                lows = W.min(axis=1)[:, 0]
+                positive = np.minimum(lows[:len(slices)], lows[len(slices):]) > 0.0
+                raise _positivity_error(M[np.argmin(positive)])
+            v, u = W[:len(slices)], W[len(slices):].swapaxes(1, 2)
+            # a positive y / max|y| peaks at exactly 1.0: v needs no rescaling, and since
+            # rounding is monotone, u / (u.v) peaks at exactly 1.0 / (u.v)
+            dot = u @ v
+            u /= dot  # in W, which the next polish solves on
+            Mv = M @ v
+            rho = u @ Mv
+            # the peak defects of the right and the left equation in one reduction
+            defects = np.abs(np.concatenate([Mv - rho * v, (u @ M - rho * u).swapaxes(1, 2)], axis=2))
+            rhos = rho.ravel().tolist()
+            rows = zip(defects.max(axis=1).tolist(), dot.ravel().tolist(), rhos)
+            resid = [max(right, left / (1.0 / d)) / r for (right, left), d, r in rows]
+            converged = [r <= RESIDUAL_TOL for r in resid]
+            if all(converged):
+                parts.append((slices, rhos, v, u, resid, solves))
+                break
+            if solves >= MAX_SOLVES:
+                raise NumericError(f"Perron residual {resid[converged.index(False)]:.3e} exceeds tolerance")
+            if any(converged):
+                done = np.array(converged)
+                kept = [r for r, c in zip(rhos, converged) if c], [r for r, c in zip(resid, converged) if c]
+                parts.append((slices[done], kept[0], v[done], u[done], kept[1], solves))
+                polish = np.concatenate([~done, ~done])
+                slices, M, W, pair = slices[~done], M[~done], W[polish], pair[polish]
+            W = _inverse_step(pair, W)
+            solves += 2
+    except np.linalg.LinAlgError as exc:
+        if not np.isfinite(M).all():
+            raise NumericError(_NON_FINITE) from exc
+        raise NumericError(f"Perron eigensolve failed: {exc}") from exc
+    if len(parts) == 1:
+        _, rhos, v, u, resid, solves = parts[0]
+        return rhos, v[..., 0], u[:, 0], [solves] * k, resid
+    # slices that converged in different rounds, back in stack order
+    order = np.argsort(np.concatenate([part[0] for part in parts]))
+    v, u = (np.concatenate([part[i] for part in parts])[order] for i in (2, 3))
+    rhos, resid = ([r for part in parts for r in part[i]] for i in (1, 4))
+    iterations = [part[5] for part in parts for _ in part[4]]
+    order = order.tolist()
+    return (
+        [rhos[i] for i in order], v[..., 0], u[:, 0],
+        [iterations[i] for i in order], [resid[i] for i in order],
+    )
+
+
+def perron_stack(M: np.ndarray) -> tuple:
+    """Perron data of each matrix of a stack (k, n, n), in one pass of stacked LAPACK calls.
+
+    Returns each slice's rho as a list, the right and left vectors as arrays
+    with the stack's leading axis, and each slice's iterations and residual
+    as lists: the fields of :class:`PerronData`, in order.  Every call works slice by slice, and
+    stacked ``solve``, ``eig`` and products give each slice exactly the
+    numbers it gets alone, so a slice's data do not depend on the stack it
+    came in.  Slices polish in lockstep; a converged one leaves the stack.
+    If any slice fails, the slices are solved one at a time, so the first
+    failing slice in stack order raises its own :class:`NumericError`.
+    """
+    M = np.asarray(M, dtype=float)
+    try:
+        return _perron_pass(M)
+    except NumericError:
+        if M.shape[0] > 1:
+            for single in M[:, np.newaxis]:
+                _perron_pass(single)
+        raise
 
 
 def perron_eigendata(M: np.ndarray) -> PerronData:
-    """Perron root and positive left/right vectors of an irreducible nonnegative matrix."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if not np.isfinite(M).all():
-        raise NumericError("matrix has non-finite entries; no Perron data exists")
-    if n == 1:
-        rho = float(M[0, 0])
-        if rho <= 0.0:
-            raise NumericError("1x1 matrix with nonpositive entry has no Perron data")
-        return PerronData(rho, np.ones(1), np.ones(1), 0, 0.0)
-    if not M.max() > 0.0:
-        raise NumericError("matrix has no positive entry; no Perron data exists")
-    try:
-        eigenvalues, vectors = np.linalg.eig(M)
-        k = int(np.argmax(eigenvalues.real))
-        seed = float(eigenvalues[k].real)
-        if not _TINY < seed < np.inf:
-            raise NumericError(
-                f"dominant eigenvalue {seed!r} is not a positive normal float; "
-                "the matrix is effectively nilpotent or its scale is out of range"
-            )
-        A = seed * (1.0 + POLISH_SHIFT) * np.eye(n) - M
-        v = _inverse_step(A, np.abs(vectors[:, k].real))
-        u = _inverse_step(A.T, _inverse_step(A.T, np.ones(n)))
-        solves = 3
-        while True:
-            if not (v.min() > 0.0 and u.min() > 0.0):
-                if len(strongly_connected_components(M > 0.0)) == 1:
-                    raise NumericError(
-                        "Perron vectors are not strictly positive: the matrix is irreducible, but "
-                        "its Perron vector spans more orders of magnitude than double precision resolves"
-                    )
-                raise NumericError("Perron vectors are not strictly positive; matrix not irreducible")
-            v = v / v.max()
-            u = u / float(u @ v)
-            Mv = M @ v
-            rho = float(u @ Mv)
-            resid = max(np.abs(Mv - rho * v).max(), np.abs(u @ M - rho * u).max() / u.max()) / rho
-            if resid <= RESIDUAL_TOL or solves >= MAX_SOLVES:
-                break
-            v, u = _inverse_step(A, v), _inverse_step(A.T, u)
-            solves += 2
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Perron eigensolve failed: {exc}") from exc
-    if not resid <= RESIDUAL_TOL:
-        raise NumericError(f"Perron residual {resid:.3e} exceeds tolerance")
-    return PerronData(rho, v, u, solves, float(resid))
+    """Perron root and positive left/right vectors of an irreducible nonnegative matrix.
+
+    The one-matrix case of :func:`perron_stack`: a stack of one runs its pass directly.
+    """
+    rho, right, left, iterations, residual = _perron_pass(np.asarray(M, dtype=float)[np.newaxis])
+    return PerronData(rho[0], right[0], left[0], iterations[0], residual[0])
 
 
 def spectral_radius_reducible(M: np.ndarray, adj: np.ndarray) -> tuple[float, list[list[int]]]:

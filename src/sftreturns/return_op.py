@@ -15,22 +15,30 @@ Perturbation Theory for Linear Operators, II.2): lambda' = m R' h and
 lambda'' = m R'' h + 2 m R' G R' h, with G = (lambda (I + h m) - R)^{-1} - h m / lambda
 the group inverse of lambda I - R (Meyer, SIAM Rev. 1975).
 
-Every R(S) request passes through ``ReturnOperator.eval``, which memoizes
-the solve keyed by the exact float S, so each R(S), and each pair of
-eigenvalue derivatives, is computed once per operator; the blocks of M are
-sliced once, at the first evaluation, and only scaled by exp(shift - S).
+Every R(S) is solved by ``ReturnOperator.solve``, which memoizes it keyed by
+the exact float S, so each R(S), and each pair of eigenvalue derivatives, is
+computed once per operator; M is reordered once, target states first, at
+the first evaluation, and each request scales it by exp(shift - S) in one
+product whose blocks are views.  ``solve`` takes a whole request of S and
+solves those not yet memoized in one stacked pass: the blocks, X, R(S), the
+Perron pairs (:func:`perron_stack`) and the derivatives carry a leading
+axis of S through stacked ``np.linalg.solve``, ``eig`` and ``@`` calls,
+which give every slice exactly the numbers it gets alone.  So
+:meth:`ReturnOperator.curve` solves its grid in one pass, and ``eval`` and
+``eval_with_derivative`` are the one-S case of the same pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .perron import perron_eigendata
+from .errors import DomainError, NumericError, SftReturnsError
+from .perron import perron_eigendata, perron_stack
 from .system import RecodedSystem, return_time_bounds
 from .thermo import restricted_spectrum
 
@@ -52,10 +60,6 @@ class ReturnOperatorEval:
     h_vec: np.ndarray
     m_vec: np.ndarray
     X: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.R, self.h_vec, self.m_vec, self.X):
-            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -89,12 +93,13 @@ class CgfCurve:
 class ReturnOperator:
     """Curve provider: caches the full Perron pair, pressure, critical parameter and block structure.
 
-    Evaluations are memoized by the exact float S: :meth:`eval` solves R(S)
-    and its Perron pair once and returns the same read-only
-    :class:`ReturnOperatorEval` to every later request for S, and
-    :meth:`eval_with_derivative` completes that entry with lambda' and
-    lambda'' once, from the memoized ``X``, without solving R(S) again.
-    The parameter is still checked on every request.
+    Evaluations are memoized by the exact float S: :meth:`solve` solves R(S)
+    and its Perron pair once, stacked with the other new S of its request,
+    and :meth:`eval` returns the same read-only :class:`ReturnOperatorEval`
+    to every later request for S.  Asked for derivatives, :meth:`solve`
+    adds lambda' and lambda'' in the same pass, or completes an entry solved
+    without them from its memoized ``X``, without solving R(S) again.  The
+    parameter is still checked on every request.
     """
 
     def __init__(self, recoded: RecodedSystem) -> None:
@@ -125,9 +130,9 @@ class ReturnOperator:
     # -- evaluation --------------------------------------------------------
 
     def _check_parameter(self, S: float) -> None:
-        if not np.isfinite(S):
+        if not math.isfinite(S):
             raise DomainError(f"operator parameter must be finite, got {S!r}")
-        ratio = np.exp(self.s_critical - S) if np.isfinite(self.s_critical) else 0.0
+        ratio = np.exp(self.s_critical - S) if math.isfinite(self.s_critical) else 0.0
         if not ratio <= 1.0 - CRITICAL_MARGIN:
             raise DomainError(
                 f"parameter S={S!r} at or below critical value S_c={self.s_critical!r}: "
@@ -135,32 +140,91 @@ class ReturnOperator:
             )
 
     @cached_property
-    def _sliced(self) -> tuple[np.ndarray, ...]:
-        """M_AA, M_AC, M_CA, M_CC and the complement identity, sliced at the first evaluation."""
-        A, C = self._A, self._C
-        M = self._M
-        return M[np.ix_(A, A)], M[np.ix_(A, C)], M[np.ix_(C, A)], M[np.ix_(C, C)], np.eye(C.size)
+    def _sliced(self) -> tuple[np.ndarray, np.ndarray]:
+        """M with the target states first, and the complement identity, made at the first evaluation."""
+        order = np.concatenate([self._A, self._C])
+        return self._M[np.ix_(order, order)], np.eye(self._C.size)
 
-    def _blocks(self, S: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """W_AA, W_AC, W_CA and W_CC at S."""
-        Maa, Mac, Mca, Mcc, _ = self._sliced
-        t = np.exp(self.recoded.weight_shift - S)
-        return t * Maa, t * Mac, t * Mca, t * Mcc
+    def _blocks(self, S: float | Sequence[float]) -> tuple[np.ndarray, ...]:
+        """W_AA, W_AC, W_CA and the resolvent I - W_CC at S, stacked along a first axis for a sequence of S.
 
-    def _resolvent(self, Wcc: np.ndarray) -> np.ndarray:
-        return self._sliced[4] - Wcc
+        W is scaled in one product and the blocks are views of it.
+        """
+        M, identity = self._sliced
+        a = self._A.size
+        W = np.exp(self.recoded.weight_shift - np.asarray(S, dtype=float))[..., np.newaxis, np.newaxis] * M
+        return W[..., :a, :a], W[..., :a, a:], W[..., a:, :a], identity - W[..., a:, a:]
+
+    def solve(self, S_values: Sequence[float], derivatives: bool = False) -> None:
+        """Memoize R(S) with its Perron pair, and lambda', lambda'' if asked, for every S of a request.
+
+        Every S is checked first, in request order, so the first S at or below
+        S_c raises the DomainError that :meth:`eval` raises.  The S not yet
+        memoized are then solved in one stacked pass; an S repeated in the
+        request is solved once.  If a Perron solve fails, the first failing S
+        in request order raises the NumericError it raises alone.
+        """
+        for S in S_values:
+            self._check_parameter(S)
+        memo = self._derivatives if derivatives else self._evals
+        todo = [S for S in dict.fromkeys(S_values) if S not in memo]
+        fresh = [S for S in todo if S not in self._evals] if derivatives else todo
+        if fresh:
+            stacked = self._solve_fresh(fresh)
+            if derivatives:
+                self._derive(fresh, *stacked)
+        if len(fresh) < len(todo):  # derivatives of S solved earlier without them
+            solved = [S for S in todo if S not in fresh]
+            evals = [self._evals[S] for S in solved]
+            Waa, Wac, _, resolvent = self._blocks(solved)
+            self._derive(
+                solved, Waa, Wac, resolvent,
+                *(np.stack([getattr(ev, name) for ev in evals]) for name in ("X", "R", "h_vec", "m_vec")),
+                [ev.lam for ev in evals],
+            )
+
+    def _solve_fresh(self, S_values: list[float]) -> tuple:
+        """Solve and memoize R(S) for S not yet memoized; returns what :meth:`_derive` takes."""
+        Waa, Wac, Wca, resolvent = self._blocks(S_values)
+        X = np.linalg.solve(resolvent, Wca)
+        R = Waa + Wac @ X
+        lam, h, m, _, _ = perron_stack(R)
+        for arr in (R, h, m, X):
+            arr.setflags(write=False)  # the memo hands the same arrays to every request for S
+        for i, S in enumerate(S_values):
+            self._evals[S] = ReturnOperatorEval(R=R[i], lam=lam[i], h_vec=h[i], m_vec=m[i], X=X[i])
+        return Waa, Wac, resolvent, X, R, h, m, lam
+
+    def _derive(
+        self, S_values: list[float], Waa: np.ndarray, Wac: np.ndarray, resolvent: np.ndarray,
+        X: np.ndarray, R: np.ndarray, h: np.ndarray, m: np.ndarray, lam: list[float],
+    ) -> None:
+        """Memoize lambda'(S) and lambda''(S) from the stacked blocks, X and Perron pairs of the S.
+
+        R' = -R - W_AC K^2 W_CA reuses R = W_AA + W_AC X bit for bit; the
+        scalar tail runs on Python floats, which is the same double arithmetic.
+        """
+        X2 = np.linalg.solve(resolvent, X)
+        X3 = np.linalg.solve(resolvent, X2)
+        R_prime = -R - Wac @ X2
+        R_second = Waa + Wac @ (2.0 * X3 + X2 + X)
+        h, m = h[..., np.newaxis], m[:, np.newaxis]  # columns and rows
+        m_R_prime = m @ R_prime
+        lam3 = np.array(lam)[:, np.newaxis, np.newaxis]
+        y = np.linalg.solve(lam3 * (np.eye(h.shape[1]) + h * m) - R, R_prime @ h)
+        terms = (m_R_prime @ h, m @ R_second @ h, m_R_prime @ y)
+        rows = zip(S_values, lam, *(t.ravel().tolist() for t in terms))
+        for S, lam_S, lam_prime, m_R_second_h, m_R_prime_y in rows:
+            lam_second = m_R_second_h + 2.0 * (m_R_prime_y - lam_prime * lam_prime / lam_S)
+            self._derivatives[S] = (lam_prime, lam_second)
 
     def eval(self, S: float) -> ReturnOperatorEval:
         """Return operator R(S) with Perron data, solved once per S; requires S safely above S_c."""
-        self._check_parameter(S)
         ev = self._evals.get(S)
         if ev is None:
-            Waa, Wac, Wca, Wcc = self._blocks(S)
-            X = np.linalg.solve(self._resolvent(Wcc), Wca)
-            R = Waa + Wac @ X
-            data = perron_eigendata(R)
-            ev = ReturnOperatorEval(R=R, lam=data.rho, h_vec=data.right_vec, m_vec=data.left_vec, X=X)
-            self._evals[S] = ev
+            self.solve([S])
+            return self._evals[S]
+        self._check_parameter(S)
         return ev
 
     def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float, float]:
@@ -174,22 +238,13 @@ class ReturnOperator:
         conditioned as lambda I - R off h when lambda is far from 1.  Both
         derivatives are memoized with the evaluation.
         """
-        ev = self.eval(S)
         derivatives = self._derivatives.get(S)
         if derivatives is None:
-            Waa, Wac, _, Wcc = self._blocks(S)
-            resolvent = self._resolvent(Wcc)  # the complement is never empty
-            X = ev.X
-            X2 = np.linalg.solve(resolvent, X)
-            X3 = np.linalg.solve(resolvent, X2)
-            R_prime = -(Waa + Wac @ X) - Wac @ X2
-            R_second = Waa + Wac @ (2.0 * X3 + X2 + X)
-            h, m = ev.h_vec, ev.m_vec
-            lam_prime = float(m @ R_prime @ h)
-            y = np.linalg.solve(ev.lam * (np.eye(h.size) + np.outer(h, m)) - ev.R, R_prime @ h)
-            lam_second = float(m @ R_second @ h + 2.0 * (m @ R_prime @ y - lam_prime * lam_prime / ev.lam))
-            derivatives = self._derivatives[S] = (lam_prime, lam_second)
-        return (ev, *derivatives)
+            self.solve([S], derivatives=True)
+            derivatives = self._derivatives[S]
+        else:
+            self._check_parameter(S)
+        return (self._evals[S], *derivatives)
 
     # -- scaled CGF ---------------------------------------------------------
 
@@ -243,5 +298,9 @@ class ReturnOperator:
                 f"grid points at indices {bad.tolist()} (values {grid[bad].tolist()}) are "
                 f"not below alpha0={self.alpha0!r} with the required margin {DOMAIN_TOL}"
             )
+        try:
+            self.solve((self.pressure - grid).tolist(), derivatives=True)
+        except SftReturnsError:
+            pass  # each point below meets its own failure, in grid order
         psi, psi1, psi2 = np.array([self.scgf_and_derivatives(a) for a in grid]).T
         return CgfCurve(alpha_grid=grid, psi=psi, psi1=psi1, psi2=psi2)

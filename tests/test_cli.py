@@ -1,6 +1,7 @@
 """CLI: config parsing, command outputs, exit codes, reproducibility."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 from math import comb
@@ -447,17 +448,17 @@ def test_validate_solves_each_operator_parameter_once(tmp_path, monkeypatch, sys
     # Psi''(0), the rate brackets and the conjugacy tilts repeat S; the memo solves each once
     requested, sizes, solves = [], set(), []
 
-    def counting_eval(self, S, original=return_op.ReturnOperator.eval):
-        requested.append(S)
+    def counting_solve(self, S_values, derivatives=False, original=return_op.ReturnOperator.solve):
+        requested.extend(S_values)
         sizes.add(len(self.target))
-        return original(self, S)
+        return original(self, S_values, derivatives)
 
-    def counting_perron(M, original=return_op.perron_eigendata):
-        solves.append(M.shape[0])
+    def counting_perron(M, original=return_op.perron_stack):
+        solves.extend([M.shape[-1]] * M.shape[0])
         return original(M)
 
-    monkeypatch.setattr(return_op.ReturnOperator, "eval", counting_eval)
-    monkeypatch.setattr(return_op, "perron_eigendata", counting_perron)
+    monkeypatch.setattr(return_op.ReturnOperator, "solve", counting_solve)
+    monkeypatch.setattr(return_op, "perron_stack", counting_perron)
     if system == "golden":
         cfg = dict(golden_config(), alpha_grid=[-1.0, 0.0, 0.2], u_grid=[2.2, 3.0, 4.0])
     else:
@@ -496,3 +497,66 @@ def test_variance_route_disagreement_fails_its_validate_verdict(tmp_path, monkey
     assert not verdict["passed"]
     assert verdict["residual"] == pytest.approx(1e-3, rel=1e-9)
     assert verdict["tolerance"] == TWO_ROUTE_TOL
+
+
+def system_block(system):
+    """The config ``system`` block of a :class:`SymbolicSystem`."""
+    return {
+        "n_symbols": system.n_symbols,
+        "transitions": system.transitions.tolist(),
+        "potential": {"depth": system.potential.depth, "values": [
+            {"word": list(w), "value": v} for w, v in sorted(system.potential.values.items())]},
+        "target": list(system.target.symbols),
+    }
+
+
+def pinned_config(name, random_instances):
+    """The full 2-shift on the benchmark's tail-full2 grids, and Tier-1 instance 9.
+
+    The u grids reach the floor of the attainable range (alpha* = -inf) and the
+    tails ask for predicted rates on both sides, one outside the range (inf).
+    """
+    if name == "full2":
+        return full2_config(
+            alpha_grid={"min": -2.0, "max": 0.5, "count": 11},
+            u_grid={"min": 1.25, "max": 5.0, "count": 7},
+            simulation={"seed": 17, "n_returns": 40, "n_samples": 2000, "horizon": 16, "workers": 1,
+                        "tails": [{"u": 1.0, "side": "upper"}, {"u": 1.0, "side": "lower"},
+                                  {"u": 0.5, "side": "lower"}]},
+        )
+    return {
+        "system": system_block(random_instances[9]),
+        "alpha_grid": {"min": -1.0, "max": 0.12, "count": 4},
+        "u_grid": [1.0, 1.5, 3.5, 5.5, 9.0],
+        "simulation": {"seed": 5, "n_returns": 25, "n_samples": 1000, "horizon": 200, "workers": 1,
+                       "tails": [{"u": 1.0, "side": "upper"}, {"u": 3.0, "side": "lower"},
+                                 {"u": 3.5, "side": "lower"}]},
+    }
+
+
+# sha256 of scgf.csv, rate.csv and tails.csv, recorded before R(S) was solved in stacked passes
+PINNED_CSV_DIGESTS = {
+    "full2": (
+        "519b54cb6d0e26a03bc4ff20891982c20d14152eae49428a9935a705dc604c03",
+        "7560b8051c4723b2d1d782522a7dc1e41d6faa8c5362e70094d9907baae4a2d4",
+        "143bac5da83733c4a70156777ed1fa70d316583108f227133418cf551f9fc3d3",
+    ),
+    "tier1": (
+        "807cf145227cf1f1fe29b7f7d1b6df329e90f38097bb025780e4086e1be95caa",
+        "348c4d19277e7345a8058daae85c58542855478440a5dc4edfa7fe7fa34b6d20",
+        "73a954a1bfd30e8e71a68057b4d9f14e941d7ef6a198e0b1ec3ce8ba4780b813",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV_DIGESTS))
+def test_spectral_csvs_match_pinned_digests(tmp_path, random_instances, name):
+    path = write_config(tmp_path, pinned_config(name, random_instances))
+    scgf, rate, tails = PINNED_CSV_DIGESTS[name]
+    expected = {"analyze": {"scgf.csv": scgf, "rate.csv": rate},
+                "validate": {"scgf.csv": scgf, "rate.csv": rate, "tails.csv": tails}}
+    for command, files in expected.items():
+        out = tmp_path / command
+        assert run([command, "--config", path, "--out", out]) == EXIT_OK
+        digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+        assert digests == files

@@ -97,13 +97,13 @@ class TestRateFunction:
     def test_evaluations_per_rate_point(self, random_recoded, monkeypatch):
         # safeguarded Newton with exact Psi'': bisection to 1e-8 took about 36
         evals = []
-        original = ReturnOperator.eval
+        original = ReturnOperator.solve
 
-        def counting(self, S):
-            evals.append(S)
-            return original(self, S)
+        def counting(self, S_values, derivatives=False):
+            evals.extend(S_values)
+            return original(self, S_values, derivatives)
 
-        monkeypatch.setattr(ReturnOperator, "eval", counting)
+        monkeypatch.setattr(ReturnOperator, "solve", counting)
         worst = 0
         for rec in random_recoded:
             op = ReturnOperator(rec)

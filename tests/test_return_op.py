@@ -111,8 +111,8 @@ class TestOperatorEval:
         # eval solves R(S) once per S; derivatives complete the entry without solving it again
         solves = []
 
-        def counting(M, original=return_op.perron_eigendata):
-            solves.append(M.shape)
+        def counting(M, original=return_op.perron_stack):
+            solves.extend([M.shape[1:]] * M.shape[0])
             return original(M)
 
         for rec in random_recoded[:6]:
@@ -120,7 +120,7 @@ class TestOperatorEval:
             S = fresh_op.pressure - 0.1
             fresh, fresh_prime, fresh_second = fresh_op.eval_with_derivative(S)
             op = ReturnOperator(rec)
-            monkeypatch.setattr(return_op, "perron_eigendata", counting)
+            monkeypatch.setattr(return_op, "perron_stack", counting)
             solves.clear()
             first = op.eval(S)
             ev, lam_prime, lam_second = op.eval_with_derivative(S)
@@ -265,7 +265,7 @@ class TestDerivatives:
         solve, calls = np.linalg.solve, []
 
         def counting(A, B):
-            if A.shape == (n_c, n_c):
+            if A.shape[-2:] == (n_c, n_c):
                 calls.append(A)
             return solve(A, B)
 
@@ -273,8 +273,10 @@ class TestDerivatives:
         ev, lam_prime, lam_second = op.eval_with_derivative(S)
         assert len(calls) == 3
         monkeypatch.undo()
-        Waa, Wac, Wca, Wcc = op._blocks(S)
-        resolvent = np.eye(n_c) - Wcc
+        Waa, Wac, Wca, resolvent = op._blocks(S)
+        C = np.array(rec.complement_blocks)
+        Wcc = np.exp(rec.weight_shift - S) * rec.weight_matrix()[np.ix_(C, C)]
+        assert resolvent.tobytes() == (np.eye(n_c) - Wcc).tobytes()
         X = np.linalg.solve(resolvent, Wca)
         assert X.tobytes() == ev.X.tobytes()
         X2 = np.linalg.solve(resolvent, X)
