@@ -16,12 +16,10 @@ from .errors import (
     SftReturnsError,
 )
 from .montecarlo import (
-    EmpiricalScgf,
     EmpiricalStats,
     SimConfig,
     TailRate,
     empirical_clt,
-    empirical_scgf,
     empirical_tail_rate,
     normal_cdf,
     sample_return_times,
@@ -72,7 +70,6 @@ __all__ = [
     "ConfigurationError",
     "DepthKPotential",
     "DomainError",
-    "EmpiricalScgf",
     "EmpiricalStats",
     "FirstReturnLaw",
     "GibbsChain",
@@ -91,7 +88,6 @@ __all__ = [
     "VarianceReport",
     "admissible_words",
     "empirical_clt",
-    "empirical_scgf",
     "empirical_tail_rate",
     "exact_mgf",
     "first_return_durations",

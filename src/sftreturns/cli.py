@@ -25,7 +25,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .deviations import TWO_ROUTE_TOL, VarianceReport, rate_function, rate_grid, variance_report
+from .deviations import TWO_ROUTE_TOL, VarianceReport, conjugate_points, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -36,7 +36,6 @@ from .errors import (
 from .montecarlo import (
     RNG_ALGORITHM,
     EmpiricalStats,
-    SharedDraws,
     SimConfig,
     empirical_clt,
     empirical_tail_rate,
@@ -69,6 +68,14 @@ GRID_MARGIN = 2e-5  # alpha grid points must lie this far below alpha0, where Ps
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+# clt.csv's grid of t, and the file with its t and normal_cdf columns formatted
+# once per process, each empirical_cdf field left as a {:.17g} to format
+_CLT_GRID = np.linspace(-4.0, 4.0, 401)
+_CLT_CSV = "t,empirical_cdf,normal_cdf\n" + "".join(
+    f"{_fmt(float(t))},{{:.17g}},{_fmt(float(normal_cdf(t)))}\n" for t in _CLT_GRID
+)
 
 
 @dataclass
@@ -138,7 +145,8 @@ def _parse_system(raw: dict, notices: list[str]) -> SymbolicSystem:
             raise ConfigurationError(f"potential value {k} for word {word} is not finite")
         values[word] = float(val)
     known = set(values)
-    admissible = set(admissible_words(transitions.astype(bool), depth))
+    words = admissible_words(transitions.astype(bool), depth)
+    admissible = set(words)
     extra = known - admissible
     if extra:
         raise ConfigurationError(f"potential word {sorted(extra)[0]} is not admissible")
@@ -158,6 +166,7 @@ def _parse_system(raw: dict, notices: list[str]) -> SymbolicSystem:
         transitions=transitions,
         potential=DepthKPotential(depth, values),
         target=TargetSet(tuple(sorted(int(s) for s in target))),
+        words=words,
     )
 
 
@@ -333,52 +342,65 @@ def write_scgf_csv(bundle: Bundle, grid: np.ndarray, out: Path) -> Path:
     return path
 
 
-def write_rate_csv(bundle: Bundle, grid: np.ndarray, out: Path) -> Path:
-    us = [float(u) for u in grid]
-    points = rate_grid(bundle.op, us)
-    rows = [[u, float(value), float(alpha_star)] for u, (value, alpha_star) in zip(us, points)]
+def write_rate_csv(us: list[float], points: list, out: Path) -> Path:
+    """rate.csv from the grid's :func:`conjugate_points`; the first failed point raises its error."""
+    rows = []
+    for u, point in zip(us, points):
+        if isinstance(point, SftReturnsError):
+            raise point
+        rows.append([u, float(point[0]), float(point[1])])
     path = out / "rate.csv"
     write_csv(path, ["u", "rate", "alpha_star"], rows)
     return path
 
 
-def write_grid_csvs(args: argparse.Namespace, bundle: Bundle, out: Path) -> list[str]:
-    """scgf.csv and rate.csv for the configured grids, clipped as the flags say."""
+def write_grid_csvs(
+    args: argparse.Namespace, bundle: Bundle, out: Path, abscissas: Sequence[float] = ()
+) -> tuple[list[str], list]:
+    """scgf.csv and rate.csv for the configured grids, clipped as the flags say.
+
+    The rate searches of the u grid and of ``abscissas`` advance in one
+    lockstep.  Returns the files and the abscissas' conjugate points, each a
+    point or the error its search met.
+    """
     files = []
     if bundle.config.alpha_grid is not None:
         grid = clip_alpha_grid(bundle, bundle.config.alpha_grid, args.clip_grid)
         files.append(str(write_scgf_csv(bundle, grid, out)))
+    us = []
     if bundle.config.u_grid is not None:
-        grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
-        files.append(str(write_rate_csv(bundle, grid, out)))
-    return files
+        us = [float(u) for u in clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)]
+    points = conjugate_points(bundle.op, us + list(abscissas))
+    if bundle.config.u_grid is not None:
+        files.append(str(write_rate_csv(us, points[: len(us)], out)))
+    return files, points[len(us) :]
 
 
 def write_clt_csv(bundle: Bundle, stats: EmpiricalStats, sigma: float, out: Path) -> Path:
     n = stats.n_returns
     mu = bundle.op.mu_target
     z = np.sort((stats.samples - n / mu) / (sigma * math.sqrt(n)))
-    grid = np.linspace(-4.0, 4.0, 401)
-    emp = np.searchsorted(z, grid, side="right") / z.size
-    rows = [[float(t), float(e), float(normal_cdf(t))] for t, e in zip(grid, emp)]
+    emp = np.searchsorted(z, _CLT_GRID, side="right") / z.size
     path = out / "clt.csv"
-    write_csv(path, ["t", "empirical_cdf", "normal_cdf"], rows)
+    path.write_text(_CLT_CSV.format(*emp.tolist()), encoding="utf-8", newline="\n")
     return path
 
 
 def write_tails_csv(
-    bundle: Bundle, stats: EmpiricalStats, tails: list[tuple[float, str]], out: Path
+    bundle: Bundle, stats: EmpiricalStats, tails: list[tuple[float, str]], points: list, out: Path
 ) -> tuple[Path, list[dict[str, Any]]]:
+    """tails.csv from each tail's conjugate point; a search that failed numerically predicts rate inf."""
     mu = bundle.op.mu_target
     rows = []
     details = []
-    for u, side in tails:
+    for (u, side), point in zip(tails, points):
         rate, count = empirical_tail_rate(stats, mu, u, side)
-        abscissa = 1.0 / mu + u if side == "upper" else 1.0 / mu - u
-        try:
-            predicted = rate_function(bundle.op, abscissa)[0]
-        except NumericError:
+        if isinstance(point, NumericError):
             predicted = float("inf")
+        elif isinstance(point, SftReturnsError):
+            raise point
+        else:
+            predicted = point[0]
         rows.append([float(u), side, float(rate), int(count), float(predicted)])
         details.append(
             {"u": u, "side": side, "rate_estimate": rate, "count": count, "predicted_rate": predicted}
@@ -546,7 +568,7 @@ def cmd_analyze(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
     report["scalars"] = scalar_block(bundle)
     report["restricted_components"] = bundle.op.restricted_components
     report["diagnostics"] = vars(validate_system(bundle.config.system))
-    report["files"] = write_grid_csvs(args, bundle, out_dir)
+    report["files"] = write_grid_csvs(args, bundle, out_dir)[0]
     report["notices"] = bundle.notices
     _emit(report, out_dir)
     return EXIT_OK
@@ -566,7 +588,8 @@ def cmd_rate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
     _require(bundle.config.u_grid is not None, "rate command needs a u_grid block")
     grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
     report = _report_skeleton(args, bundle)
-    report["files"] = [str(write_rate_csv(bundle, grid, out_dir))]
+    us = [float(u) for u in grid]
+    report["files"] = [str(write_rate_csv(us, conjugate_points(bundle.op, us), out_dir))]
     report["notices"] = bundle.notices
     _emit(report, out_dir)
     return EXIT_OK
@@ -608,17 +631,18 @@ def cmd_validate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int
     report["scalars"] = scalar_block(bundle)
     verdicts = deterministic_checks(bundle)
 
-    # both walks start every stream at draw 0: the visit walk reads the return walk's first chunk
-    shared = SharedDraws(sim)
-    stats = sample_return_times(bundle.chain, bundle.target, sim, shared)
-    counts, var_rate = visit_counts(bundle.chain, bundle.target, sim, shared)
+    # the return walk and the visit walk step in lockstep on each block's first chunk
+    counts, var_rate, stats = visit_counts(bundle.chain, bundle.target, sim, returns=True)
     tails = bundle.config.tails or [(1.0, "upper")]
     verdicts.extend(stochastic_checks(bundle, stats, counts, var_rate, tails))
 
-    files = write_grid_csvs(args, bundle, out_dir)
+    # the rate searches at the tails' edges 1/mu +- u advance in the u grid's lockstep
+    mu = bundle.op.mu_target
+    abscissas = [1.0 / mu + u if side == "upper" else 1.0 / mu - u for u, side in tails]
+    files, tail_points = write_grid_csvs(args, bundle, out_dir, abscissas)
     sigma = math.sqrt(bundle.op.scgf_derivatives(0.0)[1])
     files.append(str(write_clt_csv(bundle, stats, sigma, out_dir)))
-    tails_path, tail_details = write_tails_csv(bundle, stats, tails, out_dir)
+    tails_path, tail_details = write_tails_csv(bundle, stats, tails, tail_points, out_dir)
     files.append(str(tails_path))
 
     report["files"] = files

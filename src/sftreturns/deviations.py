@@ -8,9 +8,10 @@ and below c it is infinite (the deviation event is impossible at scale n).
 Inside the range the conjugate point solves Psi'(alpha) = u by safeguarded
 Newton steps, each taking the exact Psi' and Psi'' of one R(S) evaluation.
 The search is written once, as a generator that yields the alpha it needs
-next; ``rate_grid`` advances the searches of a whole u grid in lockstep and
+next; ``conjugate_points`` advances the searches of many u in lockstep and
 solves each round's alphas in one stacked pass of ``ReturnOperator.solve``,
-and ``rate_function`` is a grid of one.
+``rate_grid`` raises the first failure among them, and ``rate_function`` is
+a grid of one.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
 series of Poincare cycles, summed exactly in the Gibbs chain P: with target
 A, complement C and the complement resolvent N = (I - P_CC)^-1, the landing
@@ -150,15 +151,16 @@ def _conjugate_search(op: ReturnOperator, u: float):
             raise NumericError(f"Newton iteration left residual {residual:.3e} at u={u}")
 
 
-def rate_grid(op: ReturnOperator, us: Sequence[float]) -> list[tuple[float, float]]:
-    """(I(u), alpha_star) for every u of a grid, the searches advancing in lockstep.
+def conjugate_points(
+    op: ReturnOperator, us: Sequence[float]
+) -> list[tuple[float, float] | SftReturnsError]:
+    """(I(u), alpha_star), or the error its search met, for every u, the searches advancing in lockstep.
 
     Each round gathers the alpha every unfinished search needs next and
     solves them in one stacked pass, with and without derivatives, then
     resumes the searches, which read their points off the memo.  A pass that
     fails leaves each search to meet its own failure on its own solve, so
-    every value equals :func:`rate_function` at that u bit for bit, and the
-    error raised is the failure of the first failing u in grid order.
+    every value and every error equals :func:`rate_function`'s at that u.
     """
     searches = [_conjugate_search(op, u) for u in us]
     results: list = [None] * len(searches)
@@ -185,10 +187,17 @@ def rate_grid(op: ReturnOperator, us: Sequence[float]) -> list[tuple[float, floa
         for i in list(asks):
             del asks[i]
             advance(i)
-    for result in results:
-        if isinstance(result, SftReturnsError):
-            raise result
     return results
+
+
+def rate_grid(op: ReturnOperator, us: Sequence[float]) -> list[tuple[float, float]]:
+    """(I(u), alpha_star) for every u of a grid, by :func:`conjugate_points`;
+    the error raised is the failure of the first failing u in grid order."""
+    points = conjugate_points(op, us)
+    for point in points:
+        if isinstance(point, SftReturnsError):
+            raise point
+    return points
 
 
 def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:

@@ -15,18 +15,18 @@ so that no step takes a transition of probability 0.  The count only jumps
 at the row's distinct thresholds in (0, 1), and rows of a recoded chain are
 sparse, so the walks step on codes that carry just those (:class:`_StepTable`).
 
-``validate`` walks every stream twice, once for the return times and once
-for the visit counts, and both walks start at draw 0.  A
-:class:`SharedDraws` passed to both calls carries one block's first chunk
-from the return walk to the visit walk, which reads it in place instead of
-drawing it again.
+Both walks read a sample's stream from draw 0: the return walk until the
+sample's n-th return, the visit walk over the horizon.  One block kernel runs
+either walk or both.  With both, a block draws its first chunk once and
+steps the two walkers as one (2, N) code array on it, one advance and one
+hit gather per step; when one walker stops, the other goes on alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,36 +80,9 @@ class EmpiricalStats:
     flags: tuple[str, ...]
 
 
-class EmpiricalScgf(NamedTuple):
-    value: float
-    effective_sample_size: float
-
-
 class TailRate(NamedTuple):
     rate_estimate: float
     count: int
-
-
-class SharedDraws:
-    """One block's first draws, carried from :func:`sample_return_times` to :func:`visit_counts`.
-
-    Given a holder, the return walk draws each block's first chunk at least
-    ``rows`` rows long (the visit walk's first chunk), and leaves the last
-    block's here in place of the previous block's.  The visit walk takes it
-    out, walks that block on it in place, and draws only the positions past
-    it.  A block the holder does not hold is drawn as without one.
-    """
-
-    def __init__(self, cfg: SimConfig) -> None:
-        self.rows = min(CHUNK_STEPS, cfg.horizon)
-        self.block: tuple[int, int, int] | None = None  # (seed, lo, hi) of the draws
-        self.draws: np.ndarray | None = None
-
-    def _take(self, block: tuple[int, int, int]) -> np.ndarray | None:
-        """The held draws if they are ``block``'s; the holder is empty afterwards."""
-        draws = self.draws if self.block == block else None
-        self.block = self.draws = None
-        return draws
 
 
 class _BlockStreams:
@@ -136,7 +109,6 @@ class _BlockStreams:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._tile = np.empty((self.TILE, CHUNK_STEPS))
 
     def seek(self, index: int, position: int) -> np.random.Generator:
         self._key[1] = index
@@ -148,7 +120,7 @@ class _BlockStreams:
 
     def fill(self, draws: np.ndarray, indices: np.ndarray, position: int) -> None:
         """Column k of ``draws`` gets draws position, position+1, ... of stream indices[k]."""
-        tile = self._tile[:, : draws.shape[0]]
+        tile = np.empty((min(self.TILE, indices.size), draws.shape[0]))
         lines = list(tile)
         for first in range(0, indices.size, self.TILE):
             chunk = indices[first : first + self.TILE].tolist()
@@ -222,85 +194,138 @@ class _StepTable:
         return nxt
 
 
-def _run_blocks(
-    n_samples: int, block_fn: Callable[[int, int], np.ndarray], dtype: type, reverse: bool = False
+class _Returns:
+    """The return walker of one block: the samples still walking (``orig``),
+    their n-th return times (``times``) and the steps taken so far."""
+
+    def __init__(self, n: int, size: int) -> None:
+        self.n = n
+        self.orig = np.arange(size)
+        self.times = np.zeros(size, dtype=np.int64)
+        self.time = 0
+
+
+def _step(
+    table: _StepTable, code: np.ndarray, counts: np.ndarray, steps: np.ndarray,
+    returns: _Returns | None = None,
 ) -> np.ndarray:
-    """Blocks of BLOCK_SIZE samples, run in order, or last first if ``reverse``.
-    The kernel's fill and step loops hold the GIL, so worker threads would
-    only contend for it."""
-    out = np.empty(n_samples, dtype=dtype)
-    starts = range(0, n_samples, BLOCK_SIZE)
-    for lo in reversed(starts) if reverse else starts:
-        hi = min(lo + BLOCK_SIZE, n_samples)
-        out[lo:hi] = block_fn(lo, hi)
-    return out
+    """Step the walkers' ``code`` on the rows of ``steps``, adding their hits to ``counts``.
 
-
-def sample_return_times(
-    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig,
-    shared: SharedDraws | None = None,
-) -> EmpiricalStats:
-    """Times of the cfg.n_returns-th entry into the target, one per sample.
-
-    Starts are drawn from the stationary distribution conditioned on the
-    target; each sample walks its own Philox stream until the n-th hit.
-    With ``shared``, the last block's first chunk is left there for
-    :func:`visit_counts`.
+    ``code`` is one walker's codes, or two walkers' as rows.  With
+    ``returns``, the walker (row 0 of two) is the return walker: the step of
+    a sample's n-th hit is its return time, and the walk stops once every
+    sample has returned.  Returns the codes.
     """
+    nxt, thr, hit = np.empty_like(code), np.empty(code.shape), np.empty(code.shape, dtype=bool)
+    if returns is not None:
+        n, time = returns.n, returns.time
+        returning, returned = (counts, hit) if code.ndim == 1 else (counts[0], hit[0])
+        newly = np.empty(returning.shape, dtype=bool)
+    for u in steps:
+        code, nxt = table.advance(code, u, nxt, thr, hit), code
+        table.hits.take(code, out=hit, mode="clip")
+        counts += hit
+        if returns is not None:
+            time += 1
+            np.equal(returning, n, out=newly)
+            newly &= returned  # counts rise by at most one per step: the n-th return
+            if newly.any():
+                returns.times[returns.orig[newly]] = time
+                if returning.min() >= n:
+                    break
+    if returns is not None:
+        returns.time = time
+    return code
+
+
+def _walk(
+    chain: GibbsChain, targets: np.ndarray, cfg: SimConfig, returns: bool, visits: bool
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(n-th return times, visit counts) of every sample, block by block, each None if not asked for.
+
+    A block draws its first chunk once for the walkers asked for: row 0 of
+    the codes is the return walker, started in the target, the last row the
+    visit walker, started anywhere, both from draw 0.  They step together
+    up to the end of the visit horizon in the chunk or the last return,
+    whichever comes first, and the other walker then finishes the chunk
+    alone.  The visit walker draws its positions past the chunk for all of
+    the block's samples, in the chunk's rows, and the return walker its
+    stragglers' in chunks of their own.  Blocks run in order: the fill and
+    step loops hold the GIL, so worker threads would only contend for it.
+    """
+    table = _StepTable(chain.transition_probs, targets)
+    pi = chain.stationary
+    n, horizon = cfg.n_returns, cfg.horizon
+    starts = []
+    rows = 1
+    if returns:
+        mu = float(pi[targets].sum())
+        return_cum = _start_cum(pi[targets] / mu)
+        starts.append(lambda u: targets[np.searchsorted(return_cum, u, side="right")])
+        # the start draw and enough steps for nearly every sample to finish
+        rows = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32) + 1)
+    if visits:
+        visit_cum = _start_cum(pi)
+        starts.append(lambda u: np.searchsorted(visit_cum, u, side="right"))
+        # one row for the start draw, then one per step; later chunks reuse the rows
+        rows = max(rows, min(CHUNK_STEPS, horizon))
+    visit_end = min(rows, horizon) if visits else rows  # the visit walker's rows in the first chunk
+    times, visited = [], []  # each block's, joined when the last block's draws are freed
+    for lo in range(0, cfg.n_samples, BLOCK_SIZE):
+        hi = min(lo + BLOCK_SIZE, cfg.n_samples)
+        streams = _BlockStreams(cfg.seed)
+        draws = np.empty((rows, hi - lo))
+        streams.fill(draws, np.arange(lo, hi), 0)
+        code = np.stack([start(draws[0]) for start in starts])
+        counts = np.zeros(code.shape, dtype=np.int64)
+        if visits:
+            counts[-1] = table.hits[code[-1]]
+        walker = _Returns(n, hi - lo) if returns else None
+        if returns and visits:
+            code = _step(table, code, counts, draws[1:visit_end], walker)
+            if walker.time + 1 < visit_end:  # every sample has returned
+                code[1] = _step(table, code[1], counts[1], draws[walker.time + 1 : visit_end])
+            elif (counts[0] < n).any():
+                code[0] = _step(table, code[0], counts[0], draws[visit_end:], walker)
+        else:
+            code[0] = _step(table, code[0], counts[0], draws[1:visit_end], walker)
+        if visits:
+            for done in range(visit_end, horizon, rows):
+                steps = draws[: min(rows, horizon - done)]
+                streams.fill(steps, np.arange(lo, hi), done)
+                code[-1] = _step(table, code[-1], counts[-1], steps)
+            visited.append(counts[-1])
+        draws = steps = None  # freed before the stragglers' chunks are drawn
+        if returns:
+            code, counts = code[0], counts[0]
+            while True:
+                keep = counts < n
+                walker.orig, code, counts = walker.orig[keep], code[keep], counts[keep]
+                if walker.time > STEP_CAP:
+                    raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
+                if not walker.orig.size:
+                    break
+                steps = np.empty((CHUNK_STEPS, walker.orig.size))
+                streams.fill(steps, lo + walker.orig, walker.time + 1)
+                code = _step(table, code, counts, steps, walker)
+            times.append(walker.times)
+    return (
+        np.concatenate(times) if returns else None, np.concatenate(visited) if visits else None
+    )
+
+
+def _targets(chain: GibbsChain, target_states: Sequence[int]) -> np.ndarray:
     targets = np.array(sorted(int(a) for a in target_states), dtype=int)
     if targets.size == 0 or targets.size >= chain.n_states:
         raise ConfigurationError("target must be a nonempty proper subset of the states")
-    pi = chain.stationary
-    mu = float(pi[targets].sum())
-    start_cum = _start_cum(pi[targets] / mu)
-    table = _StepTable(chain.transition_probs, targets)
+    return targets
+
+
+def _return_stats(
+    chain: GibbsChain, targets: np.ndarray, cfg: SimConfig, samples: np.ndarray
+) -> EmpiricalStats:
     n = cfg.n_returns
-    # the start draw and enough steps for nearly every sample to finish
-    first_rows = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32) + 1)
-    if shared is not None:
-        first_rows = max(first_rows, shared.rows)
-
-    def run_block(lo: int, hi: int) -> np.ndarray:
-        streams = _BlockStreams(cfg.seed)
-        size = hi - lo
-        if shared is not None:
-            shared.block = shared.draws = None  # freed before this block's draws are allocated
-        steps = np.empty((first_rows, size))
-        streams.fill(steps, np.arange(lo, hi), 0)
-        if shared is not None:
-            shared.block, shared.draws = (cfg.seed, lo, hi), steps
-        code = targets[np.searchsorted(start_cum, steps[0], side="right")]
-        steps = steps[1:]
-        result = np.zeros(size, dtype=np.int64)
-        orig = np.arange(size)
-        counts = np.zeros(size, dtype=np.int64)
-        time = 0
-        while orig.size:
-            nxt, thr = np.empty_like(code), np.empty(orig.size)
-            hit, newly = np.empty(orig.size, dtype=bool), np.empty(orig.size, dtype=bool)
-            for u in steps:
-                time += 1
-                code, nxt = table.advance(code, u, nxt, thr, hit), code
-                table.hits.take(code, out=hit, mode="clip")
-                counts += hit
-                np.equal(counts, n, out=newly)
-                newly &= hit  # counts rise by at most one per step: the n-th return
-                if newly.any():
-                    result[orig[newly]] = time
-                    if counts.min() >= n:
-                        break
-            keep = counts < n
-            orig = orig[keep]
-            code = code[keep]
-            counts = counts[keep]
-            if time > STEP_CAP:
-                raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
-            if orig.size:
-                steps = np.empty((CHUNK_STEPS, orig.size))
-                streams.fill(steps, lo + orig, time + 1)
-        return result
-
-    samples = _run_blocks(cfg.n_samples, run_block, np.int64)
+    mu = float(chain.stationary[targets].sum())
     mean = float(samples.mean())
     variance = float(samples.var(ddof=1)) if cfg.n_samples > 1 else 0.0
     values, freq = np.unique(samples, return_counts=True)
@@ -321,23 +346,36 @@ def sample_return_times(
     )
 
 
-def empirical_scgf(stats: EmpiricalStats, alpha: float) -> EmpiricalScgf:
-    """(1/n) log of the sample mean of exp(alpha * r^n), with effective sample size.
+def sample_return_times(
+    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig
+) -> EmpiricalStats:
+    """Times of the cfg.n_returns-th entry into the target, one per sample.
 
-    Evaluated through a max-shifted log-sum-exp so heavy tilts cannot
-    silently overflow; the effective sample size (sum w)^2 / sum w^2 exposes
-    estimator degeneracy near the domain boundary.
+    Starts are drawn from the stationary distribution conditioned on the
+    target; each sample walks its own Philox stream until the n-th hit.
     """
-    x = alpha * stats.samples.astype(float)
-    if not np.isfinite(x).all():
-        raise NumericError(f"tilt alpha={alpha} overflows the exponent")
-    peak = float(x.max())
-    shifted = np.exp(x - peak)
-    s1 = float(shifted.sum())
-    s2 = float((shifted * shifted).sum())
-    n_samples = stats.samples.size
-    value = (peak + math.log(s1 / n_samples)) / stats.n_returns
-    return EmpiricalScgf(value=value, effective_sample_size=s1 * s1 / s2)
+    targets = _targets(chain, target_states)
+    samples, _ = _walk(chain, targets, cfg, returns=True, visits=False)
+    return _return_stats(chain, targets, cfg, samples)
+
+
+def visit_counts(
+    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig, returns: bool = False
+) -> tuple[np.ndarray, float] | tuple[np.ndarray, float, EmpiricalStats]:
+    """Target visit counts over the horizon, from stationary starts.
+
+    Counts hits at times 0 .. horizon-1 (the start state included) and
+    returns the per-sample counts together with Var(count)/horizon, the
+    simulation estimate of the counting variance rate.  With ``returns``,
+    the return walk of :func:`sample_return_times` steps in lockstep with the
+    visit walk on the same draws, and its statistics come third.
+    """
+    targets = _targets(chain, target_states)
+    samples, counts = _walk(chain, targets, cfg, returns=returns, visits=True)
+    variance_rate = float(counts.var(ddof=1) / cfg.horizon) if cfg.n_samples > 1 else 0.0
+    if returns:
+        return counts, variance_rate, _return_stats(chain, targets, cfg, samples)
+    return counts, variance_rate
 
 
 def tail_cut(n: int, mu_target: float, u: float, side: str) -> int:
@@ -402,50 +440,3 @@ def empirical_clt(stats: EmpiricalStats, sigma_pred: float, mu_target: float) ->
     grid = np.arange(1, cdf.size + 1) / cdf.size
     return float(np.maximum(np.abs(grid - cdf), np.abs(grid - 1.0 / cdf.size - cdf)).max())
 
-
-def visit_counts(
-    chain: GibbsChain, target_states: Sequence[int], cfg: SimConfig,
-    shared: SharedDraws | None = None,
-) -> tuple[np.ndarray, float]:
-    """Target visit counts over the horizon, from stationary starts.
-
-    Counts hits at times 0 .. horizon-1 (the start state included) and
-    returns the per-sample counts together with Var(count)/horizon, the
-    simulation estimate of the counting variance rate.  The block whose
-    first draws ``shared`` holds walks on them; ``shared`` is empty afterwards.
-    """
-    targets = np.array(sorted(int(a) for a in target_states), dtype=int)
-    start_cum = _start_cum(chain.stationary.copy())
-    table = _StepTable(chain.transition_probs, targets)
-    horizon = cfg.horizon
-    # one row for the start draw, then one per step; later chunks reuse the rows
-    rows = min(CHUNK_STEPS, horizon)
-
-    def run_block(lo: int, hi: int) -> np.ndarray:
-        streams = _BlockStreams(cfg.seed)
-        size = hi - lo
-        indices = np.arange(lo, hi)
-        draws = None if shared is None else shared._take((cfg.seed, lo, hi))
-        if draws is None:
-            draws = np.empty((rows, size))
-            streams.fill(draws, indices, 0)
-        code = np.searchsorted(start_cum, draws[0], side="right")
-        nxt, thr, hit = np.empty_like(code), np.empty(size), np.empty(size, dtype=bool)
-        counts = table.hits[code].astype(np.int64)
-        steps, done = draws[1:horizon], 1
-        while True:
-            for u in steps:
-                code, nxt = table.advance(code, u, nxt, thr, hit), code
-                table.hits.take(code, out=hit, mode="clip")
-                counts += hit
-            done += steps.shape[0]
-            if done == horizon:
-                return counts
-            steps = draws[: min(rows, horizon - done)]
-            streams.fill(steps, indices, done)
-
-    # the held block is the last one: walked first, its draws are freed
-    # before any other block's are allocated
-    counts = _run_blocks(cfg.n_samples, run_block, np.int64, reverse=True)
-    variance_rate = float(counts.var(ddof=1) / horizon) if cfg.n_samples > 1 else 0.0
-    return counts, variance_rate

@@ -23,10 +23,10 @@ walk still alive after |C| steps shows that C has a cycle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -162,15 +162,20 @@ class SymbolicSystem:
     Construction enforces the structural invariants: at least two symbols,
     no empty row or column, strong connectivity (a witness pair is named
     otherwise), a proper nonempty target, and exact potential coverage of
-    the admissible words.
+    the admissible words.  ``words`` are those words, in lexicographic
+    order, from a caller that has enumerated them for these transitions
+    and this depth; they are enumerated here otherwise, and kept as
+    ``admissible``.
     """
 
     n_symbols: int
     transitions: np.ndarray
     potential: DepthKPotential
     target: TargetSet
+    words: InitVar[Sequence[Word] | None] = None
+    admissible: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, words: Sequence[Word] | None) -> None:
         n = int(self.n_symbols)
         if n < 2:
             raise InvalidSystemError(f"need at least 2 symbols, got {n}")
@@ -199,7 +204,10 @@ class SymbolicSystem:
             )
         if len(self.target.symbols) == n:
             raise InvalidSystemError("target must be proper (some symbol must remain outside)")
-        words = set(admissible_words(adj, self.potential.depth))
+        if words is None:
+            words = admissible_words(adj, self.potential.depth)
+        object.__setattr__(self, "admissible", tuple(words))
+        words = set(self.admissible)
         have = set(self.potential.values.keys())
         missing = words - have
         extra = have - words
@@ -309,7 +317,8 @@ def recode_higher_block(sys: SymbolicSystem) -> RecodedSystem:
     """
     adj = sys.transitions
     depth = sys.potential.depth
-    states = admissible_words(adj, max(depth - 1, 1))
+    # the (k-1)-words are the prefixes of the admissible k-words, in order
+    states = list(dict.fromkeys(w[: max(depth - 1, 1)] for w in sys.admissible))
     index = {w: i for i, w in enumerate(states)}
     m = len(states)
     trans = np.zeros((m, m), dtype=bool)

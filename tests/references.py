@@ -17,6 +17,9 @@ R(S) is validated.
 The limit value of the large-deviation theorem (``deviation_limit``), which
 no command reports.
 
+The empirical scaled CGF of sampled return times (``empirical_scgf``), which
+no command reports.
+
 The Monte Carlo step on every column of the cumulative table
 (``step_columns``, ``advance``), which ``montecarlo._StepTable`` replaced by
 a step on each row's distinct thresholds; its rows are closed to 1.0 from
@@ -24,6 +27,7 @@ their last positive entry on, as the table's are.
 """
 
 from math import log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,6 +260,30 @@ def deviation_limit(op, u, side):
     if abscissa < floor - BOUNDARY_BAND or abscissa > ceiling + BOUNDARY_BAND:
         return float("-inf")
     return -rate_function(op, abscissa)[0]
+
+
+class EmpiricalScgf(NamedTuple):
+    value: float
+    effective_sample_size: float
+
+
+def empirical_scgf(stats, alpha):
+    """(1/n) log of the sample mean of exp(alpha * r^n), with effective sample size.
+
+    Evaluated through a max-shifted log-sum-exp so heavy tilts cannot
+    silently overflow; the effective sample size (sum w)^2 / sum w^2 exposes
+    estimator degeneracy near the domain boundary.
+    """
+    x = alpha * stats.samples.astype(float)
+    if not np.isfinite(x).all():
+        raise NumericError(f"tilt alpha={alpha} overflows the exponent")
+    peak = float(x.max())
+    shifted = np.exp(x - peak)
+    s1 = float(shifted.sum())
+    s2 = float((shifted * shifted).sum())
+    n_samples = stats.samples.size
+    value = (peak + log(s1 / n_samples)) / stats.n_returns
+    return EmpiricalScgf(value=value, effective_sample_size=s1 * s1 / s2)
 
 
 def step_columns(transition_probs):

@@ -11,9 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sftreturns import cli, gibbs_chain, oracle, return_op, thermo, variance_report
+from sftreturns import (
+    NumericError, cli, gibbs_chain, oracle, rate_function, return_op, sample_return_times, system,
+    thermo, variance_report,
+)
 from sftreturns.deviations import TWO_ROUTE_TOL
-from sftreturns.montecarlo import RNG_ALGORITHM, EmpiricalStats
+from sftreturns.montecarlo import RNG_ALGORITHM, EmpiricalStats, normal_cdf
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -560,3 +563,119 @@ def test_spectral_csvs_match_pinned_digests(tmp_path, random_instances, name):
         assert run([command, "--config", path, "--out", out]) == EXIT_OK
         digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
         assert digests == files
+
+
+def tails_rows(out):
+    lines = (out / "tails.csv").read_text().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV_DIGESTS))
+def test_tail_predicted_rates_equal_rate_function(tmp_path, random_instances, name):
+    # the tails' searches run in the u grid's lockstep; each predicted rate is
+    # rate_function's on a fresh operator, bit for bit, and inf where it fails
+    cfg = pinned_config(name, random_instances)
+    path = write_config(tmp_path, cfg)
+    assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_OK
+    bundle = cli.build_bundle(cli.load_config(path, None, None))
+    mu = bundle.op.mu_target
+    rows = tails_rows(tmp_path)
+    assert len(rows) == len(cfg["simulation"]["tails"])
+    failed = 0
+    for row, tail in zip(rows, cfg["simulation"]["tails"]):
+        abscissa = 1.0 / mu + tail["u"] if tail["side"] == "upper" else 1.0 / mu - tail["u"]
+        fresh = return_op.ReturnOperator(bundle.recoded)
+        try:
+            expected = rate_function(fresh, abscissa)[0]
+        except NumericError:
+            expected = float("inf")
+            failed += 1
+        assert row["predicted_rate"] == cli._fmt(expected)
+    assert failed == (1 if name == "tier1" else 0)
+
+
+def test_failing_tail_reads_inf_next_to_a_grid_that_succeeds(tmp_path, random_instances):
+    # on the full 2-shift Psi' ranges over (1, inf): the lower tail at u = 1.5 asks
+    # for the conjugate point at 2 - 1.5 = 0.5, below the range
+    cfg = pinned_config("full2", random_instances)
+    cfg["simulation"]["tails"].append({"u": 1.5, "side": "lower"})
+    path = write_config(tmp_path, cfg)
+    assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_OK
+    assert tails_rows(tmp_path)[-1]["predicted_rate"] == "inf"
+    assert [row["predicted_rate"] != "inf" for row in tails_rows(tmp_path)] == [True] * 3 + [False]
+    rate = hashlib.sha256((tmp_path / "rate.csv").read_bytes()).hexdigest()
+    assert rate == PINNED_CSV_DIGESTS["full2"][1]
+
+
+def test_grid_failure_raises_its_message_with_tails_present(tmp_path, capsys):
+    # every cycle passes through the target, so Psi' ranges over (1, 2): the u grid
+    # fails first at 3.0, and the tails at 1/mu + 1.5 and 1/mu + 2 fail too
+    cfg = {
+        "system": {
+            "n_symbols": 3,
+            "transitions": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "potential": {"depth": 1, "values": [{"word": [s], "value": 0.0} for s in range(3)]},
+            "target": [0, 1],
+        },
+        "alpha_grid": [-1.0, 0.0, 1.0],
+        "u_grid": [1.5, 3.0, 4.0],
+        "simulation": {"seed": 3, "n_returns": 10, "n_samples": 500, "horizon": 50,
+                       "tails": [{"u": 1.5, "side": "upper"}, {"u": 2.0, "side": "upper"}]},
+    }
+    message = ("numeric failure: u=3.0 is outside the attainable range of Psi', which is "
+               "(1.0, 2.0); no finite conjugate point exists\n")
+    path = write_config(tmp_path, cfg)
+    for command in ("analyze", "validate"):
+        out = tmp_path / command
+        assert run([command, "--config", path, "--out", out]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == message
+        assert sorted(p.name for p in out.iterdir()) == ["scgf.csv"]
+
+
+def write_clt_csv_by_rows(stats, sigma, mu, out):
+    """clt.csv written row by row through ``write_csv``, every field formatted per run."""
+    n = stats.n_returns
+    z = np.sort((stats.samples - n / mu) / (sigma * np.sqrt(n)))
+    grid = np.linspace(-4.0, 4.0, 401)
+    emp = np.searchsorted(z, grid, side="right") / z.size
+    rows = [[float(t), float(e), float(normal_cdf(t))] for t, e in zip(grid, emp)]
+    cli.write_csv(out / "clt.csv", ["t", "empirical_cdf", "normal_cdf"], rows)
+
+
+@pytest.mark.parametrize("name", ["full2", "golden", "tier1"])
+def test_clt_csv_matches_the_row_by_row_writer(tmp_path, random_instances, name):
+    cfg = {"full2": full2_config(), "golden": golden_config(),
+           "tier1": pinned_config("tier1", random_instances)}[name]
+    bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, cfg), None, None))
+    stats = sample_return_times(bundle.chain, bundle.target, bundle.config.simulation)
+    sigma = np.sqrt(bundle.op.scgf_derivatives(0.0)[1])
+    for out in (tmp_path / "cli", tmp_path / "rows"):
+        out.mkdir()
+    for _ in range(2):  # the fixed columns are formatted once per process
+        cli.write_clt_csv(bundle, stats, sigma, tmp_path / "cli")
+    write_clt_csv_by_rows(stats, sigma, bundle.op.mu_target, tmp_path / "rows")
+    written = [(tmp_path / side / "clt.csv").read_bytes() for side in ("cli", "rows")]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_build_enumerates_admissible_words_once(tmp_path, monkeypatch, depth):
+    # the configuration's words serve the system's coverage check and the recoding
+    rng = np.random.default_rng(depth)
+    transitions = [[1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    words = system.admissible_words(np.array(transitions, dtype=bool), depth)
+    values = [{"word": list(w), "value": float(rng.uniform(-1, 1))} for w in words]
+    cfg = {"system": {"n_symbols": 3, "transitions": transitions, "target": [0],
+                      "potential": {"depth": depth, "values": values}}}
+    calls = []
+
+    def counting(transitions, depth, original=system.admissible_words):
+        calls.append(depth)
+        return original(transitions, depth)
+
+    monkeypatch.setattr(cli, "admissible_words", counting)
+    monkeypatch.setattr(system, "admissible_words", counting)
+    bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, cfg), None, None))
+    assert calls == [depth]
+    assert bundle.recoded.block_states == tuple(system.admissible_words(
+        np.array(transitions, dtype=bool), max(depth - 1, 1)))

@@ -19,7 +19,6 @@ from sftreturns import (
     SimConfig,
     admissible_words,
     empirical_clt,
-    empirical_scgf,
     empirical_tail_rate,
     gibbs_chain,
     normal_cdf,
@@ -32,7 +31,6 @@ from sftreturns import montecarlo
 from sftreturns.montecarlo import (
     RNG_ALGORITHM,
     EmpiricalStats,
-    SharedDraws,
     _BlockStreams,
     _StepTable,
     tail_cut,
@@ -179,15 +177,16 @@ PINNED_DIGESTS = {
 }
 
 
-def output_digests(system: str, case: str, share: bool = False) -> tuple[str, str, str]:
+def output_digests(system: str, case: str, lockstep: bool = False) -> tuple[str, str, str]:
     rec = recode_higher_block(PINNED_SYSTEMS[system]())
     chain = gibbs_chain(rec)
     cfg = SimConfig(seed=4242, **PINNED_CASES[case])
-    shared = SharedDraws(cfg) if share else None
-    samples = sample_return_times(chain, rec.target_blocks, cfg, shared).samples
-    counts, var_rate = visit_counts(chain, rec.target_blocks, cfg, shared)
-    if share:
-        assert shared.draws is None and shared.block is None
+    if lockstep:
+        counts, var_rate, stats = visit_counts(chain, rec.target_blocks, cfg, returns=True)
+        samples = stats.samples
+    else:
+        samples = sample_return_times(chain, rec.target_blocks, cfg).samples
+        counts, var_rate = visit_counts(chain, rec.target_blocks, cfg)
     return tuple(
         hashlib.sha256(data).hexdigest()
         for data in (samples.tobytes(), counts.tobytes(), repr(var_rate).encode())
@@ -203,8 +202,8 @@ def test_outputs_match_pinned_digests(system, case):
 @pytest.mark.parametrize("case", sorted(PINNED_CASES))
 @pytest.mark.parametrize("system", sorted(PINNED_SYSTEMS))
 def test_shared_draws_match_pinned_digests(system, case):
-    # the visit walk on the return walk's first chunk, which it leaves empty
-    assert output_digests(system, case, share=True) == PINNED_DIGESTS[system, case]
+    # the return walk and the visit walk in lockstep on each block's first chunk
+    assert output_digests(system, case, lockstep=True) == PINNED_DIGESTS[system, case]
 
 
 @pytest.fixture
@@ -221,24 +220,38 @@ def seek_positions(monkeypatch):
     return positions
 
 
+def assert_lockstep_matches_separate_walks(chain, target, cfg):
+    """The lockstep walk gives the return statistics and the visit counts of the two walks run alone."""
+    counts, var_rate, stats = visit_counts(chain, target, cfg, returns=True)
+    alone = sample_return_times(chain, target, cfg)
+    alone_counts, alone_rate = visit_counts(chain, target, cfg)
+    assert np.array_equal(stats.samples, alone.samples)
+    assert (stats.mean, stats.variance, stats.histogram, stats.flags) == (
+        alone.mean, alone.variance, alone.histogram, alone.flags
+    )
+    assert np.array_equal(counts, alone_counts) and var_rate == alone_rate
+    return stats, counts
+
+
 class TestSharedDraws:
     def test_return_walk_widens_its_first_chunk_to_the_visit_walks(
         self, full2_chain, full2_recoded, seek_positions
     ):
-        # the return walk's own first chunk is 40 rows here, the visit walk's 200;
-        # two blocks, the last of 7,232 samples
+        # validate on 40,000 samples: the return walk's own first chunk is 40 rows
+        # here, the visit walk's 200; two blocks, the last of 7,232 samples.  Each
+        # block draws one first chunk of 200 rows for both walkers, so every stream
+        # is sought at draw 0 once
         target = full2_recoded.target_blocks
         cfg = SimConfig(seed=8, n_returns=3, n_samples=40_000, horizon=200)
-        shared = SharedDraws(cfg)
-        stats = sample_return_times(full2_chain, target, cfg, shared)
-        assert shared.block == (8, 32768, 40_000) and shared.draws.shape == (200, 7232)
-        counts, var_rate = visit_counts(full2_chain, target, cfg, shared)
-        assert shared.draws is None and shared.block is None
-        # the visit walk draws its first chunk only for the block not held
-        assert seek_positions.count(0) == 40_000 + 32768
+        counts, var_rate, stats = visit_counts(full2_chain, target, cfg, returns=True)
+        assert seek_positions.count(0) == 40_000
+        assert set(seek_positions) == {0}
+        seek_positions.clear()
+        # the two walks alone draw the first chunks twice
         assert np.array_equal(stats.samples, sample_return_times(full2_chain, target, cfg).samples)
         alone, alone_rate = visit_counts(full2_chain, target, cfg)
         assert np.array_equal(counts, alone) and var_rate == alone_rate
+        assert seek_positions.count(0) == 2 * 40_000
 
     def test_each_stream_sought_once_for_the_shared_chunk(
         self, full2_chain, full2_recoded, seek_positions
@@ -246,24 +259,123 @@ class TestSharedDraws:
         # validate on the full 2-shift: 20,000 samples of T_40, visit horizon 16
         target = full2_recoded.target_blocks
         cfg = SimConfig(seed=12, n_returns=40, n_samples=20_000, horizon=16)
-        shared = SharedDraws(cfg)
-        sample_return_times(full2_chain, target, cfg, shared)
-        assert shared.draws.shape == (133, 20_000)
-        returns = len(seek_positions)
-        visit_counts(full2_chain, target, cfg, shared)
+        sample_return_times(full2_chain, target, cfg)
+        returns = list(seek_positions)
+        seek_positions.clear()
+        visit_counts(full2_chain, target, cfg, returns=True)
         assert seek_positions.count(0) == 20_000
-        assert len(seek_positions) == returns
-        assert shared.draws is None
+        # the visit walk draws nothing past the return walk's draws
+        assert seek_positions == returns
 
-    def test_a_block_not_held_is_drawn(self, full2_chain, full2_recoded):
+    def test_every_block_walks_both_walkers_on_its_first_chunk(
+        self, full2_chain, full2_recoded, monkeypatch, seek_positions
+    ):
         target = full2_recoded.target_blocks
-        held = SimConfig(seed=3, n_returns=5, n_samples=500, horizon=30)
-        other = SimConfig(seed=4, n_returns=5, n_samples=500, horizon=30)
-        shared = SharedDraws(held)
-        sample_return_times(full2_chain, target, held, shared)
-        counts, _ = visit_counts(full2_chain, target, other, shared)
-        assert np.array_equal(counts, visit_counts(full2_chain, target, other)[0])
-        assert shared.draws is None
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 128)
+        cfg = SimConfig(seed=3, n_returns=5, n_samples=500, horizon=30)
+        visit_counts(full2_chain, target, cfg, returns=True)
+        assert seek_positions.count(0) == 500
+        assert_lockstep_matches_separate_walks(full2_chain, target, cfg)
+
+
+class TestLockstep:
+    """The lockstep walk against the return walk and the visit walk run alone."""
+
+    def test_tier1_instances(self, random_recoded):
+        for k, rec in enumerate(random_recoded):
+            chain = gibbs_chain(rec)
+            horizon = 1 + 13 * (k % 5)
+            cfg = SimConfig(seed=900 + k, n_returns=1 + k % 7, n_samples=150, horizon=horizon)
+            assert_lockstep_matches_separate_walks(chain, rec.target_blocks, cfg)
+
+    def test_return_walk_outlives_the_visit_horizon(self, golden_chain, golden_recoded):
+        cfg = SimConfig(seed=21, n_returns=60, n_samples=3_000, horizon=5)
+        target = golden_recoded.target_blocks
+        stats, _ = assert_lockstep_matches_separate_walks(golden_chain, target, cfg)
+        assert stats.samples.min() > cfg.horizon
+
+    def test_visit_horizon_outlives_the_return_walk(self, golden_chain, golden_recoded):
+        cfg = SimConfig(seed=22, n_returns=2, n_samples=3_000, horizon=400)
+        target = golden_recoded.target_blocks
+        stats, _ = assert_lockstep_matches_separate_walks(golden_chain, target, cfg)
+        assert stats.samples.max() < cfg.horizon
+
+    @pytest.mark.parametrize("horizon", [16, 2_000])
+    def test_stragglers(self, horizon):
+        # T_60 has mean 540 on rare3 and the first chunk is 512 rows: most samples
+        # return past it, some within it
+        rec = recode_higher_block(rare_target_system())
+        chain = gibbs_chain(rec)
+        cfg = SimConfig(seed=23, n_returns=60, n_samples=1_000, horizon=horizon)
+        stats, _ = assert_lockstep_matches_separate_walks(chain, rec.target_blocks, cfg)
+        assert stats.samples.min() < montecarlo.CHUNK_STEPS < stats.samples.max()
+
+    def test_several_blocks(self, golden_chain, golden_recoded, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 97)
+        for n_returns, horizon in ((3, 4), (2, 60), (30, 700)):
+            cfg = SimConfig(seed=24, n_returns=n_returns, n_samples=350, horizon=horizon)
+            assert_lockstep_matches_separate_walks(golden_chain, golden_recoded.target_blocks, cfg)
+
+    def test_horizon_past_one_chunk(self, full2_chain, full2_recoded):
+        for horizon in (montecarlo.CHUNK_STEPS + 1, 3 * montecarlo.CHUNK_STEPS + 7):
+            cfg = SimConfig(seed=25, n_returns=4, n_samples=500, horizon=horizon)
+            assert_lockstep_matches_separate_walks(full2_chain, full2_recoded.target_blocks, cfg)
+
+    def test_visit_horizon_ends_around_the_last_return(self, golden_chain, golden_recoded):
+        # the walkers stop on the same step, or one or two steps apart, either way round
+        target = golden_recoded.target_blocks
+        cfg = SimConfig(seed=26, n_returns=3, n_samples=40)
+        last = int(sample_return_times(golden_chain, target, cfg).samples.max())
+        for horizon in range(last - 1, last + 4):
+            cfg = SimConfig(seed=26, n_returns=3, n_samples=40, horizon=horizon)
+            assert_lockstep_matches_separate_walks(golden_chain, target, cfg)
+
+
+def reference_walks(chain, targets, cfg, length):
+    """Return times and visit counts walked one fresh Philox(key=[seed, i]) stream per sample,
+    on the step of every column of the cumulative table."""
+    pi = chain.stationary
+    keys = [np.array([cfg.seed, i], dtype=np.uint64) for i in range(cfg.n_samples)]
+    draws = np.array([np.random.Generator(np.random.Philox(key=key)).random(length) for key in keys]).T
+    cols = ref.step_columns(chain.transition_probs)
+
+    def step(state, u):
+        return ref.advance(state, u, cols, np.empty_like(state), np.empty(u.size), np.empty(u.size, dtype=bool))
+
+    def start(weights):
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0
+        return np.searchsorted(cum, draws[0], side="right")
+
+    hits = np.isin(np.arange(chain.n_states), targets)
+    state = start(pi)
+    counts = hits[state].astype(np.int64)
+    for u in draws[1 : cfg.horizon]:
+        state = step(state, u)
+        counts += hits[state]
+    state = np.asarray(targets)[start(pi[targets] / pi[targets].sum())]
+    returns, times = np.zeros((2, cfg.n_samples), dtype=np.int64)
+    for t, u in enumerate(draws[1:], start=1):
+        state = step(state, u)
+        returns += hits[state]
+        times[(returns == cfg.n_returns) & hits[state]] = t
+    assert (returns >= cfg.n_returns).all(), "draw more steps"
+    return times, counts
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 511, 512, 513, 1025])
+def test_walks_match_a_fresh_philox_reference(monkeypatch, horizon):
+    # rare3 has stragglers past the first chunk at n = 60; three blocks of 40 samples
+    rec = recode_higher_block(rare_target_system())
+    chain = gibbs_chain(rec)
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 40)
+    cfg = SimConfig(seed=27, n_returns=60, n_samples=100, horizon=horizon)
+    times, counts = reference_walks(chain, np.array(rec.target_blocks), cfg, 3_000)
+    assert times.min() < montecarlo.CHUNK_STEPS < times.max()
+    got_counts, _, stats = visit_counts(chain, rec.target_blocks, cfg, returns=True)
+    assert np.array_equal(stats.samples, times) and np.array_equal(got_counts, counts)
+    assert np.array_equal(sample_return_times(chain, rec.target_blocks, cfg).samples, times)
+    assert np.array_equal(visit_counts(chain, rec.target_blocks, cfg)[0], counts)
 
 
 LAST_DRAW = np.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest uniform Philox gives
@@ -417,7 +529,7 @@ class TestEmpiricalScgf:
     def test_zero_alpha_is_zero(self, full2_chain, full2_recoded):
         cfg = SimConfig(seed=41, n_returns=5, n_samples=2000)
         stats = sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
-        value, ess = empirical_scgf(stats, 0.0)
+        value, ess = ref.empirical_scgf(stats, 0.0)
         assert value == 0.0
         assert ess == pytest.approx(2000.0, rel=1e-12)
 
@@ -427,7 +539,7 @@ class TestEmpiricalScgf:
         stats = sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
         op = ReturnOperator(full2_recoded)
         alpha = -0.5
-        value, ess = empirical_scgf(stats, alpha)
+        value, ess = ref.empirical_scgf(stats, alpha)
         assert ess > 100.0
         # C/n finite-size bias plus three standard errors of the estimator
         psi = op.scgf(alpha)
@@ -440,7 +552,7 @@ class TestEmpiricalScgf:
         n = 3
         cfg = SimConfig(seed=47, n_returns=n, n_samples=50_000)
         stats = sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
-        value, ess = empirical_scgf(stats, -5.0)
+        value, ess = ref.empirical_scgf(stats, -5.0)
         assert ess > 100.0
         # bounded weights: close to the spectral value up to the C/n bias
         op = ReturnOperator(full2_recoded)
