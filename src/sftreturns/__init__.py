@@ -7,7 +7,7 @@ exact combinatorial route (``first_return_law`` and friends) compute the
 same quantities independently and are meant to be cross-checked.
 """
 
-from .deviations import VarianceReport, rate_function, rate_grid, variance_report
+from .deviations import VarianceReport, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -45,12 +45,7 @@ from .system import (
     SystemDiagnostics,
     TargetSet,
     admissible_words,
-    first_return_durations,
     first_return_lengths,
-    longest_first_return_durations,
-    maximal_return_cycle_mean,
-    minimal_return_cycle_mean,
-    minimal_return_time,
     recode_higher_block,
     validate_system,
     zero_potential,
@@ -60,7 +55,6 @@ from .thermo import (
     gibbs_chain,
     pressure,
     restricted_spectrum,
-    target_measure,
 )
 
 __version__ = "0.1.0"
@@ -90,27 +84,19 @@ __all__ = [
     "empirical_clt",
     "empirical_tail_rate",
     "exact_mgf",
-    "first_return_durations",
     "first_return_law",
     "first_return_lengths",
     "gibbs_chain",
-    "longest_first_return_durations",
-    "maximal_return_cycle_mean",
     "mgf_matrix",
-    "minimal_return_cycle_mean",
-    "minimal_return_time",
     "normal_cdf",
     "perron_eigendata",
     "perron_stack",
     "pressure",
-    "rate_function",
-    "rate_grid",
     "recode_higher_block",
     "restricted_spectrum",
     "return_time_law",
     "sample_return_times",
     "spectral_radius_reducible",
-    "target_measure",
     "validate_system",
     "variance_report",
     "visit_counts",

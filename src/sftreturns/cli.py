@@ -627,6 +627,8 @@ def cmd_simulate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int
 def cmd_validate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
     _require(bundle.config.simulation is not None, "validate command needs a simulation block")
     sim = bundle.config.simulation
+    # the variance verdicts take sample variances, which need two samples
+    _require(sim.n_samples >= 2, f"validate command needs n_samples >= 2, got {sim.n_samples}")
     report = _report_skeleton(args, bundle)
     report["scalars"] = scalar_block(bundle)
     verdicts = deterministic_checks(bundle)

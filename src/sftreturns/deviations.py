@@ -10,8 +10,8 @@ Newton steps, each taking the exact Psi' and Psi'' of one R(S) evaluation.
 The search is written once, as a generator that yields the alpha it needs
 next; ``conjugate_points`` advances the searches of many u in lockstep and
 solves each round's alphas in one stacked pass of ``ReturnOperator.solve``,
-``rate_grid`` raises the first failure among them, and ``rate_function`` is
-a grid of one.
+which gives every alpha Psi, Psi' and Psi'' alike, and returns each point or
+the error its search met.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
 series of Poincare cycles, summed exactly in the Gibbs chain P: with target
 A, complement C and the complement resolvent N = (I - P_CC)^-1, the landing
@@ -66,7 +66,7 @@ def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float):
     alpha = direction
     prev = None
     while abs(alpha) < 2.0**20:
-        yield alpha, False
+        yield alpha
         try:
             value = u * alpha - op.scgf(alpha)
         except (NumericError, DomainError):
@@ -82,18 +82,18 @@ def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float):
     return prev
 
 
-def _slope(op: ReturnOperator, alpha: float):
-    yield alpha, True
-    return op.scgf_slope(alpha)
-
-
 def _conjugate_search(op: ReturnOperator, u: float):
-    """The search of :func:`rate_function` at one u, as a generator.
+    """(I(u), alpha_star) at one u, as a generator.
 
-    It yields (alpha, derivatives) for each R(P - alpha) it needs next, the
-    derivatives only if it reads Psi' or Psi'', and reads the point off the
-    operator's memo when resumed, so a caller can solve the needs of many
-    searches in one stacked pass.  It returns (I(u), alpha_star).
+    It yields each alpha whose R(P - alpha) it needs next and reads the point
+    off the operator's memo when resumed, so a caller can solve the needs of
+    many searches in one stacked pass.  Inside the attainable range it runs
+    safeguarded Newton on Psi'(alpha) = u: each step takes Psi' and Psi''
+    from one evaluation, shrinks the bracket on the sign of Psi' - u and
+    bisects where Newton would leave it, until |Psi' - u| <= ROOT_TOL max(1, u).
+    Newton runs on 1/Psi' = 1/u, which is nearly linear near the pole of Psi'
+    at alpha0.  At the edges of the range the supremum is a limit and
+    ``alpha_star`` is -inf or +inf.
     """
     if not u > 0.0:
         raise DomainError(f"deviation abscissa must be positive, got {u}")
@@ -112,20 +112,25 @@ def _conjugate_search(op: ReturnOperator, u: float):
     if np.isfinite(op.alpha0):
         hi = op.alpha0 - 1e-4
         gap = 1e-4
-        while (yield from _slope(op, hi)) < u:
+        yield hi
+        while op.scgf_slope(hi) < u:
             gap /= 4.0
             if gap < 2e-8:
                 raise NumericError(
                     f"Psi'={u} not bracketed near alpha0; achieved range up to {op.scgf_slope(hi)}"
                 )
             hi = op.alpha0 - gap
+            yield hi
     else:
         hi = 1.0
-        while (yield from _slope(op, hi)) < u:
+        yield hi
+        while op.scgf_slope(hi) < u:
             hi *= 2.0
             if hi > 2.0**16:
                 raise NumericError(f"Psi'={u} not bracketed; expansion cap reached")
-    while (yield from _slope(op, lo)) > u:
+            yield hi
+    yield lo
+    while op.scgf_slope(lo) > u:
         hi = lo
         lo *= 2.0
         if lo < -2.0**20:
@@ -133,9 +138,10 @@ def _conjugate_search(op: ReturnOperator, u: float):
                 f"Psi'={u} not bracketed; achieved Psi' range is ({floor}, {ceiling}) "
                 f"but the expansion cap was reached"
             )
+        yield lo
     alpha = 0.5 * (lo + hi)
     while True:
-        yield alpha, True
+        yield alpha
         psi, psi1, psi2 = op.scgf_and_derivatives(alpha)
         residual = psi1 - u
         newton = alpha - (psi1 / u) * residual / psi2
@@ -157,14 +163,14 @@ def conjugate_points(
     """(I(u), alpha_star), or the error its search met, for every u, the searches advancing in lockstep.
 
     Each round gathers the alpha every unfinished search needs next and
-    solves them in one stacked pass, with and without derivatives, then
-    resumes the searches, which read their points off the memo.  A pass that
-    fails leaves each search to meet its own failure on its own solve, so
-    every value and every error equals :func:`rate_function`'s at that u.
+    solves them in one stacked pass, then resumes the searches, which read
+    their points off the memo.  A pass that fails leaves each search to meet
+    its own failure on its own solve, so every value and every error equals
+    that of the search at that u alone.
     """
     searches = [_conjugate_search(op, u) for u in us]
     results: list = [None] * len(searches)
-    asks: dict[int, tuple[float, bool]] = {}
+    asks: dict[int, float] = {}
 
     def advance(i: int) -> None:
         try:
@@ -177,40 +183,14 @@ def conjugate_points(
     for i in range(len(searches)):
         advance(i)
     while asks:
-        for derivatives in (False, True):
-            S_values = [op.pressure - alpha for alpha, d in asks.values() if d == derivatives]
-            if S_values:
-                try:
-                    op.solve(S_values, derivatives)
-                except SftReturnsError:
-                    pass  # each search meets its own failure when it reads its point
+        try:
+            op.solve([op.pressure - alpha for alpha in asks.values()])
+        except SftReturnsError:
+            pass  # each search meets its own failure when it reads its point
         for i in list(asks):
             del asks[i]
             advance(i)
     return results
-
-
-def rate_grid(op: ReturnOperator, us: Sequence[float]) -> list[tuple[float, float]]:
-    """(I(u), alpha_star) for every u of a grid, by :func:`conjugate_points`;
-    the error raised is the failure of the first failing u in grid order."""
-    points = conjugate_points(op, us)
-    for point in points:
-        if isinstance(point, SftReturnsError):
-            raise point
-    return points
-
-
-def rate_function(op: ReturnOperator, u: float) -> tuple[float, float]:
-    """(I(u), alpha_star) by safeguarded Newton on Psi'(alpha) = u inside a bracket; a grid of one.
-
-    Each step takes Psi' and Psi'' from one evaluation, shrinks the bracket on
-    the sign of Psi' - u and bisects where Newton would leave it, until
-    |Psi' - u| <= ROOT_TOL max(1, u).  Newton runs on 1/Psi' = 1/u, which is
-    nearly linear near the pole of Psi' at alpha0.  ``alpha_star`` solves
-    Psi'(alpha) = u; at the edges of the attainable range the supremum is a
-    limit and ``alpha_star`` is -inf or +inf.
-    """
-    return rate_grid(op, [u])[0]
 
 
 def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:

@@ -15,17 +15,17 @@ Perturbation Theory for Linear Operators, II.2): lambda' = m R' h and
 lambda'' = m R'' h + 2 m R' G R' h, with G = (lambda (I + h m) - R)^{-1} - h m / lambda
 the group inverse of lambda I - R (Meyer, SIAM Rev. 1975).
 
-Every R(S) is solved by ``ReturnOperator.solve``, which memoizes it keyed by
-the exact float S, so each R(S), and each pair of eigenvalue derivatives, is
-computed once per operator; M is reordered once, target states first, at
-the first evaluation, and each request scales it by exp(shift - S) in one
-product whose blocks are views.  ``solve`` takes a whole request of S and
-solves those not yet memoized in one stacked pass: the blocks, X, R(S), the
-Perron pairs (:func:`perron_stack`) and the derivatives carry a leading
-axis of S through stacked ``np.linalg.solve``, ``eig`` and ``@`` calls,
-which give every slice exactly the numbers it gets alone.  So
-:meth:`ReturnOperator.curve` solves its grid in one pass, and ``eval`` and
-``eval_with_derivative`` are the one-S case of the same pass.
+Every R(S) is solved by ``ReturnOperator.solve``, which memoizes one
+record per exact float S: R(S), its Perron pair and lambda', lambda'', so
+each is computed once per operator; M is reordered once, target states
+first, at the first evaluation, and each request scales it by
+exp(shift - S) in one product whose blocks are views.  ``solve`` takes a
+whole request of S and solves those not yet memoized in one stacked pass:
+the blocks, R(S), the Perron pairs (:func:`perron_stack`) and the
+derivatives carry a leading axis of S through stacked ``np.linalg.solve``,
+``eig`` and ``@`` calls, which give every slice exactly the numbers it gets
+alone.  So :meth:`ReturnOperator.curve` solves its grid in one pass, and
+``eval`` is the one-S case of the same pass.
 """
 
 from __future__ import annotations
@@ -48,18 +48,18 @@ DOMAIN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReturnOperatorEval:
-    """R(S) with its Perron data; m_vec . h_vec = 1 and h_vec has unit peak.
+    """R(S), its Perron data and lambda'(S), lambda''(S); m_vec . h_vec = 1 and h_vec has unit peak.
 
-    ``X`` is (I - W_CC)^{-1} W_CA, which the derivatives reuse.  The arrays
-    are read-only, since the operator's memo hands the same ones to every
-    request for S.
+    The arrays are read-only, since the operator's memo hands the same ones
+    to every request for S.
     """
 
     R: np.ndarray
     lam: float
     h_vec: np.ndarray
     m_vec: np.ndarray
-    X: np.ndarray
+    lam_prime: float
+    lam_second: float
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,11 @@ class CgfCurve:
 class ReturnOperator:
     """Curve provider: caches the full Perron pair, pressure, critical parameter and block structure.
 
-    Evaluations are memoized by the exact float S: :meth:`solve` solves R(S)
-    and its Perron pair once, stacked with the other new S of its request,
-    and :meth:`eval` returns the same read-only :class:`ReturnOperatorEval`
-    to every later request for S.  Asked for derivatives, :meth:`solve`
-    adds lambda' and lambda'' in the same pass, or completes an entry solved
-    without them from its memoized ``X``, without solving R(S) again.  The
-    parameter is still checked on every request.
+    Evaluations are memoized by the exact float S, in one memo: :meth:`solve`
+    solves R(S), its Perron pair, lambda' and lambda'' once, stacked with the
+    other new S of its request, and :meth:`eval` returns the same read-only
+    :class:`ReturnOperatorEval` to every later request for S.  The parameter
+    is still checked on every request.
     """
 
     def __init__(self, recoded: RecodedSystem) -> None:
@@ -125,7 +123,6 @@ class ReturnOperator:
                 "the restricted pressure lies below double range"
             )
         self._evals: dict[float, ReturnOperatorEval] = {}
-        self._derivatives: dict[float, tuple[float, float]] = {}
 
     # -- evaluation --------------------------------------------------------
 
@@ -155,96 +152,54 @@ class ReturnOperator:
         W = np.exp(self.recoded.weight_shift - np.asarray(S, dtype=float))[..., np.newaxis, np.newaxis] * M
         return W[..., :a, :a], W[..., :a, a:], W[..., a:, :a], identity - W[..., a:, a:]
 
-    def solve(self, S_values: Sequence[float], derivatives: bool = False) -> None:
-        """Memoize R(S) with its Perron pair, and lambda', lambda'' if asked, for every S of a request.
+    def solve(self, S_values: Sequence[float]) -> None:
+        """Memoize R(S) with its Perron pair, lambda' and lambda'' for every S of a request.
 
         Every S is checked first, in request order, so the first S at or below
         S_c raises the DomainError that :meth:`eval` raises.  The S not yet
         memoized are then solved in one stacked pass; an S repeated in the
         request is solved once.  If a Perron solve fails, the first failing S
         in request order raises the NumericError it raises alone.
+
+        With B = W_AC, C = W_CA and K = (I - W_CC)^{-1}, R' = -R - B K^2 C
+        reuses R = W_AA + B K C bit for bit, and R'' = W_AA + B (2 K^3 + K^2 + K) C.
+        In lambda'', m R' G R' h = m R' y - lambda'^2 / lambda with
+        (lambda (I + h m) - R) y = R' h, whose rank-one term is scaled by lambda
+        so that the solve stays as well conditioned as lambda I - R off h.
         """
         for S in S_values:
             self._check_parameter(S)
-        memo = self._derivatives if derivatives else self._evals
-        todo = [S for S in dict.fromkeys(S_values) if S not in memo]
-        fresh = [S for S in todo if S not in self._evals] if derivatives else todo
-        if fresh:
-            stacked = self._solve_fresh(fresh)
-            if derivatives:
-                self._derive(fresh, *stacked)
-        if len(fresh) < len(todo):  # derivatives of S solved earlier without them
-            solved = [S for S in todo if S not in fresh]
-            evals = [self._evals[S] for S in solved]
-            Waa, Wac, _, resolvent = self._blocks(solved)
-            self._derive(
-                solved, Waa, Wac, resolvent,
-                *(np.stack([getattr(ev, name) for ev in evals]) for name in ("X", "R", "h_vec", "m_vec")),
-                [ev.lam for ev in evals],
-            )
-
-    def _solve_fresh(self, S_values: list[float]) -> tuple:
-        """Solve and memoize R(S) for S not yet memoized; returns what :meth:`_derive` takes."""
-        Waa, Wac, Wca, resolvent = self._blocks(S_values)
+        todo = [S for S in dict.fromkeys(S_values) if S not in self._evals]
+        if not todo:
+            return
+        Waa, Wac, Wca, resolvent = self._blocks(todo)
         X = np.linalg.solve(resolvent, Wca)
         R = Waa + Wac @ X
         lam, h, m, _, _ = perron_stack(R)
-        for arr in (R, h, m, X):
+        for arr in (R, h, m):
             arr.setflags(write=False)  # the memo hands the same arrays to every request for S
-        for i, S in enumerate(S_values):
-            self._evals[S] = ReturnOperatorEval(R=R[i], lam=lam[i], h_vec=h[i], m_vec=m[i], X=X[i])
-        return Waa, Wac, resolvent, X, R, h, m, lam
-
-    def _derive(
-        self, S_values: list[float], Waa: np.ndarray, Wac: np.ndarray, resolvent: np.ndarray,
-        X: np.ndarray, R: np.ndarray, h: np.ndarray, m: np.ndarray, lam: list[float],
-    ) -> None:
-        """Memoize lambda'(S) and lambda''(S) from the stacked blocks, X and Perron pairs of the S.
-
-        R' = -R - W_AC K^2 W_CA reuses R = W_AA + W_AC X bit for bit; the
-        scalar tail runs on Python floats, which is the same double arithmetic.
-        """
         X2 = np.linalg.solve(resolvent, X)
         X3 = np.linalg.solve(resolvent, X2)
         R_prime = -R - Wac @ X2
         R_second = Waa + Wac @ (2.0 * X3 + X2 + X)
-        h, m = h[..., np.newaxis], m[:, np.newaxis]  # columns and rows
-        m_R_prime = m @ R_prime
+        h_col, m_row = h[..., np.newaxis], m[:, np.newaxis]
+        m_R_prime = m_row @ R_prime
         lam3 = np.array(lam)[:, np.newaxis, np.newaxis]
-        y = np.linalg.solve(lam3 * (np.eye(h.shape[1]) + h * m) - R, R_prime @ h)
-        terms = (m_R_prime @ h, m @ R_second @ h, m_R_prime @ y)
-        rows = zip(S_values, lam, *(t.ravel().tolist() for t in terms))
-        for S, lam_S, lam_prime, m_R_second_h, m_R_prime_y in rows:
+        y = np.linalg.solve(lam3 * (np.eye(h.shape[1]) + h_col * m_row) - R, R_prime @ h_col)
+        terms = (m_R_prime @ h_col, m_row @ R_second @ h_col, m_R_prime @ y)
+        rows = zip(todo, lam, h, m, R, *(t.ravel().tolist() for t in terms))
+        for S, lam_S, h_S, m_S, R_S, lam_prime, m_R_second_h, m_R_prime_y in rows:
             lam_second = m_R_second_h + 2.0 * (m_R_prime_y - lam_prime * lam_prime / lam_S)
-            self._derivatives[S] = (lam_prime, lam_second)
+            self._evals[S] = ReturnOperatorEval(R_S, lam_S, h_S, m_S, lam_prime, lam_second)
 
     def eval(self, S: float) -> ReturnOperatorEval:
-        """Return operator R(S) with Perron data, solved once per S; requires S safely above S_c."""
+        """R(S) with its Perron data and derivatives, solved once per S; requires S safely above S_c."""
         ev = self._evals.get(S)
         if ev is None:
             self.solve([S])
             return self._evals[S]
         self._check_parameter(S)
         return ev
-
-    def eval_with_derivative(self, S: float) -> tuple[ReturnOperatorEval, float, float]:
-        """R(S) eigendata plus the analytic derivatives lambda'(S) and lambda''(S).
-
-        With B = W_AC, C = W_CA and K = (I - W_CC)^{-1}, R' = -(W_AA + B K C)
-        - B K^2 C and R'' = W_AA + B (2 K^3 + K^2 + K) C.  For the normalized
-        Perron pair, lambda' = m R' h and lambda'' = m R'' h + 2 m R' G R' h,
-        where G R' h = y - h lambda' / lambda with (lambda (I + h m) - R) y = R' h.
-        The rank-one term is scaled by lambda so that the solve stays as well
-        conditioned as lambda I - R off h when lambda is far from 1.  Both
-        derivatives are memoized with the evaluation.
-        """
-        derivatives = self._derivatives.get(S)
-        if derivatives is None:
-            self.solve([S], derivatives=True)
-            derivatives = self._derivatives[S]
-        else:
-            self._check_parameter(S)
-        return (self._evals[S], *derivatives)
 
     # -- scaled CGF ---------------------------------------------------------
 
@@ -262,16 +217,16 @@ class ReturnOperator:
 
     def scgf_slope(self, alpha: float) -> float:
         """Psi'(alpha) alone, from the analytic eigenvalue derivative."""
-        ev, lam_prime, _ = self.eval_with_derivative(self.pressure - alpha)
-        return -lam_prime / ev.lam
+        ev = self.eval(self.pressure - alpha)
+        return -ev.lam_prime / ev.lam
 
     def scgf_and_derivatives(self, alpha: float) -> tuple[float, float, float]:
         """(Psi, Psi', Psi'') at alpha from one evaluation, Psi'' = lambda''/lambda - Psi'^2;
         both derivatives are checked to be positive."""
         self._check_alpha(alpha)
-        ev, lam_prime, lam_second = self.eval_with_derivative(self.pressure - alpha)
-        psi1 = -lam_prime / ev.lam
-        psi2 = lam_second / ev.lam - psi1 * psi1
+        ev = self.eval(self.pressure - alpha)
+        psi1 = -ev.lam_prime / ev.lam
+        psi2 = ev.lam_second / ev.lam - psi1 * psi1
         if psi1 <= 0.0:
             raise NumericError(f"Psi'({alpha}) = {psi1} is not positive")
         if psi2 <= 0.0:
@@ -299,7 +254,7 @@ class ReturnOperator:
                 f"not below alpha0={self.alpha0!r} with the required margin {DOMAIN_TOL}"
             )
         try:
-            self.solve((self.pressure - grid).tolist(), derivatives=True)
+            self.solve((self.pressure - grid).tolist())
         except SftReturnsError:
             pass  # each point below meets its own failure, in grid order
         psi, psi1, psi2 = np.array([self.scgf_and_derivatives(a) for a in grid]).T

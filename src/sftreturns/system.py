@@ -375,25 +375,6 @@ def _longest(hits: np.ndarray) -> np.ndarray:
     return np.where(hits.any(axis=0), len(hits) - np.argmax(hits[::-1], axis=0), -np.inf)
 
 
-def minimal_return_time(system: SymbolicSystem | RecodedSystem) -> int:
-    """Shortest k >= 1 such that some length-k path starts and ends in the target.
-
-    Intermediate symbols are unrestricted, so this is the least shortest
-    first-return duration; by irreducibility it is finite.
-    """
-    return int(first_return_durations(system).min())
-
-
-def first_return_durations(system: SymbolicSystem | RecodedSystem) -> np.ndarray:
-    """Shortest first-return duration between target states.
-
-    Entry (a, a') is the length of the shortest path from target state a to
-    target state a' whose intermediate states all avoid the target
-    (``inf`` when no such path exists).
-    """
-    return _shortest(first_return_lengths(system)[0])
-
-
 def _karp_min_mean_cycle(d: np.ndarray) -> Fraction:
     """Minimum mean cycle of an integer-weight digraph (inf marks no edge)."""
     m = d.shape[0]
@@ -433,16 +414,6 @@ def _karp_min_mean_cycle(d: np.ndarray) -> Fraction:
     return result
 
 
-def minimal_return_cycle_mean(system: SymbolicSystem | RecodedSystem) -> Fraction:
-    """Minimum mean cycle of the shortest first-return durations (Karp).
-
-    This rational number is the infimum of the attainable long-run averages
-    of return durations; for a single-state target it equals the minimal
-    return time.
-    """
-    return _karp_min_mean_cycle(first_return_durations(system))
-
-
 def _maximal_cycle_mean(longest: np.ndarray) -> Fraction:
     return -_karp_min_mean_cycle(np.where(longest > 0, -longest, np.inf))
 
@@ -456,20 +427,3 @@ def return_time_bounds(system: SymbolicSystem | RecodedSystem) -> tuple[int, Fra
     shortest = _shortest(hits)
     greatest = None if unbounded else _maximal_cycle_mean(_longest(hits))
     return int(shortest.min()), _karp_min_mean_cycle(shortest), greatest
-
-
-def longest_first_return_durations(system: SymbolicSystem | RecodedSystem) -> np.ndarray:
-    """Longest first-return duration between target states; defined when the complement is acyclic."""
-    hits, unbounded = first_return_lengths(system)
-    if unbounded:
-        raise InvalidSystemError("complement graph has a cycle; first-return durations are unbounded")
-    return _longest(hits)
-
-
-def maximal_return_cycle_mean(system: SymbolicSystem | RecodedSystem) -> Fraction:
-    """Maximum mean cycle of the longest first-return durations.
-
-    The supremum of attainable long-run return averages; finite exactly when
-    the complement graph is acyclic.
-    """
-    return _maximal_cycle_mean(longest_first_return_durations(system))

@@ -1,4 +1,4 @@
-"""Topological pressure, the Gibbs Markov chain, and target measures.
+"""Topological pressure, the Gibbs Markov chain, and the pressure of the target-avoiding subshift.
 
 All logarithms are natural.  The pressure is log of the Perron root of the
 weighted transition matrix M[i, j] = 1{i->j} exp(phi(i, j)), which is built
@@ -10,7 +10,6 @@ vectors, whose entropy satisfies the variational equality h + mean(phi) = P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -106,14 +105,3 @@ def restricted_spectrum(recoded: RecodedSystem, data: PerronData | None = None) 
             f"pressure gap is not strictly positive: P={full!r}, P'={value!r}"
         )
     return value, components
-
-
-def target_measure(chain: GibbsChain, target_states: Sequence[int]) -> float:
-    """Equilibrium measure of the target, mu(A) = sum of stationary weights."""
-    idx = list(target_states)
-    if not idx:
-        raise ConfigurationError("target is empty")
-    value = float(chain.stationary[idx].sum())
-    if not 0.0 < value < 1.0:
-        raise NumericError(f"target measure {value} outside (0, 1)")
-    return value

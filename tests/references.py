@@ -15,7 +15,16 @@ certified by ``powered_rowsum_bound``, against which the resolvent form of
 R(S) is validated.
 
 The limit value of the large-deviation theorem (``deviation_limit``), which
-no command reports.
+no command reports, and the rate function at one u (``rate_function``) or
+over a grid that raises its first failure (``rate_grid``), thin wrappers
+over ``deviations.conjugate_points``, which the commands read directly.
+
+The return-time combinatorics that the program reads only through
+``system.return_time_bounds``: the shortest and longest first-return
+durations between target states, the minimal return time and the least and
+greatest first-return cycle means, each from its own walk; and the target
+measure of a Gibbs chain (``target_measure``), which the operator reads off
+its own Perron pair.
 
 The empirical scaled CGF of sampled return times (``empirical_scgf``), which
 no command reports.
@@ -31,10 +40,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sftreturns import DomainError, NumericError
+from sftreturns import ConfigurationError, DomainError, InvalidSystemError, NumericError, SftReturnsError
 from sftreturns import oracle
-from sftreturns.deviations import BOUNDARY_BAND, _attainable_range, rate_function
+from sftreturns.deviations import BOUNDARY_BAND, _attainable_range, conjugate_points
 from sftreturns.perron import CW_CHECK_STEPS, _contraction, _geometric_sum
+from sftreturns.system import (
+    _karp_min_mean_cycle, _longest, _maximal_cycle_mean, _shortest, first_return_lengths,
+)
 
 
 def contraction(X, max_steps=4096):
@@ -260,6 +272,78 @@ def deviation_limit(op, u, side):
     if abscissa < floor - BOUNDARY_BAND or abscissa > ceiling + BOUNDARY_BAND:
         return float("-inf")
     return -rate_function(op, abscissa)[0]
+
+
+def rate_grid(op, us):
+    """(I(u), alpha_star) for every u of a grid, by ``conjugate_points``;
+    the error raised is the failure of the first failing u in grid order."""
+    points = conjugate_points(op, us)
+    for point in points:
+        if isinstance(point, SftReturnsError):
+            raise point
+    return points
+
+
+def rate_function(op, u):
+    """(I(u), alpha_star) by safeguarded Newton on Psi'(alpha) = u; a grid of one."""
+    return rate_grid(op, [u])[0]
+
+
+def first_return_durations(system):
+    """Shortest first-return duration between target states.
+
+    Entry (a, a') is the length of the shortest path from target state a to
+    target state a' whose intermediate states all avoid the target
+    (``inf`` when no such path exists).
+    """
+    return _shortest(first_return_lengths(system)[0])
+
+
+def minimal_return_time(system):
+    """Shortest k >= 1 such that some length-k path starts and ends in the target.
+
+    Intermediate symbols are unrestricted, so this is the least shortest
+    first-return duration; by irreducibility it is finite.
+    """
+    return int(first_return_durations(system).min())
+
+
+def minimal_return_cycle_mean(system):
+    """Minimum mean cycle of the shortest first-return durations (Karp).
+
+    This rational number is the infimum of the attainable long-run averages
+    of return durations; for a single-state target it equals the minimal
+    return time.
+    """
+    return _karp_min_mean_cycle(first_return_durations(system))
+
+
+def longest_first_return_durations(system):
+    """Longest first-return duration between target states; defined when the complement is acyclic."""
+    hits, unbounded = first_return_lengths(system)
+    if unbounded:
+        raise InvalidSystemError("complement graph has a cycle; first-return durations are unbounded")
+    return _longest(hits)
+
+
+def maximal_return_cycle_mean(system):
+    """Maximum mean cycle of the longest first-return durations.
+
+    The supremum of attainable long-run return averages; finite exactly when
+    the complement graph is acyclic.
+    """
+    return _maximal_cycle_mean(longest_first_return_durations(system))
+
+
+def target_measure(chain, target_states):
+    """Equilibrium measure of the target, mu(A) = sum of stationary weights."""
+    idx = list(target_states)
+    if not idx:
+        raise ConfigurationError("target is empty")
+    value = float(chain.stationary[idx].sum())
+    if not 0.0 < value < 1.0:
+        raise NumericError(f"target measure {value} outside (0, 1)")
+    return value
 
 
 class EmpiricalScgf(NamedTuple):

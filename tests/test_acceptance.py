@@ -20,6 +20,7 @@ import pytest
 
 import conftest
 from conftest import GOLDEN_RATIO, full_shift, variance_of
+from references import rate_function
 from sftreturns import (
     ReturnOperator,
     SimConfig,
@@ -29,7 +30,6 @@ from sftreturns import (
     first_return_law,
     gibbs_chain,
     mgf_matrix,
-    rate_function,
     recode_higher_block,
     return_time_law,
     sample_return_times,

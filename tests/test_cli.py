@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 from sftreturns import (
-    NumericError, cli, gibbs_chain, oracle, rate_function, return_op, sample_return_times, system,
-    thermo, variance_report,
+    NumericError, cli, gibbs_chain, oracle, return_op, sample_return_times, system, thermo,
+    variance_report,
 )
 from sftreturns.deviations import TWO_ROUTE_TOL
 from sftreturns.montecarlo import RNG_ALGORITHM, EmpiricalStats, normal_cdf
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from references import rate_function
 
 
 def full2_config(**overrides):
@@ -229,6 +231,22 @@ class TestSimulationCommands:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("override", [None, "1"])
+    def test_one_sample_is_rejected(self, tmp_path, capsys, override):
+        # a sample variance needs two samples; with one, numpy warns and the verdicts read NaN
+        cfg = full2_config()
+        cfg["simulation"]["n_samples"] = 1 if override is None else 4000
+        path = write_config(tmp_path, cfg)
+        argv = ["validate", "--config", path, "--out", tmp_path]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ([] if override is None else ["--samples", override]))
+        assert code == EXIT_CONFIG
+        message = "validate command needs n_samples >= 2, got 1"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert caught == []
+        assert not (tmp_path / "report.json").exists()
+
     def test_passes_on_full2(self, tmp_path):
         path = write_config(tmp_path, full2_config())
         assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_OK
@@ -451,10 +469,10 @@ def test_validate_solves_each_operator_parameter_once(tmp_path, monkeypatch, sys
     # Psi''(0), the rate brackets and the conjugacy tilts repeat S; the memo solves each once
     requested, sizes, solves = [], set(), []
 
-    def counting_solve(self, S_values, derivatives=False, original=return_op.ReturnOperator.solve):
+    def counting_solve(self, S_values, original=return_op.ReturnOperator.solve):
         requested.extend(S_values)
         sizes.add(len(self.target))
-        return original(self, S_values, derivatives)
+        return original(self, S_values)
 
     def counting_perron(M, original=return_op.perron_stack):
         solves.extend([M.shape[-1]] * M.shape[0])

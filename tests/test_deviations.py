@@ -8,11 +8,10 @@ from sftreturns import (
     DomainError,
     NumericError,
     ReturnOperator,
-    rate_function,
     recode_higher_block,
 )
 from conftest import GOLDEN_RATIO, make_system, variance_of
-from references import deviation_limit
+from references import deviation_limit, rate_function
 
 # the landing chain of target states {0, 1} swaps them (0 -> 2 ... 2 -> 1, 1 -> 0),
 # so the covariance series oscillates and only its Cesaro sum exists
@@ -99,9 +98,9 @@ class TestRateFunction:
         evals = []
         original = ReturnOperator.solve
 
-        def counting(self, S_values, derivatives=False):
+        def counting(self, S_values):
             evals.extend(S_values)
-            return original(self, S_values, derivatives)
+            return original(self, S_values)
 
         monkeypatch.setattr(ReturnOperator, "solve", counting)
         worst = 0

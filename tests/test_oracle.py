@@ -12,19 +12,20 @@ from sftreturns import (
     NumericError,
     ReturnOperator,
     exact_mgf,
-    first_return_durations,
     first_return_law,
     first_return_lengths,
     gibbs_chain,
     mgf_matrix,
-    minimal_return_time,
     recode_higher_block,
     return_time_law,
 )
 from sftreturns.oracle import largest_certifiable_alpha
 from sftreturns.perron import _contraction, _geometric_sum
 from conftest import GOLDEN_RATIO, golden_mean, variance_of
-from references import cycle_covariance, normalized_moments, stationary_cycle_moment
+from references import (
+    cycle_covariance, first_return_durations, minimal_return_time, normalized_moments,
+    stationary_cycle_moment,
+)
 
 
 def reference_weighted_tail(alpha, p_cc, v_next, t_max, cache):

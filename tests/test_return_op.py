@@ -108,7 +108,7 @@ class TestOperatorEval:
                 assert np.log(op.eval(float(s_mid)).lam) <= chord + 1e-12
 
     def test_memo_hit_is_read_only_and_matches_a_fresh_operator(self, random_recoded, monkeypatch):
-        # eval solves R(S) once per S; derivatives complete the entry without solving it again
+        # eval solves R(S) once per S, with its derivatives; every later request reads the same record
         solves = []
 
         def counting(M, original=return_op.perron_stack):
@@ -118,22 +118,21 @@ class TestOperatorEval:
         for rec in random_recoded[:6]:
             fresh_op = ReturnOperator(rec)
             S = fresh_op.pressure - 0.1
-            fresh, fresh_prime, fresh_second = fresh_op.eval_with_derivative(S)
+            fresh = fresh_op.eval(S)
             op = ReturnOperator(rec)
             monkeypatch.setattr(return_op, "perron_stack", counting)
             solves.clear()
-            first = op.eval(S)
-            ev, lam_prime, lam_second = op.eval_with_derivative(S)
-            assert op.eval(S) is first and ev is first
-            again, *derivatives = op.eval_with_derivative(S)
-            assert again is ev and derivatives == [lam_prime, lam_second]
+            ev = op.eval(S)
+            op.solve([S, S])
+            assert op.eval(S) is ev
+            assert op.scgf_slope(0.1) == -ev.lam_prime / ev.lam
             assert len(solves) == 1
             monkeypatch.undo()
-            for name in ("R", "h_vec", "m_vec", "X"):
+            for name in ("R", "h_vec", "m_vec"):
                 arr = getattr(ev, name)
                 assert not arr.flags.writeable
                 assert arr.tobytes() == getattr(fresh, name).tobytes()
-            assert (ev.lam, lam_prime, lam_second) == (fresh.lam, fresh_prime, fresh_second)
+            assert (ev.lam, ev.lam_prime, ev.lam_second) == (fresh.lam, fresh.lam_prime, fresh.lam_second)
             with pytest.raises(ValueError):
                 ev.R[0, 0] = 0.0
 
@@ -256,8 +255,7 @@ class TestDerivatives:
                 assert op.scgf_derivatives(alpha)[1] == pytest.approx(richardson, rel=1e-6)
 
     def test_derivatives_reuse_the_resolvent_solve(self, random_recoded, monkeypatch):
-        # (I - W_CC) X = W_CA is solved once by eval; the derivatives solve only
-        # for K^2 W_CA and K^3 W_CA, and the results match a second solve bit for bit
+        # eval factors I - W_CC for X = K W_CA and reuses it for K^2 W_CA and K^3 W_CA only
         rec = next(r for r in random_recoded if len(r.complement_blocks) != len(r.target_blocks))
         op = ReturnOperator(rec)
         S = op.pressure - 0.1
@@ -270,7 +268,7 @@ class TestDerivatives:
             return solve(A, B)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        ev, lam_prime, lam_second = op.eval_with_derivative(S)
+        ev = op.eval(S)
         assert len(calls) == 3
         monkeypatch.undo()
         Waa, Wac, Wca, resolvent = op._blocks(S)
@@ -278,10 +276,31 @@ class TestDerivatives:
         Wcc = np.exp(rec.weight_shift - S) * rec.weight_matrix()[np.ix_(C, C)]
         assert resolvent.tobytes() == (np.eye(n_c) - Wcc).tobytes()
         X = np.linalg.solve(resolvent, Wca)
-        assert X.tobytes() == ev.X.tobytes()
         X2 = np.linalg.solve(resolvent, X)
         R_prime = -(Waa + Wac @ X) - Wac @ X2
-        assert lam_prime == float(ev.m_vec @ R_prime @ ev.h_vec)
+        assert ev.lam_prime == float(ev.m_vec @ R_prime @ ev.h_vec)
+
+    def test_derivatives_match_the_resolvent_and_the_group_inverse(self, random_recoded):
+        # R'(S) and R''(S) from K = (I - W_CC)^-1 itself, and the group inverse G of
+        # lambda I - R by an explicit inverse, against the record's lambda' and lambda''
+        for rec in random_recoded[:12]:
+            op = ReturnOperator(rec)
+            top = 0.5 * op.alpha0 if np.isfinite(op.alpha0) else 0.5
+            for S in (op.pressure - top, op.pressure, op.pressure + 1.0):
+                ev = op.eval(S)
+                Waa, Wac, Wca, resolvent = op._blocks(S)
+                K = np.linalg.inv(resolvent)
+                R = Waa + Wac @ K @ Wca
+                R_prime = -R - Wac @ K @ K @ Wca
+                R_second = Waa + Wac @ (2.0 * K @ K @ K + K @ K + K) @ Wca
+                m, h = ev.m_vec, ev.h_vec
+                hm = np.outer(h, m)
+                G = np.linalg.inv(ev.lam * np.eye(len(R)) - R + ev.lam * hm) - hm / ev.lam
+                lam_prime = m @ R_prime @ h
+                lam_second = m @ R_second @ h + 2.0 * m @ R_prime @ G @ R_prime @ h
+                scale = abs(ev.lam)
+                assert ev.lam_prime == pytest.approx(lam_prime, rel=1e-9, abs=1e-12 * scale)
+                assert ev.lam_second == pytest.approx(lam_second, rel=1e-8, abs=1e-12 * scale)
 
     def test_kac_identity(self, random_recoded):
         for rec in random_recoded:
@@ -319,8 +338,8 @@ class TestDerivatives:
             c = float(op.min_cycle_mean)
             slopes = []
             for S in (op.pressure + 2.0, op.pressure + 5.0, op.pressure + 8.0):
-                ev, lam_prime, _ = op.eval_with_derivative(float(S))
-                slopes.append(-lam_prime / ev.lam)
+                ev = op.eval(float(S))
+                slopes.append(-ev.lam_prime / ev.lam)
             assert slopes[0] >= slopes[1] >= slopes[2] >= c - 1e-9
             assert slopes[2] - c < slopes[0] - c + 1e-12
 

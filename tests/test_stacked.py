@@ -1,5 +1,7 @@
 """Stacked R(S) passes and the lockstep rate grid against one-at-a-time solves, bit for bit."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,19 @@ from sftreturns import (
     DomainError,
     NumericError,
     ReturnOperator,
+    cli,
     perron_eigendata,
     perron_stack,
-    rate_function,
-    rate_grid,
     recode_higher_block,
 )
+from sftreturns.deviations import conjugate_points
 from conftest import full_shift, golden_mean, make_system
+from references import rate_function, rate_grid
 from test_perron import two_cliques
 
 # return times at most 2 from target {0, 1}: the attainable range of Psi' is (1, 2)
 FAULT_ATTAINABLE = make_system([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (0, 1))
-FIELDS = ("R", "h_vec", "m_vec", "X")
+ARRAYS = ("R", "h_vec", "m_vec")
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +37,11 @@ def s_grid(op):
 
 
 def assert_same_entry(op, single, S):
-    ev, lam_prime, lam_second = op.eval_with_derivative(S)
-    ref, ref_prime, ref_second = single.eval_with_derivative(S)
-    for name in FIELDS:
+    """op's record for S equals, bit for bit, the one ``single`` solves for S alone."""
+    ev, ref = op.eval(S), single.eval(S)
+    for name in ARRAYS:
         assert getattr(ev, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert (ev.lam, lam_prime, lam_second) == (ref.lam, ref_prime, ref_second)
+    assert (ev.lam, ev.lam_prime, ev.lam_second) == (ref.lam, ref.lam_prime, ref.lam_second)
 
 
 class TestPerronStack:
@@ -83,7 +86,7 @@ class TestStackedPass:
         for rec in systems:
             op, single = ReturnOperator(rec), ReturnOperator(rec)
             grid = s_grid(op)
-            op.solve(grid, derivatives=True)
+            op.solve(grid)
             for S in grid:
                 assert_same_entry(op, single, S)
 
@@ -91,22 +94,44 @@ class TestStackedPass:
         for rec in systems[:12]:
             op, single = ReturnOperator(rec), ReturnOperator(rec)
             grid = s_grid(op)
-            first = op.eval(grid[2])  # solved alone, without derivatives
-            op.eval_with_derivative(grid[3])
-            op.solve([grid[1], grid[2], grid[1], grid[3], grid[4], grid[2]], derivatives=True)
+            first = op.eval(grid[2])  # solved alone
+            op.solve([grid[1], grid[2], grid[1], grid[3], grid[4], grid[2]])
             assert op.eval(grid[2]) is first
             for S in grid[1:]:
                 assert_same_entry(op, single, S)
-            op.solve(grid)  # all memoized: nothing is solved again
+            op.solve(grid)  # all memoized but grid[0]: only grid[0] is solved
             assert op.eval(grid[2]) is first
+            assert_same_entry(op, single, grid[0])
+
+    def test_record_does_not_depend_on_what_asked_first(self, systems):
+        # eval, curve, a lockstep rate search or the oracle tilts' pass may solve an S first;
+        # its record, lambda' and lambda'' included, is the one it gets solved alone
+        for rec in systems[:12]:
+            probe = ReturnOperator(rec)
+            top = min(0.3, probe.alpha0 / 2.0) if np.isfinite(probe.alpha0) else 0.3
+            conj_tilt, sandwich_tilts = cli._oracle_tilts(probe)
+            tilts = (-1.0, 0.0, conj_tilt, *sandwich_tilts)
+            first_asks = (
+                lambda op: [op.eval(S) for S in s_grid(op)],
+                lambda op: op.curve(np.linspace(-1.0, top, 5)),
+                lambda op: conjugate_points(op, u_points(op)),
+                lambda op: op.solve([op.pressure - alpha for alpha in tilts]),
+            )
+            single = ReturnOperator(rec)
+            for ask in first_asks:
+                op = ReturnOperator(rec)
+                ask(op)
+                assert op._evals
+                for S in op._evals:
+                    assert_same_entry(op, single, S)
 
     def test_curve_is_one_pass(self, systems, monkeypatch):
         passes = []
         original = ReturnOperator.solve
 
-        def counting(self, S_values, derivatives=False):
+        def counting(self, S_values):
             passes.append(len(S_values))
-            return original(self, S_values, derivatives)
+            return original(self, S_values)
 
         for rec in systems[:12]:
             op, single = ReturnOperator(rec), ReturnOperator(rec)
@@ -129,7 +154,7 @@ class TestStackedPass:
             with pytest.raises(DomainError) as alone:
                 ReturnOperator(rec).eval(bad)
             with pytest.raises(DomainError) as batch:
-                op.solve([op.pressure, bad, op.s_critical], derivatives=True)
+                op.solve([op.pressure, bad, op.s_critical])
             assert str(batch.value) == str(alone.value)
             assert op.pressure not in op._evals  # nothing solved past a bad parameter
 
@@ -193,13 +218,16 @@ class TestRateGrid:
         assert float("-inf") in stars and float("inf") in stars
 
     def test_points_need_different_newton_counts(self, systems, monkeypatch):
-        # the searches finish in different rounds; the grid runs as many rounds as the longest
+        # the searches finish in different rounds; the grid runs as many rounds as the longest,
+        # one stacked pass a round (a pass that fails is followed by the searches' own one-S
+        # solves, which eval makes, so only the passes of conjugate_points are counted)
         requests = []
         original = ReturnOperator.solve
 
-        def counting(self, S_values, derivatives=False):
-            requests.append(len(S_values))
-            return original(self, S_values, derivatives)
+        def counting(self, S_values):
+            if sys._getframe(1).f_code is conjugate_points.__code__:
+                requests.append(len(S_values))
+            return original(self, S_values)
 
         monkeypatch.setattr(ReturnOperator, "solve", counting)
         rec = systems[2]
@@ -212,8 +240,9 @@ class TestRateGrid:
         requests.clear()
         rate_grid(ReturnOperator(rec), us)
         assert len(set(rounds)) > 2
-        # a round whose searches ask with and without derivatives makes two passes
-        assert max(rounds) <= len(requests) <= 2 * max(rounds) < sum(rounds)
+        assert len(requests) == max(rounds) < sum(rounds)
+        # a round asks for one alpha per search still running
+        assert requests == [sum(r > k for r in rounds) for k in range(max(rounds))]
 
     def test_fault_attainable_grid_raises_first_failure(self):
         op = ReturnOperator(recode_higher_block(FAULT_ATTAINABLE))

@@ -9,18 +9,20 @@ from sftreturns import (
     DepthKPotential,
     InvalidSystemError,
     TargetSet,
-    first_return_durations,
     first_return_lengths,
-    longest_first_return_durations,
-    maximal_return_cycle_mean,
-    minimal_return_cycle_mean,
-    minimal_return_time,
     recode_higher_block,
     validate_system,
     zero_potential,
 )
 from sftreturns.system import _unreachable_witness, strongly_connected_components
 from conftest import constant_potential, full_shift, golden_mean, make_system
+from references import (
+    first_return_durations,
+    longest_first_return_durations,
+    maximal_return_cycle_mean,
+    minimal_return_cycle_mean,
+    minimal_return_time,
+)
 
 
 def witness_by_search_from_every_node(adj):

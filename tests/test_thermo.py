@@ -10,9 +10,9 @@ from sftreturns import (
     pressure,
     recode_higher_block,
     restricted_spectrum,
-    target_measure,
 )
 from conftest import GOLDEN_RATIO, full_shift, golden_mean, make_system
+from references import target_measure
 
 
 class TestPressure:
