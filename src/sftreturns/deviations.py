@@ -62,10 +62,15 @@ def _attainable_range(op: ReturnOperator) -> tuple[float, float]:
 
 
 def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float):
-    """Limit of u*alpha - Psi(alpha) as alpha -> direction * inf, at a boundary u; a search as below."""
-    alpha = direction
-    prev = None
-    while abs(alpha) < 2.0**20:
+    """Limit of u*alpha - Psi(alpha) as alpha -> direction * inf, at a boundary u; a search as below.
+
+    Iterates at alpha = direction 2^k, k < 20, until two agree within 1e-13.  If
+    R(P - alpha) leaves double range or k runs out first, the last iterate stands
+    only when the last step is at most half the one before (they contract).
+    """
+    values: list[float] = []
+    for k in range(20):
+        alpha = direction * 2.0**k
         yield alpha
         try:
             value = u * alpha - op.scgf(alpha)
@@ -73,13 +78,12 @@ def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float):
             break
         if not np.isfinite(value):
             break
-        if prev is not None and abs(value - prev) < 1e-13:
+        if values and abs(value - values[-1]) < 1e-13:
             return value
-        prev = value
-        alpha *= 2.0
-    if prev is None:
-        raise NumericError(f"could not evaluate the conjugate limit at u={u}")
-    return prev
+        values.append(value)
+    if len(values) >= 3 and abs(values[-1] - values[-2]) <= 0.5 * abs(values[-2] - values[-3]):
+        return values[-1]
+    raise NumericError(f"the conjugate limit at u={u} did not converge: its iterates stopped at alpha={alpha}")
 
 
 def _conjugate_search(op: ReturnOperator, u: float):

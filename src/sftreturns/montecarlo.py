@@ -16,7 +16,8 @@ at the row's distinct thresholds in (0, 1), and rows of a recoded chain are
 sparse, so the walks step on codes that carry just those (:class:`_StepTable`).
 
 Both walks read a sample's stream from draw 0: the return walk until the
-sample's n-th return, the visit walk over the horizon.  One block kernel runs
+sample's n-th return, in chunks sized from the Kac mean n / mu(A) of the
+n-th return time, the visit walk over the horizon.  One block kernel runs
 either walk or both.  With both, a block draws its first chunk once and
 steps the two walkers as one (2, N) code array on it, one advance and one
 hit gather per step; when one walker stops, the other goes on alone.
@@ -90,7 +91,8 @@ class _BlockStreams:
 
     Draw p of sample i's stream is reached in O(1): key (seed, i), counter
     p // 4 with the four-double buffer empty (numpy advances the counter
-    before it refills), then p % 4 discarded draws.
+    before it refills), then p % 4 draws discarded.  A fill sets the counter
+    once; per stream it sets the key and draws the discarded draws with its own.
     """
 
     TILE = 128  # samples filled sample-major, then copied transposed
@@ -110,23 +112,19 @@ class _BlockStreams:
             "uinteger": 0,
         }
 
-    def seek(self, index: int, position: int) -> np.random.Generator:
-        self._key[1] = index
-        self._counter[0] = position // 4
-        self._bitgen.state = self._state
-        if position % 4:
-            self._bitgen.random_raw(position % 4)
-        return self._gen
-
     def fill(self, draws: np.ndarray, indices: np.ndarray, position: int) -> None:
         """Column k of ``draws`` gets draws position, position+1, ... of stream indices[k]."""
-        tile = np.empty((min(self.TILE, indices.size), draws.shape[0]))
+        self._counter[0], skip = divmod(position, 4)
+        bitgen, gen, key, state = self._bitgen, self._gen, self._key, self._state
+        tile = np.empty((min(self.TILE, indices.size), skip + draws.shape[0]))
         lines = list(tile)
         for first in range(0, indices.size, self.TILE):
             chunk = indices[first : first + self.TILE].tolist()
             for line, index in zip(lines, chunk):
-                self.seek(index, position).random(out=line)
-            draws[:, first : first + len(chunk)] = tile[: len(chunk)].T
+                key[1] = index
+                bitgen.state = state
+                gen.random(out=line)
+            draws[:, first : first + len(chunk)] = tile[: len(chunk), skip:].T
 
 
 def _start_cum(weights: np.ndarray) -> np.ndarray:
@@ -250,7 +248,11 @@ def _walk(
     whichever comes first, and the other walker then finishes the chunk
     alone.  The visit walker draws its positions past the chunk for all of
     the block's samples, in the chunk's rows, and the return walker its
-    stragglers' in chunks of their own.  Blocks run in order: the fill and
+    stragglers' in chunks of their own.  The return walk's first chunk is
+    n / mu + 33 rows, a straggler chunk k / mu + 32 rows, k the most returns
+    a straggler still misses, each at most CHUNK_STEPS: a row across N
+    samples costs about N x 7.6 ns of Philox fill, a straggler's re-seek
+    about 1.3 us (2-CPU x86_64 host).  Blocks run in order: the fill and
     step loops hold the GIL, so worker threads would only contend for it.
     """
     table = _StepTable(chain.transition_probs, targets)
@@ -262,8 +264,8 @@ def _walk(
         mu = float(pi[targets].sum())
         return_cum = _start_cum(pi[targets] / mu)
         starts.append(lambda u: targets[np.searchsorted(return_cum, u, side="right")])
-        # the start draw and enough steps for nearly every sample to finish
-        rows = min(CHUNK_STEPS, max(32, int(1.25 * n / mu) + 32) + 1)
+        # the start draw, the Kac mean n / mu of T_n and 32 steps of margin
+        rows = min(CHUNK_STEPS, int(n / mu) + 33)
     if visits:
         visit_cum = _start_cum(pi)
         starts.append(lambda u: np.searchsorted(visit_cum, u, side="right"))
@@ -305,7 +307,7 @@ def _walk(
                     raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
                 if not walker.orig.size:
                     break
-                steps = np.empty((CHUNK_STEPS, walker.orig.size))
+                steps = np.empty((min(CHUNK_STEPS, int((n - counts.min()) / mu) + 32), walker.orig.size))
                 streams.fill(steps, lo + walker.orig, walker.time + 1)
                 code = _step(table, code, counts, steps, walker)
             times.append(walker.times)

@@ -172,9 +172,11 @@ class ReturnOperator:
         todo = [S for S in dict.fromkeys(S_values) if S not in self._evals]
         if not todo:
             return
-        Waa, Wac, Wca, resolvent = self._blocks(todo)
-        X = np.linalg.solve(resolvent, Wca)
-        R = Waa + Wac @ X
+        # a scale past double range leaves inf or nan in R, which perron_stack rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            Waa, Wac, Wca, resolvent = self._blocks(todo)
+            X = np.linalg.solve(resolvent, Wca)
+            R = Waa + Wac @ X
         lam, h, m, _, _ = perron_stack(R)
         for arr in (R, h, m):
             arr.setflags(write=False)  # the memo hands the same arrays to every request for S

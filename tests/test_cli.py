@@ -19,6 +19,7 @@ from sftreturns import (
 from sftreturns.deviations import TWO_ROUTE_TOL
 from sftreturns.montecarlo import RNG_ALGORITHM, EmpiricalStats, normal_cdf
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from conftest import random_instance
 from references import rate_function
 
 
@@ -648,6 +649,57 @@ def test_grid_failure_raises_its_message_with_tails_present(tmp_path, capsys):
         assert run([command, "--config", path, "--out", out]) == EXIT_NUMERIC
         assert capsys.readouterr().err == message
         assert sorted(p.name for p in out.iterdir()) == ["scgf.csv"]
+
+
+def scaled_instance_config(scale, u_grid):
+    """System 13 of ``random_instance`` on seed 11, every potential value times ``scale``.
+
+    Psi' ranges over (1, 2) and the complement is acyclic, so at u = 2 the
+    conjugate limit runs alpha to +inf; at scale 300 R(P - alpha) leaves
+    double range before the iterates settle.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(13):
+        instance = random_instance(rng)
+    block = system_block(instance)
+    for entry in block["potential"]["values"]:
+        entry["value"] *= scale
+    return {"system": block, "u_grid": u_grid}
+
+
+def run_rate(tmp_path, cfg):
+    """(exit code, warnings raised) of ``rate`` on ``cfg``."""
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["rate", "--config", path, "--out", tmp_path / "out"])
+    return code, caught
+
+
+def test_overflowing_rate_search_prints_only_its_failure(tmp_path, capsys):
+    # the search at u = 1.5 drives exp(shift - S) past double range
+    code, caught = run_rate(tmp_path, scaled_instance_config(300, [1.5, 2.0]))
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: matrix has non-finite entries; no Perron data exists\n"
+    assert caught == []
+
+
+def test_unconverged_conjugate_limit_exits_numeric(tmp_path, capsys):
+    # u alpha - Psi(alpha) equals alpha for alpha = 1, 2, ..., 512, and R(P - 1024) overflows
+    code, caught = run_rate(tmp_path, scaled_instance_config(300, [2.0]))
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: the conjugate limit at u=2.0 did not converge: "
+        "its iterates stopped at alpha=1024.0\n"
+    )
+    assert caught == []
+    assert not (tmp_path / "out" / "rate.csv").exists()
+
+
+def test_converged_conjugate_limit_at_the_ceiling(tmp_path):
+    code, caught = run_rate(tmp_path, scaled_instance_config(30, [2.0]))
+    assert code == EXIT_OK and caught == []
+    assert (tmp_path / "out" / "rate.csv").read_text().splitlines()[1:] == ["2,57.786677953556989,inf"]
 
 
 def write_clt_csv_by_rows(stats, sigma, mu, out):

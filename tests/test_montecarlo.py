@@ -97,8 +97,12 @@ class TestDeterminism:
             for index in range(1000, 1300)
         }
         streams = _BlockStreams(seed)
+        one = np.empty((1, 1))
         for index in (1000, 1009):
-            sought = [streams.seek(index, p).random() for p in range(2000)]
+            sought = []
+            for p in range(2000):
+                streams.fill(one, np.array([index]), p)
+                sought.append(one[0, 0])
             assert np.array_equal(sought, fresh[index])
         # several tiles, a partial last tile, and a start off the four-draw grid
         draws = np.empty((7, 300))
@@ -206,17 +210,22 @@ def test_shared_draws_match_pinned_digests(system, case):
     assert output_digests(system, case, lockstep=True) == PINNED_DIGESTS[system, case]
 
 
+def record_fills(monkeypatch, record):
+    """Calls ``record(draws, indices, position)`` before every ``_BlockStreams.fill``."""
+    fill = _BlockStreams.fill
+
+    def recording(self, draws, indices, position):
+        record(draws, indices, position)
+        return fill(self, draws, indices, position)
+
+    monkeypatch.setattr(_BlockStreams, "fill", recording)
+
+
 @pytest.fixture
 def seek_positions(monkeypatch):
-    """The position of every ``_BlockStreams.seek`` call, in order."""
+    """The position every stream is sought at, in order: a fill seeks each of its streams once."""
     positions = []
-    seek = _BlockStreams.seek
-
-    def recording(self, index, position):
-        positions.append(position)
-        return seek(self, index, position)
-
-    monkeypatch.setattr(_BlockStreams, "seek", recording)
+    record_fills(monkeypatch, lambda draws, indices, position: positions.extend([position] * indices.size))
     return positions
 
 
@@ -276,6 +285,46 @@ class TestSharedDraws:
         visit_counts(full2_chain, target, cfg, returns=True)
         assert seek_positions.count(0) == 500
         assert_lockstep_matches_separate_walks(full2_chain, target, cfg)
+
+
+class TestDrawSizes:
+    def test_first_chunk_from_the_kac_mean(self, full2_chain, full2_recoded, monkeypatch):
+        # T_40 on the full 2-shift has Kac mean 80: the first chunk holds the start
+        # draw, 80 steps and 32 more, and every stream is sought at draw 0 once per
+        # walk; a straggler's chunk covers the returns it still misses
+        fills = []
+        record_fills(monkeypatch, lambda draws, indices, position: fills.append(
+            (draws.shape[0], position, indices.size)))
+        target = full2_recoded.target_blocks
+        cfg = SimConfig(seed=12, n_returns=40, n_samples=20_000, horizon=16)
+        for walk in (lambda: sample_return_times(full2_chain, target, cfg).samples,
+                     lambda: visit_counts(full2_chain, target, cfg, returns=True)[2].samples):
+            fills.clear()
+            times = walk()
+            assert fills[0] == (113, 0, 20_000)
+            assert [position for _, position, _ in fills].count(0) == 1
+            late = times > 112
+            assert 0 < late.sum() == fills[1][2]
+            assert all(rows < 113 for rows, _, _ in fills[1:])
+
+    @pytest.mark.parametrize("chunk", [33, 64])
+    def test_chunk_size_does_not_change_the_walks(self, random_recoded, monkeypatch, chunk):
+        rare = recode_higher_block(rare_target_system())
+        cases = [(rare, SimConfig(seed=28, n_returns=20, n_samples=400, horizon=150))] + [
+            (rec, SimConfig(seed=29 + k, n_returns=70, n_samples=200, horizon=70 + 11 * k))
+            for k, rec in enumerate(random_recoded[:50:10])
+        ]
+        walks = []
+        for rec, cfg in cases:
+            chain = gibbs_chain(rec)
+            times = sample_return_times(chain, rec.target_blocks, cfg).samples
+            walks.append((chain, times, visit_counts(chain, rec.target_blocks, cfg)[0]))
+        monkeypatch.setattr(montecarlo, "CHUNK_STEPS", chunk)
+        for (rec, cfg), (chain, times, counts) in zip(cases, walks):
+            # the first chunk has at most ``chunk`` rows, so some sample is a straggler
+            assert times.max() >= chunk
+            stats, got_counts = assert_lockstep_matches_separate_walks(chain, rec.target_blocks, cfg)
+            assert np.array_equal(stats.samples, times) and np.array_equal(got_counts, counts)
 
 
 class TestLockstep:
