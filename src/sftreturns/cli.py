@@ -25,7 +25,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .deviations import TWO_ROUTE_TOL, VarianceReport, conjugate_points, variance_report
+from .deviations import TWO_ROUTE_TOL, VarianceReport, conjugate_points, opening_asks, variance_report
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -300,6 +300,17 @@ def clip_u_grid(bundle: Bundle, grid: np.ndarray, clip: bool) -> np.ndarray:
     return grid[grid >= floor]
 
 
+def _kept_grids(bundle: Bundle) -> tuple[list[float], list[float]]:
+    """The alpha and u grid points that :func:`clip_alpha_grid` and :func:`clip_u_grid` keep when clipping.
+
+    Read without the clips' notices and errors, which a command meets where it clips.
+    """
+    config, op = bundle.config, bundle.op
+    alphas = [] if config.alpha_grid is None else config.alpha_grid[config.alpha_grid < op.alpha0 - GRID_MARGIN]
+    us = [] if config.u_grid is None else config.u_grid[config.u_grid >= float(op.min_cycle_mean)]
+    return list(alphas), [float(u) for u in us]
+
+
 def scalar_block(bundle: Bundle) -> dict[str, Any]:
     op = bundle.op
     report = bundle.variance
@@ -411,9 +422,9 @@ def write_tails_csv(
 
 
 def write_hist_csv(stats: EmpiricalStats, out: Path) -> Path:
-    rows = [[int(v), int(c)] for v, c in sorted(stats.histogram.items())]
+    rows = "".join(f"{v},{c}\n" for v, c in stats.histogram.items())
     path = out / "returns_hist.csv"
-    write_csv(path, ["value", "count"], rows)
+    path.write_text("value,count\n" + rows, encoding="utf-8", newline="\n")
     return path
 
 
@@ -445,10 +456,6 @@ def deterministic_checks(bundle: Bundle) -> list[dict[str, Any]]:
 
     conj_tilt, sandwich_tilts = _oracle_tilts(op)
     conj_tilts = (-1.0, 0.0, conj_tilt)
-    try:
-        op.solve([op.pressure - alpha for alpha in (*conj_tilts, *sandwich_tilts)])
-    except SftReturnsError:
-        pass  # each tilt below meets its own failure, in order
     law = bundle.law
     mean = float(law.start @ law.duration_moment_matrix(1).sum(axis=1))
     slack = law.moment_tail_bound(1) + 1e-9
@@ -559,6 +566,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
+    alphas, us = _kept_grids(bundle)
+    bundle.op.solve_ahead([0.0, *alphas, *opening_asks(bundle.op, us)])
     variance = bundle.variance
     if variance.two_route_gap > TWO_ROUTE_TOL:
         raise NumericError(
@@ -589,6 +598,7 @@ def cmd_rate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int:
     grid = clip_u_grid(bundle, bundle.config.u_grid, args.clip_grid)
     report = _report_skeleton(args, bundle)
     us = [float(u) for u in grid]
+    bundle.op.solve_ahead(opening_asks(bundle.op, us))
     report["files"] = [str(write_rate_csv(us, conjugate_points(bundle.op, us), out_dir))]
     report["notices"] = bundle.notices
     _emit(report, out_dir)
@@ -629,20 +639,23 @@ def cmd_validate(args: argparse.Namespace, bundle: Bundle, out_dir: Path) -> int
     sim = bundle.config.simulation
     # the variance verdicts take sample variances, which need two samples
     _require(sim.n_samples >= 2, f"validate command needs n_samples >= 2, got {sim.n_samples}")
+    op = bundle.op
+    tails = bundle.config.tails or [(1.0, "upper")]
+    # the rate searches at the tails' edges 1/mu +- u advance in the u grid's lockstep
+    abscissas = [1.0 / op.mu_target + u if side == "upper" else 1.0 / op.mu_target - u for u, side in tails]
+    alphas, us = _kept_grids(bundle)
+    conj_tilt, sandwich_tilts = _oracle_tilts(op)
+    op.solve_ahead([0.0, *alphas, -1.0, conj_tilt, *sandwich_tilts, *opening_asks(op, us + abscissas)])
     report = _report_skeleton(args, bundle)
     report["scalars"] = scalar_block(bundle)
     verdicts = deterministic_checks(bundle)
 
     # the return walk and the visit walk step in lockstep on each block's first chunk
     counts, var_rate, stats = visit_counts(bundle.chain, bundle.target, sim, returns=True)
-    tails = bundle.config.tails or [(1.0, "upper")]
     verdicts.extend(stochastic_checks(bundle, stats, counts, var_rate, tails))
 
-    # the rate searches at the tails' edges 1/mu +- u advance in the u grid's lockstep
-    mu = bundle.op.mu_target
-    abscissas = [1.0 / mu + u if side == "upper" else 1.0 / mu - u for u, side in tails]
     files, tail_points = write_grid_csvs(args, bundle, out_dir, abscissas)
-    sigma = math.sqrt(bundle.op.scgf_derivatives(0.0)[1])
+    sigma = math.sqrt(op.scgf_derivatives(0.0)[1])
     files.append(str(write_clt_csv(bundle, stats, sigma, out_dir)))
     tails_path, tail_details = write_tails_csv(bundle, stats, tails, tail_points, out_dir)
     files.append(str(tails_path))

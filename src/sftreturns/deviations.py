@@ -11,7 +11,9 @@ The search is written once, as a generator that yields the alpha it needs
 next; ``conjugate_points`` advances the searches of many u in lockstep and
 solves each round's alphas in one stacked pass of ``ReturnOperator.solve``,
 which gives every alpha Psi, Psi' and Psi'' alike, and returns each point or
-the error its search met.
+the error its search met.  Every search inside the range opens with the same
+asks, the bracket ends and the first Newton point (``opening_asks``), so a
+caller can solve them before the searches start.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
 series of Poincare cycles, summed exactly in the Gibbs chain P: with target
 A, complement C and the complement resolvent N = (I - P_CC)^-1, the landing
@@ -37,6 +39,7 @@ ROOT_TOL = 1e-12
 BOUNDARY_BAND = 1e-9
 SIGMA2_FLOOR = 1e-10
 TWO_ROUTE_TOL = 1e-6
+OPENING_GAP = 1e-4  # a search's bracket opens this far below a finite alpha0
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,26 @@ def _asymptotic_conjugate(op: ReturnOperator, u: float, direction: float):
     raise NumericError(f"the conjugate limit at u={u} did not converge: its iterates stopped at alpha={alpha}")
 
 
+def _bracket(op: ReturnOperator) -> tuple[float, float]:
+    """The bracket (lo, hi) a search inside the attainable range opens with, before it widens either end."""
+    return -1.0, (op.alpha0 - OPENING_GAP if np.isfinite(op.alpha0) else 1.0)
+
+
+def opening_asks(op: ReturnOperator, us: Sequence[float]) -> list[float]:
+    """The alphas that every search at a u of ``us`` inside the attainable range asks first, in order.
+
+    They are the bracket ends hi and lo, then the first Newton point
+    0.5 (lo + hi), which a search asks for unless it must widen its bracket;
+    they are the same for every such u, and there are none when no u of
+    ``us`` lies inside the range.
+    """
+    floor, ceiling = _attainable_range(op)
+    if not any(floor + BOUNDARY_BAND < u < ceiling - BOUNDARY_BAND for u in us):
+        return []
+    lo, hi = _bracket(op)
+    return [hi, lo, 0.5 * (lo + hi)]
+
+
 def _conjugate_search(op: ReturnOperator, u: float):
     """(I(u), alpha_star) at one u, as a generator.
 
@@ -112,11 +135,10 @@ def _conjugate_search(op: ReturnOperator, u: float):
     if u >= ceiling - BOUNDARY_BAND:
         return (yield from _asymptotic_conjugate(op, u, 1.0)), float("inf")
 
-    lo = -1.0
+    lo, hi = _bracket(op)
+    yield hi
     if np.isfinite(op.alpha0):
-        hi = op.alpha0 - 1e-4
-        gap = 1e-4
-        yield hi
+        gap = OPENING_GAP
         while op.scgf_slope(hi) < u:
             gap /= 4.0
             if gap < 2e-8:
@@ -126,8 +148,6 @@ def _conjugate_search(op: ReturnOperator, u: float):
             hi = op.alpha0 - gap
             yield hi
     else:
-        hi = 1.0
-        yield hi
         while op.scgf_slope(hi) < u:
             hi *= 2.0
             if hi > 2.0**16:
@@ -170,7 +190,9 @@ def conjugate_points(
     solves them in one stacked pass, then resumes the searches, which read
     their points off the memo.  A pass that fails leaves each search to meet
     its own failure on its own solve, so every value and every error equals
-    that of the search at that u alone.
+    that of the search at that u alone.  The commands solve
+    :func:`opening_asks` up front with their other S, so the first rounds
+    find their alphas memoized and make no pass.
     """
     searches = [_conjugate_search(op, u) for u in us]
     results: list = [None] * len(searches)

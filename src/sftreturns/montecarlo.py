@@ -67,7 +67,8 @@ class SimConfig:
 class EmpiricalStats:
     """Samples of the n-th return time with summary statistics.
 
-    ``flags`` carries soft warnings (for example a sample mean farther than
+    ``histogram`` maps each sampled value to its count, in ascending order of
+    value.  ``flags`` carries soft warnings (for example a sample mean farther than
     five standard errors from the Kac mean); they never abort a run.
     """
 

@@ -79,8 +79,12 @@ def _positivity_error(M: np.ndarray) -> NumericError:
     return NumericError("Perron vectors are not strictly positive; matrix not irreducible")
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _perron_pass(M: np.ndarray) -> tuple:
     """The pass of :func:`perron_stack`; raises on the first failing slice it meets.
+
+    It runs under one ``np.errstate``: a zero, an inf or a nan it makes fails
+    the positivity, finiteness or residual checks below, which raise.
 
     W stacks the right vectors over the left ones, all as columns (2k, n, 1),
     so one stacked solve on A over A^T polishes both, and one reduction

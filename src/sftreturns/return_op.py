@@ -25,7 +25,11 @@ the blocks, R(S), the Perron pairs (:func:`perron_stack`) and the
 derivatives carry a leading axis of S through stacked ``np.linalg.solve``,
 ``eig`` and ``@`` calls, which give every slice exactly the numbers it gets
 alone.  So :meth:`ReturnOperator.curve` solves its grid in one pass, and
-``eval`` is the one-S case of the same pass.
+``eval`` is the one-S case of the same pass.  A caller that can name S before
+it needs them solves them up front in one pass with
+:meth:`ReturnOperator.solve_ahead`, which never raises: the commands do so
+for alpha 0, their alpha grid, the oracle tilts and the rate searches'
+opening asks, and later requests read the records off the memo.
 """
 
 from __future__ import annotations
@@ -193,6 +197,28 @@ class ReturnOperator:
         for S, lam_S, h_S, m_S, R_S, lam_prime, m_R_second_h, m_R_prime_y in rows:
             lam_second = m_R_second_h + 2.0 * (m_R_prime_y - lam_prime * lam_prime / lam_S)
             self._evals[S] = ReturnOperatorEval(R_S, lam_S, h_S, m_S, lam_prime, lam_second)
+
+    def solve_ahead(self, alphas: Sequence[float]) -> None:
+        """Memoize R(P - alpha) for alphas a caller names before it needs them, in one stacked pass.
+
+        Each S is worked out as P - alpha, the expression of every request at
+        alpha, so the memo keys match.  An S that fails the parameter check is
+        left out, and a pass that fails memoizes nothing and is not raised:
+        every later request then meets its own failure, as it would without
+        this pass.  The records are those of :meth:`solve` at each S alone.
+        """
+        S_values = []
+        for alpha in alphas:
+            S = self.pressure - alpha
+            try:
+                self._check_parameter(S)
+            except DomainError:
+                continue
+            S_values.append(S)
+        try:
+            self.solve(S_values)
+        except (SftReturnsError, np.linalg.LinAlgError):
+            pass
 
     def eval(self, S: float) -> ReturnOperatorEval:
         """R(S) with its Perron data and derivatives, solved once per S; requires S safely above S_c."""

@@ -46,9 +46,10 @@ class GibbsChain:
         object.__setattr__(self, "stationary", pi)
         row_defect = np.abs(p.sum(axis=1) - 1.0).max()
         stat_defect = np.abs(pi @ p - pi).max()
-        if row_defect > STOCHASTIC_TOL or abs(pi.sum() - 1.0) > STOCHASTIC_TOL:
+        # written as "not <=" so that a nan defect fails
+        if not (row_defect <= STOCHASTIC_TOL and abs(pi.sum() - 1.0) <= STOCHASTIC_TOL):
             raise NumericError(f"chain is not stochastic (row defect {row_defect:.3e})")
-        if stat_defect > STOCHASTIC_TOL:
+        if not stat_defect <= STOCHASTIC_TOL:
             raise NumericError(f"stationarity defect {stat_defect:.3e} exceeds tolerance")
 
     @property
@@ -70,19 +71,21 @@ def gibbs_chain(recoded: RecodedSystem, data: PerronData | None = None) -> Gibbs
     M = recoded.weight_matrix()
     data = data if data is not None else _perron(recoded)
     v = data.right_vec
-    p = M * v[np.newaxis, :] / (data.rho * v[:, np.newaxis])
-    p = p / p.sum(axis=1, keepdims=True)
+    # a Perron vector spanning more than double range leaves nan rows, which the chain's checks reject
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = M * v[np.newaxis, :] / (data.rho * v[:, np.newaxis])
+        p = p / p.sum(axis=1, keepdims=True)
+        log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     pi = data.left_vec * v
     pi = pi / pi.sum()
     pres = float(np.log(data.rho)) + recoded.weight_shift
-    with np.errstate(divide="ignore"):
-        log_p = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     entropy = float(-(pi[:, np.newaxis] * p * log_p).sum())
+    chain = GibbsChain(transition_probs=p, stationary=pi, pressure=pres, entropy=entropy)
     mean_potential = float((pi[:, np.newaxis] * p * np.where(p > 0.0, recoded.potential2, 0.0)).sum())
     defect = abs(entropy + mean_potential - pres)
-    if defect > VARIATIONAL_TOL:
+    if not defect <= VARIATIONAL_TOL:
         raise NumericError(f"variational equality defect {defect:.3e} exceeds {VARIATIONAL_TOL}")
-    return GibbsChain(transition_probs=p, stationary=pi, pressure=pres, entropy=entropy)
+    return chain
 
 
 def restricted_spectrum(recoded: RecodedSystem, data: PerronData | None = None) -> tuple[float, list[list[int]]]:

@@ -651,15 +651,15 @@ def test_grid_failure_raises_its_message_with_tails_present(tmp_path, capsys):
         assert sorted(p.name for p in out.iterdir()) == ["scgf.csv"]
 
 
-def scaled_instance_config(scale, u_grid):
-    """System 13 of ``random_instance`` on seed 11, every potential value times ``scale``.
+def scaled_instance_config(scale, u_grid, draw=13):
+    """System ``draw`` of ``random_instance`` on seed 11, every potential value times ``scale``.
 
-    Psi' ranges over (1, 2) and the complement is acyclic, so at u = 2 the
-    conjugate limit runs alpha to +inf; at scale 300 R(P - alpha) leaves
-    double range before the iterates settle.
+    In system 13 Psi' ranges over (1, 2) and the complement is acyclic, so at
+    u = 2 the conjugate limit runs alpha to +inf; at scale 300 R(P - alpha)
+    leaves double range before the iterates settle.
     """
     rng = np.random.default_rng(11)
-    for _ in range(13):
+    for _ in range(draw):
         instance = random_instance(rng)
     block = system_block(instance)
     for entry in block["potential"]["values"]:
@@ -700,6 +700,37 @@ def test_converged_conjugate_limit_at_the_ceiling(tmp_path):
     code, caught = run_rate(tmp_path, scaled_instance_config(30, [2.0]))
     assert code == EXIT_OK and caught == []
     assert (tmp_path / "out" / "rate.csv").read_text().splitlines()[1:] == ["2,57.786677953556989,inf"]
+
+
+@pytest.mark.parametrize("command", ["rate", "analyze", "simulate"])
+@pytest.mark.parametrize("draw, scale, message", [
+    # the Perron polish of M meets a singular shifted matrix
+    (26, 1000, "Perron eigensolve failed: Singular matrix"),
+    # M's right Perron vector spans more than double range: a row of the Parry chain is nan
+    (27, 300, "chain is not stochastic (row defect nan)"),
+])
+def test_potentials_far_out_of_range_fail_at_set_up_without_warnings(tmp_path, capsys, command, draw, scale, message):
+    cfg = scaled_instance_config(scale, {"min": 1, "max": 6, "count": 6}, draw)
+    cfg["simulation"] = {"seed": 5, "n_returns": 5, "n_samples": 200, "horizon": 50}
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, "--config", path, "--out", tmp_path / "out", "--clip-grid"])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert caught == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_hist_csv_matches_the_row_by_row_writer(tmp_path):
+    cfg = full2_config()
+    bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, cfg), None, None))
+    stats = sample_return_times(bundle.chain, bundle.target, bundle.config.simulation)
+    rows = [[int(v), int(c)] for v, c in sorted(stats.histogram.items())]
+    cli.write_csv(tmp_path / "rows.csv", ["value", "count"], rows)
+    path = cli.write_hist_csv(stats, tmp_path)
+    assert len(rows) > 10
+    assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def write_clt_csv_by_rows(stats, sigma, mu, out):

@@ -5,6 +5,8 @@ import pytest
 
 from sftreturns import (
     DepthKPotential,
+    GibbsChain,
+    NumericError,
     gibbs_chain,
     perron_eigendata,
     pressure,
@@ -105,6 +107,17 @@ class TestGibbsChain:
             p, pi = chain.transition_probs, chain.stationary
             mean_phi = float((pi[:, None] * p * np.where(p > 0, rec.potential2, 0.0)).sum())
             assert chain.entropy + mean_phi == pytest.approx(chain.pressure, abs=1e-10)
+
+    @pytest.mark.parametrize("row, pi, message", [
+        ([np.nan, np.nan], [0.5, 0.5], "chain is not stochastic (row defect nan)"),
+        ([0.5, 0.5], [np.nan, 0.5], "chain is not stochastic (row defect 0.000e+00)"),
+        ([0.5, 0.5], [0.75, 0.25], "stationarity defect 2.500e-01 exceeds tolerance"),
+    ])
+    def test_nan_defects_fail_the_chain_checks(self, row, pi, message):
+        with pytest.raises(NumericError) as info:
+            GibbsChain(transition_probs=np.array([row, [0.5, 0.5]]), stationary=np.array(pi),
+                       pressure=0.0, entropy=0.0)
+        assert str(info.value) == message
 
 
 class TestRestrictedPressure:
