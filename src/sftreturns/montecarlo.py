@@ -11,16 +11,20 @@ that a chain step reads one contiguous row.
 
 A step from state s on uniform u goes to #{j < m-1 : cum[s, j] <= u}, with
 row s of the cumulative table closed to 1.0 from its last positive entry on,
-so that no step takes a transition of probability 0.  The count only jumps
-at the row's distinct thresholds in (0, 1), and rows of a recoded chain are
-sparse, so the walks step on codes that carry just those (:class:`_StepTable`).
+so that no step takes a transition of probability 0.  A step, and a start
+draw, only change where u crosses one of the chain's distinct thresholds in
+(0, 1), so a block stores each draw as its rank among them, one byte for up
+to 254 thresholds (:class:`_Ranks`), and a step adds the rank to the
+walker's code and gathers the next code from a (state x rank) jump table
+(:class:`_StepTable`).
 
 Both walks read a sample's stream from draw 0: the return walk until the
 sample's n-th return, in chunks sized from the Kac mean n / mu(A) of the
 n-th return time, the visit walk over the horizon.  One block kernel runs
 either walk or both.  With both, a block draws its first chunk once and
-steps the two walkers as one (2, N) code array on it, one advance and one
-hit gather per step; when one walker stops, the other goes on alone.
+steps the two walkers as one (2, N) code array on it, one add, one jump
+gather and one hit gather per step; when one walker stops, the other goes
+on alone.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ RNG_ALGORITHM = "numpy-philox4x64-10, key=(seed, sample_index)"
 BLOCK_SIZE = 32768
 CHUNK_STEPS = 512
 STEP_CAP = 10**9
-STEP_TABLE_BYTES = 2**24  # largest code table; past it the walks step on the state columns
+WALK_CAP = 10**10  # most expected sample-steps of a return walk, n_samples x n / mu(A)
+STEP_TABLE_BYTES = 2**24  # largest jump table; past it the walks step on the state columns
+RANK_BINS = 2**12
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,38 @@ class TailRate(NamedTuple):
     count: int
 
 
+class _Ranks:
+    """r(u) = #{tau <= u}, the rank of a uniform u among sorted thresholds tau in (0, 1).
+
+    Ranks are uint8 for at most 254 thresholds, else uint16 or uint32, so
+    that the dtype's largest value is free as a sentinel.  u * RANK_BINS is
+    exact and truncates to u's bin.  A bin with no threshold strictly inside
+    holds the rank of all its uniforms; one with a threshold inside holds the
+    sentinel, and its uniforms take a binary search.  A single threshold
+    takes one compare.
+    """
+
+    def __init__(self, tau: np.ndarray) -> None:
+        self.tau = tau
+        self.dtype = np.dtype(np.uint8 if tau.size <= 254 else np.uint16 if tau.size <= 65534 else np.uint32)
+        self.sentinel = np.iinfo(self.dtype).max
+        edges = np.arange(RANK_BINS + 1) / RANK_BINS
+        lo = np.searchsorted(tau, edges[:-1], side="right")
+        self.lut = np.where(lo == np.searchsorted(tau, edges[1:]), lo, self.sentinel).astype(self.dtype)
+
+    def __call__(self, u: np.ndarray, out: np.ndarray) -> None:
+        """The ranks of ``u`` into ``out``, of u's shape and the rank dtype."""
+        if self.tau.size == 1:
+            np.greater_equal(u, self.tau[0], out=out.view(bool))
+            return
+        self.lut.take((u * RANK_BINS).astype(np.intp), out=out, mode="clip")
+        miss = out == self.sentinel
+        if miss.any():
+            out[miss] = np.searchsorted(self.tau, u[miss], side="right")
+
+
 class _BlockStreams:
-    """The streams of one block's samples, served by a single Philox.
+    """The streams of one block's samples, served by a single Philox and stored as ranks.
 
     Draw p of sample i's stream is reached in O(1): key (seed, i), counter
     p // 4 with the four-double buffer empty (numpy advances the counter
@@ -96,11 +132,12 @@ class _BlockStreams:
     once; per stream it sets the key and draws the discarded draws with its own.
     """
 
-    TILE = 128  # samples filled sample-major, then copied transposed
+    TILE = 128  # samples filled sample-major, ranked, then copied transposed
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, rank: _Ranks) -> None:
         self._bitgen = np.random.Philox()
         self._gen = np.random.Generator(self._bitgen)
+        self._rank = rank
         # python ints: the state setter converts each to uint64 exactly
         self._key = [int(seed), 0]
         self._counter = [0, 0, 0, 0]
@@ -113,11 +150,12 @@ class _BlockStreams:
             "uinteger": 0,
         }
 
-    def fill(self, draws: np.ndarray, indices: np.ndarray, position: int) -> None:
-        """Column k of ``draws`` gets draws position, position+1, ... of stream indices[k]."""
+    def fill(self, ranks: np.ndarray, indices: np.ndarray, position: int) -> None:
+        """Column k of ``ranks`` gets the ranks of draws position, position+1, ... of stream indices[k]."""
         self._counter[0], skip = divmod(position, 4)
         bitgen, gen, key, state = self._bitgen, self._gen, self._key, self._state
-        tile = np.empty((min(self.TILE, indices.size), skip + draws.shape[0]))
+        tile = np.empty((min(self.TILE, indices.size), skip + ranks.shape[0]))
+        tile_ranks = np.empty((tile.shape[0], ranks.shape[0]), dtype=ranks.dtype)
         lines = list(tile)
         for first in range(0, indices.size, self.TILE):
             chunk = indices[first : first + self.TILE].tolist()
@@ -125,7 +163,9 @@ class _BlockStreams:
                 key[1] = index
                 bitgen.state = state
                 gen.random(out=line)
-            draws[:, first : first + len(chunk)] = tile[: len(chunk), skip:].T
+            size = len(chunk)
+            self._rank(tile[:size, skip:], tile_ranks[:size])
+            ranks[:, first : first + size] = tile_ranks[:size].T
 
 
 def _start_cum(weights: np.ndarray) -> np.ndarray:
@@ -135,62 +175,68 @@ def _start_cum(weights: np.ndarray) -> np.ndarray:
 
 
 class _StepTable:
-    """The chain's step on a uniform u, read off each row's distinct thresholds.
+    """The chain's step and its start laws, on the ranks of the uniforms.
 
     Row s of the cumulative table is closed to 1.0 from its last positive
     entry on, so no u < 1 steps to a successor of probability 0.  The next
-    state, #{j < m-1 : cum[s, j] <= u}, then jumps only at the row's distinct
-    thresholds in (0, 1): a threshold 0 always passes and one of 1 never does.
-    With w the most such thresholds in a row, the walk steps on codes: codes
-    0..m-1 start at their state, and code m + s (w+1) + i is the state reached
-    from s past i of its thresholds.  A step from code c is its ``base``,
-    m + state (w+1), plus one compare per column k < w of the state's
-    thresholds, padded with inf.  The walk steps on states and the m-1
-    columns of cum instead when w = m-1, where codes would only add a gather,
-    and when the m (w+2) w thresholds of the codes pass STEP_TABLE_BYTES
-    (a dense chain of a thousand states would need gigabytes).
+    state, #{j < m-1 : cum[s, j] <= u}, then changes only where u crosses a
+    threshold of the row in (0, 1), and a start state, searchsorted(cum, u)
+    on a start law's cumulative weights, only where u crosses one of the
+    law's.  With tau the sorted union of all of them, u >= tau[k] exactly
+    when r(u) > k, so every u of rank r steps as the probe of rank r does:
+    0 for r = 0 and tau[r-1] after.  The walks step on codes s (K+1), with
+    K = tau.size: a step adds the rank and gathers the next code from the
+    (state x rank) ``jump`` table, and a start law maps a rank through its
+    table in ``starts``.  When the jump table's 8 m (K+1) bytes would pass
+    STEP_TABLE_BYTES, codes are the states themselves and a step counts the
+    m-1 columns of cum that the rank passes, each entry as the least rank
+    of a u >= cum[s, j]: #{tau <= cum[s, j]}, plus one for entries of 1.
     """
 
-    def __init__(self, transition_probs: np.ndarray, targets: np.ndarray) -> None:
+    def __init__(
+        self, transition_probs: np.ndarray, targets: np.ndarray,
+        starts: Sequence[tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """``starts`` holds each start law's cumulative weights and states."""
         m = transition_probs.shape[0]
         cum = np.cumsum(transition_probs, axis=1)
         last = m - 1 - np.argmax(transition_probs[:, ::-1] > 0.0, axis=1)
         cum[np.arange(m) >= last[:, None]] = 1.0
         cum = cum[:, :-1]
-        rows = [np.unique(r[(r > 0.0) & (r < 1.0)]) for r in cum]
-        w = max(r.size for r in rows)
-        self.base: np.ndarray | None = None
-        self.states = np.arange(m)
-        if w == m - 1 or 8 * m * (w + 2) * w > STEP_TABLE_BYTES:
-            self.cols = [np.ascontiguousarray(c) for c in cum.T]
+        values = np.concatenate([cum.ravel(), *(weights for weights, _ in starts)])
+        tau = np.unique(values[(values > 0.0) & (values < 1.0)])
+        self.rank = _Ranks(tau)
+        probes = np.concatenate([[0.0], tau])
+        self.jump: np.ndarray | None = None
+        if 8 * m * probes.size > STEP_TABLE_BYTES:
+            self.scale = 1
+            passes = np.searchsorted(tau, cum, side="right") + (cum >= 1.0)
+            self.cols = [np.ascontiguousarray(c, dtype=self.rank.dtype) for c in passes.T]
         else:
-            thresholds = np.full((m, w), np.inf)
-            for s, r in enumerate(rows):
-                thresholds[s, : r.size] = r
-            # the state past i thresholds is the step on u = threshold i (u = 0 for none)
-            probes = np.hstack([np.zeros((m, 1)), thresholds])
-            past = (cum[:, None, :] <= probes[:, :, None]).sum(axis=2)
-            self.states = np.concatenate([self.states, past.ravel()])
-            self.base = m + self.states * (w + 1)
-            self.cols = [np.ascontiguousarray(c) for c in thresholds[self.states].T]
-        self.hits = np.isin(self.states, targets)
+            self.scale = probes.size
+            # clipped at 1, each row is sorted, and its entries past 1 pass no probe either way
+            nxt = [np.searchsorted(row, probes, side="right") for row in np.minimum(cum, 1.0)]
+            self.jump = np.concatenate(nxt) * self.scale
+        self.hits = np.repeat(np.isin(np.arange(m), targets), self.scale)
+        self.starts = [
+            states[np.searchsorted(weights, probes, side="right")] * self.scale for weights, states in starts
+        ]
 
     def advance(
-        self, code: np.ndarray, u: np.ndarray, nxt: np.ndarray, thr: np.ndarray, above: np.ndarray
-    ) -> np.ndarray:
-        """Next codes into ``nxt``; ``thr`` (float) and ``above`` (bool) are scratch."""
-        cols = self.cols
-        if self.base is None:
-            cols[0].take(code, out=thr, mode="clip")
-            np.greater_equal(u, thr, out=nxt)
-            cols = cols[1:]
-        else:
-            self.base.take(code, out=nxt, mode="clip")
-        for col in cols:
+        self, code: np.ndarray, ranks: np.ndarray, idx: np.ndarray, thr: np.ndarray, above: np.ndarray
+    ) -> None:
+        """Steps ``code`` in place on ``ranks``; ``idx`` (int), ``thr`` (rank) and ``above`` (bool) are scratch."""
+        if self.jump is not None:
+            np.add(code, ranks, out=idx)
+            self.jump.take(idx, out=code, mode="clip")
+            return
+        self.cols[0].take(code, out=thr, mode="clip")
+        np.greater_equal(ranks, thr, out=idx)
+        for col in self.cols[1:]:
             col.take(code, out=thr, mode="clip")
-            np.greater_equal(u, thr, out=above)
-            nxt += above
-        return nxt
+            np.greater_equal(ranks, thr, out=above)
+            idx += above
+        code[...] = idx
 
 
 class _Returns:
@@ -208,20 +254,20 @@ def _step(
     table: _StepTable, code: np.ndarray, counts: np.ndarray, steps: np.ndarray,
     returns: _Returns | None = None,
 ) -> np.ndarray:
-    """Step the walkers' ``code`` on the rows of ``steps``, adding their hits to ``counts``.
+    """Step the walkers' ``code`` on the rank rows of ``steps``, adding their hits to ``counts``.
 
-    ``code`` is one walker's codes, or two walkers' as rows.  With
-    ``returns``, the walker (row 0 of two) is the return walker: the step of
-    a sample's n-th hit is its return time, and the walk stops once every
-    sample has returned.  Returns the codes.
+    ``code`` is one walker's codes, or two walkers' as rows, and steps in
+    place.  With ``returns``, the walker (row 0 of two) is the return walker:
+    the step of a sample's n-th hit is its return time, and the walk stops
+    once every sample has returned.  Returns the codes.
     """
-    nxt, thr, hit = np.empty_like(code), np.empty(code.shape), np.empty(code.shape, dtype=bool)
+    idx, thr, hit = np.empty_like(code), np.empty(code.shape, steps.dtype), np.empty(code.shape, dtype=bool)
     if returns is not None:
         n, time = returns.n, returns.time
         returning, returned = (counts, hit) if code.ndim == 1 else (counts[0], hit[0])
         newly = np.empty(returning.shape, dtype=bool)
-    for u in steps:
-        code, nxt = table.advance(code, u, nxt, thr, hit), code
+    for ranks in steps:
+        table.advance(code, ranks, idx, thr, hit)
         table.hits.take(code, out=hit, mode="clip")
         counts += hit
         if returns is not None:
@@ -252,34 +298,42 @@ def _walk(
     stragglers' in chunks of their own.  The return walk's first chunk is
     n / mu + 33 rows, a straggler chunk k / mu + 32 rows, k the most returns
     a straggler still misses, each at most CHUNK_STEPS: a row across N
-    samples costs about N x 7.6 ns of Philox fill, a straggler's re-seek
-    about 1.3 us (2-CPU x86_64 host).  Blocks run in order: the fill and
-    step loops hold the GIL, so worker threads would only contend for it.
+    samples costs about N x 7 ns of Philox fill and ranking with a single
+    threshold and N x 11 ns through the rank table, a straggler's re-seek
+    about 1.3 us (2-CPU x86_64 host).  Draws are stored as ranks, one byte
+    each for up to 254 thresholds.  A return walk expected to take more
+    than WALK_CAP sample-steps is refused before its first draw.  Blocks
+    run in order: the fill and step loops hold the GIL, so worker threads
+    would only contend for it.
     """
-    table = _StepTable(chain.transition_probs, targets)
     pi = chain.stationary
     n, horizon = cfg.n_returns, cfg.horizon
     starts = []
     rows = 1
     if returns:
         mu = float(pi[targets].sum())
-        return_cum = _start_cum(pi[targets] / mu)
-        starts.append(lambda u: targets[np.searchsorted(return_cum, u, side="right")])
+        expected = cfg.n_samples * n / mu
+        if not expected <= WALK_CAP:
+            raise NumericError(
+                f"the return walk would take {expected:.3g} steps in expectation ({cfg.n_samples} "
+                f"samples x {n} returns / mu(A) = {mu:.3g}), past the cap of {WALK_CAP:.0e} steps"
+            )
+        starts.append((_start_cum(pi[targets] / mu), targets))
         # the start draw, the Kac mean n / mu of T_n and 32 steps of margin
         rows = min(CHUNK_STEPS, int(n / mu) + 33)
     if visits:
-        visit_cum = _start_cum(pi)
-        starts.append(lambda u: np.searchsorted(visit_cum, u, side="right"))
+        starts.append((_start_cum(pi), np.arange(pi.size)))
         # one row for the start draw, then one per step; later chunks reuse the rows
         rows = max(rows, min(CHUNK_STEPS, horizon))
+    table = _StepTable(chain.transition_probs, targets, starts)
     visit_end = min(rows, horizon) if visits else rows  # the visit walker's rows in the first chunk
     times, visited = [], []  # each block's, joined when the last block's draws are freed
     for lo in range(0, cfg.n_samples, BLOCK_SIZE):
         hi = min(lo + BLOCK_SIZE, cfg.n_samples)
-        streams = _BlockStreams(cfg.seed)
-        draws = np.empty((rows, hi - lo))
+        streams = _BlockStreams(cfg.seed, table.rank)
+        draws = np.empty((rows, hi - lo), dtype=table.rank.dtype)
         streams.fill(draws, np.arange(lo, hi), 0)
-        code = np.stack([start(draws[0]) for start in starts])
+        code = np.stack([start.take(draws[0]) for start in table.starts])
         counts = np.zeros(code.shape, dtype=np.int64)
         if visits:
             counts[-1] = table.hits[code[-1]]
@@ -308,7 +362,9 @@ def _walk(
                     raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
                 if not walker.orig.size:
                     break
-                steps = np.empty((min(CHUNK_STEPS, int((n - counts.min()) / mu) + 32), walker.orig.size))
+                steps = np.empty(
+                    (min(CHUNK_STEPS, int((n - counts.min()) / mu) + 32), walker.orig.size), table.rank.dtype
+                )
                 streams.fill(steps, lo + walker.orig, walker.time + 1)
                 code = _step(table, code, counts, steps, walker)
             times.append(walker.times)

@@ -31,8 +31,8 @@ no command reports.
 
 The Monte Carlo step on every column of the cumulative table
 (``step_columns``, ``advance``), which ``montecarlo._StepTable`` replaced by
-a step on each row's distinct thresholds; its rows are closed to 1.0 from
-their last positive entry on, as the table's are.
+a gather on the rank of each draw among the chain's distinct thresholds; its
+rows are closed to 1.0 from their last positive entry on, as the table's are.
 """
 
 from math import log

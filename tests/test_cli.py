@@ -1,8 +1,10 @@
 """CLI: config parsing, command outputs, exit codes, reproducibility."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import signal
 import warnings
 from fractions import Fraction
 from math import comb
@@ -720,6 +722,44 @@ def test_potentials_far_out_of_range_fail_at_set_up_without_warnings(tmp_path, c
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
     assert caught == []
     assert not (tmp_path / "out").exists()
+
+
+class StillRunning(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raises StillRunning in the block once ``seconds`` of wall time have passed."""
+    def expire(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", ["simulate", "clt"])
+@pytest.mark.parametrize("draw, expected, mu", [
+    (6, "8.74e+13", "1.14e-11"), (12, "1.41e+10", "7.09e-08"), (26, "1.95e+12", "5.12e-10"),
+])
+def test_astronomically_long_return_walks_fail_fast(tmp_path, capsys, command, draw, expected, mu):
+    # the Kac mean of T_5 is up to 4.4e11 steps a sample: the walk is refused before its first draw
+    cfg = scaled_instance_config(30, {"min": 1, "max": 6, "count": 6}, draw)
+    cfg["simulation"] = {"seed": 5, "n_returns": 5, "n_samples": 200, "horizon": 50}
+    path = write_config(tmp_path, cfg)
+    with time_limit(10.0):
+        code = run([command, "--config", path, "--out", tmp_path / "out"])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        f"numeric failure: the return walk would take {expected} steps in expectation "
+        f"(200 samples x 5 returns / mu(A) = {mu}), past the cap of 1e+10 steps\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_hist_csv_matches_the_row_by_row_writer(tmp_path):

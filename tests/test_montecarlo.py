@@ -5,6 +5,7 @@ the acceptance suite.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from sftreturns.montecarlo import (
     RNG_ALGORITHM,
     EmpiricalStats,
     _BlockStreams,
+    _Ranks,
     _StepTable,
     tail_cut,
 )
@@ -89,6 +91,7 @@ class TestDeterminism:
         assert not np.array_equal(samples(2**64 - 1), samples(0))
 
     def test_block_streams_match_fresh_philox(self):
+        # a fill stores each draw's rank among 1,000 thresholds, which pins it within about 1e-3
         seed = 2**63 + 12345
         fresh = {
             index: np.random.Generator(
@@ -96,18 +99,21 @@ class TestDeterminism:
             ).random(2000)
             for index in range(1000, 1300)
         }
-        streams = _BlockStreams(seed)
-        one = np.empty((1, 1))
+        tau = np.sort(np.random.default_rng(4).random(1000))
+        rank = _Ranks(tau)
+        streams = _BlockStreams(seed, rank)
+        one = np.empty((1, 1), dtype=rank.dtype)
         for index in (1000, 1009):
             sought = []
             for p in range(2000):
                 streams.fill(one, np.array([index]), p)
                 sought.append(one[0, 0])
-            assert np.array_equal(sought, fresh[index])
+            assert np.array_equal(sought, np.searchsorted(tau, fresh[index], side="right"))
         # several tiles, a partial last tile, and a start off the four-draw grid
-        draws = np.empty((7, 300))
-        streams.fill(draws, np.arange(1000, 1300), 5)
-        assert np.array_equal(draws, np.array([fresh[i][5:12] for i in range(1000, 1300)]).T)
+        ranks = np.empty((7, 300), dtype=rank.dtype)
+        streams.fill(ranks, np.arange(1000, 1300), 5)
+        expected = np.array([fresh[i][5:12] for i in range(1000, 1300)]).T
+        assert np.array_equal(ranks, np.searchsorted(tau, expected, side="right"))
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -211,12 +217,12 @@ def test_shared_draws_match_pinned_digests(system, case):
 
 
 def record_fills(monkeypatch, record):
-    """Calls ``record(draws, indices, position)`` before every ``_BlockStreams.fill``."""
+    """Calls ``record(ranks, indices, position)`` before every ``_BlockStreams.fill``."""
     fill = _BlockStreams.fill
 
-    def recording(self, draws, indices, position):
-        record(draws, indices, position)
-        return fill(self, draws, indices, position)
+    def recording(self, ranks, indices, position):
+        record(ranks, indices, position)
+        return fill(self, ranks, indices, position)
 
     monkeypatch.setattr(_BlockStreams, "fill", recording)
 
@@ -225,7 +231,7 @@ def record_fills(monkeypatch, record):
 def seek_positions(monkeypatch):
     """The position every stream is sought at, in order: a fill seeks each of its streams once."""
     positions = []
-    record_fills(monkeypatch, lambda draws, indices, position: positions.extend([position] * indices.size))
+    record_fills(monkeypatch, lambda ranks, indices, position: positions.extend([position] * indices.size))
     return positions
 
 
@@ -293,19 +299,32 @@ class TestDrawSizes:
         # draw, 80 steps and 32 more, and every stream is sought at draw 0 once per
         # walk; a straggler's chunk covers the returns it still misses
         fills = []
-        record_fills(monkeypatch, lambda draws, indices, position: fills.append(
-            (draws.shape[0], position, indices.size)))
+        record_fills(monkeypatch, lambda ranks, indices, position: fills.append(
+            (ranks.shape[0], position, indices.size, ranks.dtype)))
         target = full2_recoded.target_blocks
         cfg = SimConfig(seed=12, n_returns=40, n_samples=20_000, horizon=16)
         for walk in (lambda: sample_return_times(full2_chain, target, cfg).samples,
                      lambda: visit_counts(full2_chain, target, cfg, returns=True)[2].samples):
             fills.clear()
             times = walk()
-            assert fills[0] == (113, 0, 20_000)
-            assert [position for _, position, _ in fills].count(0) == 1
+            # one byte per draw: the ranks among the single threshold 1/2
+            assert fills[0] == (113, 0, 20_000, np.uint8)
+            assert [position for _, position, _, _ in fills].count(0) == 1
             late = times > 112
             assert 0 < late.sum() == fills[1][2]
-            assert all(rows < 113 for rows, _, _ in fills[1:])
+            assert all(rows < 113 for rows, _, _, _ in fills[1:])
+
+    def test_first_chunk_takes_one_byte_a_draw(self, full2_chain, full2_recoded):
+        # the first chunk of 20,000 samples of T_40 is 113 x 20,000 ranks: 2.2 MiB
+        # of bytes, where doubles took 17.2 MiB
+        cfg = SimConfig(seed=12, n_returns=40, n_samples=20_000)
+        tracemalloc.start()
+        try:
+            sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("chunk", [33, 64])
     def test_chunk_size_does_not_change_the_walks(self, random_recoded, monkeypatch, chunk):
@@ -428,19 +447,40 @@ def test_walks_match_a_fresh_philox_reference(monkeypatch, horizon):
 
 
 LAST_DRAW = np.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest uniform Philox gives
+EDGE = 1.0 / montecarlo.RANK_BINS  # the width of a rank bin
 
 
-def step(table, codes, u):
-    """The states the table steps to from ``codes`` on the uniforms ``u``."""
-    nxt = np.empty_like(codes)
-    above = np.empty(codes.size, dtype=bool)
-    return table.states[table.advance(codes, u, nxt, np.empty(codes.size), above)]
+def ranks_of(rank, u):
+    out = np.empty(np.shape(u), dtype=rank.dtype)
+    rank(np.asarray(u, dtype=float), out)
+    return out
+
+
+def step(table, states, u):
+    """The states the table steps to from ``states`` on the uniforms ``u``."""
+    code = states * table.scale
+    scratch = np.empty(code.shape, dtype=table.rank.dtype), np.empty(code.shape, dtype=bool)
+    table.advance(code, ranks_of(table.rank, u), np.empty_like(code), *scratch)
+    return code // table.scale
 
 
 def reference_step(probs, states, u):
     nxt = np.empty_like(states)
     above = np.empty(states.size, dtype=bool)
     return ref.advance(states, u, ref.step_columns(probs), nxt, np.empty(states.size), above)
+
+
+def thresholds(probs):
+    """The distinct thresholds in (0, 1) of the closed cumulative table."""
+    values = np.concatenate(ref.step_columns(probs))
+    return np.unique(values[(values > 0.0) & (values < 1.0)])
+
+
+def column_table(monkeypatch, probs, starts=()):
+    """The table of ``probs`` stepping on the state columns: no jump table fits."""
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "STEP_TABLE_BYTES", 0)
+        return _StepTable(probs, [0], starts)
 
 
 def random_step_chain(rng):
@@ -460,10 +500,10 @@ def random_step_chain(rng):
     return probs
 
 
-def probe_uniforms(probs, rng):
+def probe_uniforms(cum, rng):
     """0, every cumulative threshold and its neighbours, the last draw and random
     draws, all in [0, 1)."""
-    cum = np.cumsum(probs, axis=1).ravel()
+    cum = np.ravel(cum)
     u = np.concatenate([
         [0.0, LAST_DRAW], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), rng.random(64),
     ])
@@ -479,14 +519,67 @@ def depth3_chain():
     return gibbs_chain(recode_higher_block(make_system(transitions, (0,), potential=potential)))
 
 
+def dense_chain(m, seed):
+    """A random chain on m states with every transition allowed: about m (m-1) thresholds."""
+    probs = np.random.default_rng(seed).random((m, m))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+class TestRanks:
+    """r(u) = #{tau <= u} against a binary search over the thresholds tau."""
+
+    def assert_exact(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        edges = np.arange(montecarlo.RANK_BINS) * EDGE
+        u = np.concatenate([
+            tau, np.nextafter(tau, 0.0), np.nextafter(tau, 1.0),
+            edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0), [0.0, LAST_DRAW],
+        ])
+        rank = _Ranks(tau)
+        assert np.array_equal(ranks_of(rank, u), np.searchsorted(tau, u, side="right"))
+        # a fill ranks a sample-major tile past the draws it skips
+        tile = np.column_stack([u, u[::-1], u])[:, 1:]
+        assert np.array_equal(ranks_of(rank, tile), np.searchsorted(tau, tile, side="right"))
+        return rank
+
+    def test_thresholds_on_bin_edges_and_inside_bins(self):
+        tau = np.unique([
+            EDGE, 3 * EDGE, 0.5, 4095 * EDGE,  # on bin edges
+            np.nextafter(7 * EDGE, 1.0), np.nextafter(9 * EDGE, 0.0),  # one ulp inside a bin
+            0.1, 0.1 + 1e-12, 0.3, 0.7, 2.0**-53, LAST_DRAW,  # strictly inside, two in one bin
+        ])
+        rank = self.assert_exact(tau)
+        assert rank.dtype == np.uint8
+        # bins 1 and 3 start at a threshold and hold no other: their ranks are read off the
+        # table (2^-53 lies below both); bins 0 and 7 hold a threshold strictly inside
+        assert rank.lut[1] == 2 and rank.lut[3] == 3
+        assert rank.lut[0] == rank.lut[7] == rank.sentinel
+
+    @pytest.mark.parametrize("tau", [0.5, 3 * EDGE, 0.1, 2.0**-53, LAST_DRAW])
+    def test_one_threshold_is_one_compare(self, tau):
+        assert self.assert_exact([tau]).dtype == np.uint8
+
+    def test_no_threshold_ranks_every_draw_0(self):
+        self.assert_exact([])
+
+    @pytest.mark.parametrize("size, dtype", [
+        (254, np.uint8), (255, np.uint16), (65534, np.uint16), (65535, np.uint32),
+    ])
+    def test_the_rank_dtype_keeps_its_largest_value_free(self, size, dtype):
+        rng = np.random.default_rng(size)
+        tau = np.unique(np.concatenate([np.arange(1, 200) * 17 * EDGE % 1.0, rng.random(size)]))
+        tau = np.sort(rng.choice(tau[tau > 0.0], size=size, replace=False))
+        assert self.assert_exact(tau).dtype == dtype
+
+
 class TestStepTable:
     # row 0 sums to 0.9999999999999999, so u = 1 - 2^-53 passes all three of its
     # unclosed thresholds, which would step to state 3
     SHORT_ROW_CHAIN = [[0.7, 0.2, 0.1, 0.0], [0.25] * 4, [0.0, 0.5, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0]]
 
-    # a full second row keeps the state columns, a sparse one takes codes
+    # a full second row and a sparse one, each on the jump table and on the state columns
     @pytest.mark.parametrize("second_row", [[0.25] * 4, [0.0, 0.0, 0.3, 0.7]])
-    def test_no_step_takes_a_zero_probability_transition(self, second_row):
+    def test_no_step_takes_a_zero_probability_transition(self, second_row, monkeypatch):
         first, _, *rest = self.SHORT_ROW_CHAIN
         chains = [np.array([first, second_row, *rest])]
         assert np.cumsum(chains[0][0])[-1] < 1.0
@@ -494,48 +587,84 @@ class TestStepTable:
         rng = np.random.default_rng(0)
         chains += [gibbs_chain(recode_higher_block(random_instance(rng))).transition_probs for _ in range(2)]
         for probs in chains:
-            table = _StepTable(probs, [0])
-            codes = np.arange(table.states.size)
-            nxt = step(table, codes, np.full(codes.size, LAST_DRAW))
-            assert (probs[table.states, nxt] > 0.0).all()
+            states = np.arange(probs.shape[0])
+            for table in (_StepTable(probs, [0], ()), column_table(monkeypatch, probs)):
+                nxt = step(table, states, np.full(states.size, LAST_DRAW))
+                assert (probs[states, nxt] > 0.0).all()
 
-    def test_step_matches_the_column_reference(self):
+    def test_step_matches_the_column_reference(self, monkeypatch):
         rng = np.random.default_rng(15)
-        paths, short_rows = set(), 0
+        short_rows = 0
         for _ in range(200):
             probs = random_step_chain(rng)
+            m = probs.shape[0]
             short_rows += int((np.cumsum(probs, axis=1)[:, -1] < 1.0).sum())
-            table = _StepTable(probs, [0])
-            paths.add(table.base is None)
-            u = probe_uniforms(probs, rng)
-            codes = np.repeat(np.arange(table.states.size), u.size)
-            u = np.tile(u, table.states.size)
-            assert np.array_equal(step(table, codes, u), reference_step(probs, table.states[codes], u))
-            assert np.array_equal(table.hits, table.states == 0)
-        assert paths == {True, False} and short_rows >= 50
+            # a start law on some of the states, with zero weights among them
+            labels = rng.permutation(m)[: rng.integers(1, m + 1)]
+            weights = rng.random(labels.size) ** 3 * (rng.random(labels.size) < 0.8)
+            weights[-1] += 1e-3
+            start_cum = montecarlo._start_cum(weights / weights.sum())
+            starts = [(start_cum, labels)]
+            tables = (_StepTable(probs, [0], starts), column_table(monkeypatch, probs, starts))
+            assert tables[0].jump is not None and tables[1].jump is None
+            u = probe_uniforms(np.concatenate([np.cumsum(probs, axis=1).ravel(), start_cum]), rng)
+            states = np.repeat(np.arange(m), u.size)
+            u_all = np.tile(u, m)
+            expected = reference_step(probs, states, u_all)
+            for table in tables:
+                assert np.array_equal(step(table, states, u_all), expected)
+                assert np.array_equal(table.hits[np.arange(m) * table.scale], np.arange(m) == 0)
+                start = table.starts[0].take(ranks_of(table.rank, u))
+                assert np.array_equal(start // table.scale, labels[np.searchsorted(start_cum, u, side="right")])
+        assert short_rows >= 50
 
     def test_state_columns_past_the_table_budget(self, monkeypatch):
+        # 12 states and K thresholds: the jump table is 8 x 12 (K+1) bytes
         probs = depth3_chain().transition_probs
-        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 8 * 12 * 4 * 2 - 1)
-        table = _StepTable(probs, [0])
-        assert table.base is None and len(table.cols) == 11
-        u = probe_uniforms(probs, np.random.default_rng(7))
+        budget = 8 * 12 * (thresholds(probs).size + 1)
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", budget - 1)
+        table = _StepTable(probs, [0], ())
+        assert table.jump is None and table.scale == 1 and len(table.cols) == 11
+        u = probe_uniforms(np.cumsum(probs, axis=1), np.random.default_rng(7))
         states = np.repeat(np.arange(12), u.size)
         u = np.tile(u, 12)
         assert np.array_equal(step(table, states, u), reference_step(probs, states, u))
-        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 8 * 12 * 4 * 2)
-        assert _StepTable(probs, [0]).base is not None
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", budget)
+        assert _StepTable(probs, [0], ()).jump is not None
 
-    def test_state_columns_on_full_rows_codes_on_sparse_ones(self, full2_chain, golden_chain):
-        for chain in (full2_chain, golden_chain):
-            table = _StepTable(chain.transition_probs, [0])
-            assert table.base is None and len(table.cols) == 1
+    def test_jump_table_on_full_rows_and_sparse_ones(self, full2_chain, golden_chain):
+        # one entry per state and rank, whatever the width of the rows
         rare3 = gibbs_chain(recode_higher_block(rare_target_system()))
-        depth3 = depth3_chain()
-        assert depth3.n_states == 12
-        for chain in (rare3, depth3):
-            table = _StepTable(chain.transition_probs, [0])
-            assert table.base is not None and len(table.cols) < chain.n_states - 1
+        for chain in (full2_chain, golden_chain, rare3, depth3_chain()):
+            probs = chain.transition_probs
+            table = _StepTable(probs, [0], ())
+            tau = thresholds(probs)
+            assert np.array_equal(table.rank.tau, tau)
+            assert table.scale == tau.size + 1 and table.jump.size == chain.n_states * table.scale
+        assert np.array_equal(_StepTable(full2_chain.transition_probs, [0], ()).rank.tau, [0.5])
+
+    @pytest.mark.parametrize("m, dtype, columns", [(20, np.uint16, False), (200, np.uint16, True)])
+    def test_walks_match_the_reference_step_for_step(self, m, dtype, columns):
+        # 380 thresholds take uint16 ranks on the jump table; 200 dense states pass
+        # STEP_TABLE_BYTES and step on the state columns
+        probs = dense_chain(m, seed=m)
+        table = _StepTable(probs, [0], ())
+        assert table.rank.dtype == dtype and thresholds(probs).size > 254
+        assert (table.jump is None) == columns
+        rng = np.random.default_rng(m + 1)
+        cols = ref.step_columns(probs)
+        states = rng.integers(0, m, size=300)
+        code = states * table.scale
+        scratch = np.empty_like(code), np.empty(code.shape, dtype=dtype), np.empty(code.shape, dtype=bool)
+        tau = table.rank.tau
+        for _ in range(60):
+            # a third of the draws on a threshold or one ulp either side of it
+            u = rng.random(states.size)
+            on = rng.choice(tau, size=100)
+            u[:100] = np.where(rng.random(100) < 0.5, on, np.nextafter(on, rng.choice([0.0, 1.0], size=100)))
+            table.advance(code, ranks_of(table.rank, u), *scratch)
+            states = ref.advance(states, u, cols, np.empty_like(states), np.empty(u.size), np.empty(u.size, bool))
+            assert np.array_equal(code // table.scale, states)
 
 
 class TestSampleLaw:
