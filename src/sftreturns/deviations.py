@@ -10,8 +10,10 @@ Newton steps, each taking the exact Psi' and Psi'' of one R(S) evaluation.
 The search is written once, as a generator that yields the alpha it needs
 next; ``conjugate_points`` advances the searches of many u in lockstep and
 solves each round's alphas in one stacked pass of ``ReturnOperator.solve``,
-which gives every alpha Psi, Psi' and Psi'' alike, and returns each point or
-the error its search met.  Every search inside the range opens with the same
+which gives every alpha Psi, Psi' and Psi'' alike and never raises: a search
+whose alpha the pass left unsolved meets that alpha's own error when it reads
+its point.  ``conjugate_points`` returns each point or the error its search
+met.  Every search inside the range opens with the same
 asks, the bracket ends and the first Newton point (``opening_asks``), so a
 caller can solve them before the searches start.
 The variance sigma^2 = Psi''(0) is cross-computed from the covariance
@@ -188,9 +190,9 @@ def conjugate_points(
 
     Each round gathers the alpha every unfinished search needs next and
     solves them in one stacked pass, then resumes the searches, which read
-    their points off the memo.  A pass that fails leaves each search to meet
-    its own failure on its own solve, so every value and every error equals
-    that of the search at that u alone.  The commands solve
+    their points off the memo.  A pass that fails memoizes nothing, and each
+    search meets its own failure when it reads its point, so every value and
+    every error equals that of the search at that u alone.  The commands solve
     :func:`opening_asks` up front with their other S, so the first rounds
     find their alphas memoized and make no pass.
     """
@@ -209,10 +211,7 @@ def conjugate_points(
     for i in range(len(searches)):
         advance(i)
     while asks:
-        try:
-            op.solve([op.pressure - alpha for alpha in asks.values()])
-        except SftReturnsError:
-            pass  # each search meets its own failure when it reads its point
+        op.solve([op.pressure - alpha for alpha in asks.values()])
         for i in list(asks):
             del asks[i]
             advance(i)

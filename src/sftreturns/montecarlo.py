@@ -42,29 +42,28 @@ RNG_ALGORITHM = "numpy-philox4x64-10, key=(seed, sample_index)"
 BLOCK_SIZE = 32768
 CHUNK_STEPS = 512
 STEP_CAP = 10**9
-WALK_CAP = 10**10  # most expected sample-steps of a return walk, n_samples x n / mu(A)
+WALK_CAP = 10**10  # most expected cost of a return walk, (n_samples + LOCKSTEP_COST) x n / mu(A)
+# the fixed cost of a lockstep step in sample-steps: a walk costs about 6.0 us a step
+# plus 15 ns a sample-step (least squares over 1 to 10,000 samples, n / mu(A) = 5e4,
+# 2-state chain, 2-CPU x86_64 host), a ratio of 394
+LOCKSTEP_COST = 400
 STEP_TABLE_BYTES = 2**24  # largest jump table; past it the walks step on the state columns
 RANK_BINS = 2**12
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation sizes plus the reproducibility seed and a worker hint.
-
-    ``workers`` is validated and kept for configs that set it, but has no
-    effect: blocks run in order on one thread, and results never depend on it.
-    """
+    """Simulation sizes plus the reproducibility seed."""
 
     seed: int
     n_returns: int = 1
     n_samples: int = 1
     horizon: int = 1
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        for name in ("n_returns", "n_samples", "horizon", "workers"):
+        for name in ("n_returns", "n_samples", "horizon"):
             if int(getattr(self, name)) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -83,8 +82,6 @@ class EmpiricalStats:
     mean: float
     variance: float
     histogram: dict[int, int]
-    seed: int
-    rng_algorithm: str
     flags: tuple[str, ...]
 
 
@@ -301,8 +298,10 @@ def _walk(
     samples costs about N x 7 ns of Philox fill and ranking with a single
     threshold and N x 11 ns through the rank table, a straggler's re-seek
     about 1.3 us (2-CPU x86_64 host).  Draws are stored as ranks, one byte
-    each for up to 254 thresholds.  A return walk expected to take more
-    than WALK_CAP sample-steps is refused before its first draw.  Blocks
+    each for up to 254 thresholds.  A return walk whose expected cost,
+    (n_samples + LOCKSTEP_COST) x n / mu sample-steps, passes WALK_CAP is
+    refused before its first draw: each of its n / mu lockstep steps costs
+    about LOCKSTEP_COST sample-steps whatever the block size.  Blocks
     run in order: the fill and step loops hold the GIL, so worker threads
     would only contend for it.
     """
@@ -312,11 +311,13 @@ def _walk(
     rows = 1
     if returns:
         mu = float(pi[targets].sum())
-        expected = cfg.n_samples * n / mu
-        if not expected <= WALK_CAP:
+        cost = (cfg.n_samples + LOCKSTEP_COST) * n / mu
+        if not cost <= WALK_CAP:
             raise NumericError(
-                f"the return walk would take {expected:.3g} steps in expectation ({cfg.n_samples} "
-                f"samples x {n} returns / mu(A) = {mu:.3g}), past the cap of {WALK_CAP:.0e} steps"
+                f"the return walk would take {cfg.n_samples * n / mu:.3g} steps in expectation "
+                f"({cfg.n_samples} samples x {n} returns / mu(A) = {mu:.3g}), and {cost:.3g} counting "
+                f"{LOCKSTEP_COST} for the fixed cost of each lockstep step, "
+                f"past the cap of {WALK_CAP:.0e} steps"
             )
         starts.append((_start_cum(pi[targets] / mu), targets))
         # the start draw, the Kac mean n / mu of T_n and 32 steps of margin
@@ -399,8 +400,6 @@ def _return_stats(
         mean=mean,
         variance=variance,
         histogram={int(v): int(c) for v, c in zip(values, freq)},
-        seed=cfg.seed,
-        rng_algorithm=RNG_ALGORITHM,
         flags=tuple(flags),
     )
 

@@ -265,7 +265,8 @@ def _validate_law(law: FirstReturnLaw) -> None:
         raise NumericError("first-return mass inconsistent with its tail certificate")
     mean = float(law.start @ law.duration_moment_matrix(1).sum(axis=1))
     slack = law.moment_tail_bound(1) + KAC_SLACK
-    if abs(mean - 1.0 / law.mu_target) > slack:
+    # written as "not <=" so that a nan residual fails
+    if not abs(mean - 1.0 / law.mu_target) <= slack:
         raise NumericError(
             f"Kac check failed: mean return {mean!r} vs 1/mu = {1.0 / law.mu_target!r} "
             f"(certified slack {slack:.3e})"

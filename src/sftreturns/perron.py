@@ -18,7 +18,9 @@ The solve runs on a stack of matrices (k, n, n) in one pass of stacked
 slice gets exactly the numbers it gets alone; slices polish in lockstep and
 leave the stack as they converge.  The right and the left solves of a
 round share one stacked solve on A over A^T.  A single matrix is the stack
-of one.
+of one.  A stack with a failing slice raises that slice's error; its one
+stacked caller, ``ReturnOperator.solve``, then memoizes nothing, and each S
+is solved alone when it is asked for.
 
 Tail certificates search for a power of X with max-rowsum <= 1/2, which
 cannot exist when rho(X) >= 1: a Collatz-Wielandt lower bound on rho(X)
@@ -81,7 +83,7 @@ def _positivity_error(M: np.ndarray) -> NumericError:
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _perron_pass(M: np.ndarray) -> tuple:
-    """The pass of :func:`perron_stack`; raises on the first failing slice it meets.
+    """The pass of :func:`perron_stack`, which :func:`perron_eigendata` calls directly.
 
     It runs under one ``np.errstate``: a zero, an inf or a nan it makes fails
     the positivity, finiteness or residual checks below, which raise.
@@ -182,17 +184,10 @@ def perron_stack(M: np.ndarray) -> tuple:
     stacked ``solve``, ``eig`` and products give each slice exactly the
     numbers it gets alone, so a slice's data do not depend on the stack it
     came in.  Slices polish in lockstep; a converged one leaves the stack.
-    If any slice fails, the slices are solved one at a time, so the first
-    failing slice in stack order raises its own :class:`NumericError`.
+    If a slice fails, the pass raises the :class:`NumericError` of the first
+    failing slice it meets.
     """
-    M = np.asarray(M, dtype=float)
-    try:
-        return _perron_pass(M)
-    except NumericError:
-        if M.shape[0] > 1:
-            for single in M[:, np.newaxis]:
-                _perron_pass(single)
-        raise
+    return _perron_pass(np.asarray(M, dtype=float))
 
 
 def perron_eigendata(M: np.ndarray) -> PerronData:

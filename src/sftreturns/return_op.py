@@ -24,12 +24,15 @@ whole request of S and solves those not yet memoized in one stacked pass:
 the blocks, R(S), the Perron pairs (:func:`perron_stack`) and the
 derivatives carry a leading axis of S through stacked ``np.linalg.solve``,
 ``eig`` and ``@`` calls, which give every slice exactly the numbers it gets
-alone.  So :meth:`ReturnOperator.curve` solves its grid in one pass, and
-``eval`` is the one-S case of the same pass.  A caller that can name S before
-it needs them solves them up front in one pass with
-:meth:`ReturnOperator.solve_ahead`, which never raises: the commands do so
-for alpha 0, their alpha grid, the oracle tilts and the rate searches'
-opening asks, and later requests read the records off the memo.
+alone.  ``solve`` never raises: it leaves out an S that fails the parameter
+check, and a pass that fails memoizes nothing.  ``eval`` solves an S not
+yet memoized alone and raises that S's own error, so a request changes how
+many passes the records take, never a value or an error.  So
+:meth:`ReturnOperator.curve` solves its grid in one pass, and a caller that
+can name S before it needs them solves them up front in one pass with
+:meth:`ReturnOperator.solve_ahead`: the commands do so for alpha 0, their
+alpha grid, the oracle tilts and the rate searches' opening asks, and later
+requests read the records off the memo.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class ReturnOperator:
     solves R(S), its Perron pair, lambda' and lambda'' once, stacked with the
     other new S of its request, and :meth:`eval` returns the same read-only
     :class:`ReturnOperatorEval` to every later request for S.  The parameter
-    is still checked on every request.
+    is checked once, when S is first solved.
     """
 
     def __init__(self, recoded: RecodedSystem) -> None:
@@ -157,13 +160,30 @@ class ReturnOperator:
         return W[..., :a, :a], W[..., :a, a:], W[..., a:, :a], identity - W[..., a:, a:]
 
     def solve(self, S_values: Sequence[float]) -> None:
-        """Memoize R(S) with its Perron pair, lambda' and lambda'' for every S of a request.
+        """Memoize R(S), its Perron pair, lambda' and lambda'' for a request's S in one pass; never raises.
 
-        Every S is checked first, in request order, so the first S at or below
-        S_c raises the DomainError that :meth:`eval` raises.  The S not yet
-        memoized are then solved in one stacked pass; an S repeated in the
-        request is solved once.  If a Perron solve fails, the first failing S
-        in request order raises the NumericError it raises alone.
+        An S already memoized or failing the parameter check is left out, and
+        an S repeated in the request is solved once.  A pass that fails
+        memoizes nothing, so a later :meth:`eval` solves each of its S alone
+        and raises that S's own error: a request changes how many passes the
+        records take, never a value or an error.
+        """
+        todo = []
+        for S in dict.fromkeys(S_values):
+            if S not in self._evals:
+                try:
+                    self._check_parameter(S)
+                except DomainError:
+                    continue
+                todo.append(S)
+        if todo:
+            try:
+                self._pass(todo)
+            except (SftReturnsError, np.linalg.LinAlgError):
+                pass
+
+    def _pass(self, todo: list[float]) -> None:
+        """Memoize the records of ``todo``, checked S not yet memoized, in one stacked pass, or raise.
 
         With B = W_AC, C = W_CA and K = (I - W_CC)^{-1}, R' = -R - B K^2 C
         reuses R = W_AA + B K C bit for bit, and R'' = W_AA + B (2 K^3 + K^2 + K) C.
@@ -171,11 +191,6 @@ class ReturnOperator:
         (lambda (I + h m) - R) y = R' h, whose rank-one term is scaled by lambda
         so that the solve stays as well conditioned as lambda I - R off h.
         """
-        for S in S_values:
-            self._check_parameter(S)
-        todo = [S for S in dict.fromkeys(S_values) if S not in self._evals]
-        if not todo:
-            return
         # a scale past double range leaves inf or nan in R, which perron_stack rejects
         with np.errstate(over="ignore", invalid="ignore"):
             Waa, Wac, Wca, resolvent = self._blocks(todo)
@@ -199,34 +214,19 @@ class ReturnOperator:
             self._evals[S] = ReturnOperatorEval(R_S, lam_S, h_S, m_S, lam_prime, lam_second)
 
     def solve_ahead(self, alphas: Sequence[float]) -> None:
-        """Memoize R(P - alpha) for alphas a caller names before it needs them, in one stacked pass.
-
-        Each S is worked out as P - alpha, the expression of every request at
-        alpha, so the memo keys match.  An S that fails the parameter check is
-        left out, and a pass that fails memoizes nothing and is not raised:
-        every later request then meets its own failure, as it would without
-        this pass.  The records are those of :meth:`solve` at each S alone.
-        """
-        S_values = []
-        for alpha in alphas:
-            S = self.pressure - alpha
-            try:
-                self._check_parameter(S)
-            except DomainError:
-                continue
-            S_values.append(S)
-        try:
-            self.solve(S_values)
-        except (SftReturnsError, np.linalg.LinAlgError):
-            pass
+        """Memoize R(P - alpha) for alphas a caller names before it needs them: :meth:`solve` at P - alpha."""
+        self.solve([self.pressure - alpha for alpha in alphas])
 
     def eval(self, S: float) -> ReturnOperatorEval:
-        """R(S) with its Perron data and derivatives, solved once per S; requires S safely above S_c."""
+        """R(S) with its Perron data and derivatives, solved once per S; requires S safely above S_c.
+
+        An S not yet memoized is checked and solved alone, and raises its own error.
+        """
         ev = self._evals.get(S)
         if ev is None:
-            self.solve([S])
-            return self._evals[S]
-        self._check_parameter(S)
+            self._check_parameter(S)
+            self._pass([S])
+            ev = self._evals[S]
         return ev
 
     # -- scaled CGF ---------------------------------------------------------
@@ -281,9 +281,6 @@ class ReturnOperator:
                 f"grid points at indices {bad.tolist()} (values {grid[bad].tolist()}) are "
                 f"not below alpha0={self.alpha0!r} with the required margin {DOMAIN_TOL}"
             )
-        try:
-            self.solve((self.pressure - grid).tolist())
-        except SftReturnsError:
-            pass  # each point below meets its own failure, in grid order
+        self.solve((self.pressure - grid).tolist())  # each point below meets its own failure, in grid order
         psi, psi1, psi2 = np.array([self.scgf_and_derivatives(a) for a in grid]).T
         return CgfCurve(alpha_grid=grid, psi=psi, psi1=psi1, psi2=psi2)

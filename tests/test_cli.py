@@ -19,7 +19,7 @@ from sftreturns import (
     variance_report,
 )
 from sftreturns.deviations import TWO_ROUTE_TOL
-from sftreturns.montecarlo import RNG_ALGORITHM, EmpiricalStats, normal_cdf
+from sftreturns.montecarlo import EmpiricalStats, normal_cdf
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from conftest import random_instance
 from references import rate_function
@@ -376,8 +376,7 @@ def test_tail_count_and_exact_probability_share_one_cut(tmp_path):
     samples = np.repeat([80, 98, 99, 100], [600, 200, 150, 50])
     values, freq = np.unique(samples, return_counts=True)
     stats = EmpiricalStats(samples=samples, n_returns=45, mean=float(samples.mean()),
-                           variance=float(samples.var(ddof=1)), histogram=dict(zip(values, freq)),
-                           seed=0, rng_algorithm=RNG_ALGORITHM, flags=())
+                           variance=float(samples.var(ddof=1)), histogram=dict(zip(values, freq)), flags=())
     counts = np.arange(1000) % 7
     verdicts = cli.stochastic_checks(bundle, stats, counts, 1.0, [(0.7, "upper")])
     tail = {v["name"]: v for v in verdicts}["tail_count_upper_u=0.7"]
@@ -743,6 +742,18 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# the walk cap's cost (200 samples + 400 a lockstep step) x 5 returns / mu(A) of each draw
+WALK_COSTS = {6: "2.62e+14", 12: "4.23e+10", 26: "5.86e+12"}
+
+
+def walk_cap_message(samples, steps, mu, cost):
+    return (
+        f"numeric failure: the return walk would take {steps} steps in expectation "
+        f"({samples} samples x 5 returns / mu(A) = {mu}), and {cost} counting 400 for the fixed "
+        "cost of each lockstep step, past the cap of 1e+10 steps\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["simulate", "clt"])
 @pytest.mark.parametrize("draw, expected, mu", [
     (6, "8.74e+13", "1.14e-11"), (12, "1.41e+10", "7.09e-08"), (26, "1.95e+12", "5.12e-10"),
@@ -755,10 +766,20 @@ def test_astronomically_long_return_walks_fail_fast(tmp_path, capsys, command, d
     with time_limit(10.0):
         code = run([command, "--config", path, "--out", tmp_path / "out"])
     assert code == EXIT_NUMERIC
-    assert capsys.readouterr().err == (
-        f"numeric failure: the return walk would take {expected} steps in expectation "
-        f"(200 samples x 5 returns / mu(A) = {mu}), past the cap of 1e+10 steps\n"
-    )
+    assert capsys.readouterr().err == walk_cap_message(200, expected, mu, WALK_COSTS[draw])
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_long_walk_on_one_sample_fails_fast(tmp_path, capsys):
+    # 7.05e7 sample-steps, under the cap, but as many lockstep steps of about 6-10 us each:
+    # the fixed cost of a step, not the sample count, would make this walk last ten minutes
+    cfg = scaled_instance_config(30, {"min": 1, "max": 6, "count": 6}, 12)
+    cfg["simulation"] = {"seed": 5, "n_returns": 5, "n_samples": 200, "horizon": 50}
+    path = write_config(tmp_path, cfg)
+    with time_limit(10.0):
+        code = run(["simulate", "--config", path, "--out", tmp_path / "out", "--samples", "1"])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == walk_cap_message(1, "7.05e+07", "7.09e-08", "2.83e+10")
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -30,7 +30,6 @@ from sftreturns import (
 )
 from sftreturns import montecarlo
 from sftreturns.montecarlo import (
-    RNG_ALGORITHM,
     EmpiricalStats,
     _BlockStreams,
     _Ranks,
@@ -61,19 +60,6 @@ class TestDeterminism:
         a = sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
         b = sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
         assert a.samples[0] == b.samples[0]
-
-    def test_worker_hint_invariance(self, golden_chain, golden_recoded):
-        base = dict(seed=77, n_returns=4, n_samples=70000)
-        a = sample_return_times(golden_chain, golden_recoded.target_blocks, SimConfig(workers=1, **base))
-        b = sample_return_times(golden_chain, golden_recoded.target_blocks, SimConfig(workers=3, **base))
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_visit_counts_worker_invariance(self, full2_chain, full2_recoded):
-        base = dict(seed=5, n_samples=40000, horizon=50)
-        a, va = visit_counts(full2_chain, full2_recoded.target_blocks, SimConfig(workers=1, **base))
-        b, vb = visit_counts(full2_chain, full2_recoded.target_blocks, SimConfig(workers=4, **base))
-        assert np.array_equal(a, b)
-        assert va == vb
 
     def test_different_seeds_differ(self, full2_chain, full2_recoded):
         cfg1 = SimConfig(seed=1, n_returns=3, n_samples=200)
@@ -132,9 +118,9 @@ def rare_target_system():
 
 PINNED_SYSTEMS = {"full2": lambda: full_shift(2), "golden": golden_mean, "rare3": rare_target_system}
 PINNED_CASES = {
-    "one-chunk": dict(n_returns=40, n_samples=20_000, horizon=16, workers=1),
-    "outlive-chunk": dict(n_returns=300, n_samples=2_000, horizon=1_300, workers=1),
-    "blocks": dict(n_returns=4, n_samples=70_000, horizon=40, workers=2),
+    "one-chunk": dict(n_returns=40, n_samples=20_000, horizon=16),
+    "outlive-chunk": dict(n_returns=300, n_samples=2_000, horizon=1_300),
+    "blocks": dict(n_returns=4, n_samples=70_000, horizon=40),
 }
 # sha256 of samples.tobytes(), counts.tobytes() and repr(var_rate), recorded
 # with the per-sample Philox(key=[seed, index]) kernel this one replaced.
@@ -759,7 +745,7 @@ class TestTailRate:
         assert tail_cut(45, 2 / 3, 0.7, "lower") == 36
         assert tail_cut(45, 2 / 3, 0.71, "upper") == 100
         stats = EmpiricalStats(samples=np.array([99]), n_returns=45, mean=99.0, variance=0.0,
-                               histogram={99: 1}, seed=0, rng_algorithm=RNG_ALGORITHM, flags=())
+                               histogram={99: 1}, flags=())
         assert empirical_tail_rate(stats, 2 / 3, 0.7, "upper").count == 1
 
     def test_typical_event_rate_near_zero(self, full2_chain, full2_recoded):

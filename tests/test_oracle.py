@@ -1,5 +1,6 @@
 """Exact first-return laws, the law of T_n, tilted kernels, covariances."""
 
+import dataclasses
 from fractions import Fraction
 from math import ceil, floor, fsum
 
@@ -19,7 +20,7 @@ from sftreturns import (
     recode_higher_block,
     return_time_law,
 )
-from sftreturns.oracle import largest_certifiable_alpha
+from sftreturns.oracle import _validate_law, largest_certifiable_alpha
 from sftreturns.perron import _contraction, _geometric_sum
 from conftest import GOLDEN_RATIO, golden_mean, variance_of
 from references import (
@@ -174,6 +175,12 @@ class TestFirstReturnLaw:
         assert mean2 == pytest.approx(2.0, abs=1e-9)
         meang = float(golden_law.start @ golden_law.duration_moment_matrix(1).sum(axis=1))
         assert meang == pytest.approx(GOLDEN_RATIO**2 + 1.0, abs=1e-8)
+
+    def test_kac_check_fails_on_nan(self, golden_law):
+        # the Kac residual is tested as "not residual <= slack", so a nan mu fails it
+        _validate_law(golden_law)
+        with pytest.raises(NumericError, match="Kac check failed"):
+            _validate_law(dataclasses.replace(golden_law, mu_target=float("nan")))
 
     def test_tail_is_exact_remaining_mass(self, full2_law):
         mass = full2_law.kernels.sum(axis=(0, 2))
