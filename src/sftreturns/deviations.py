@@ -239,7 +239,7 @@ def variance_report(op: ReturnOperator, chain: GibbsChain) -> VarianceReport:
     mu = op.mu_target
     P = chain.transition_probs
     A = np.array(op.target, dtype=int)
-    C = np.setdiff1d(np.arange(P.shape[0]), A)
+    C = np.flatnonzero(np.bincount(A, minlength=P.shape[0]) == 0)
     p_ac = P[np.ix_(A, C)]
     resolvent = np.eye(C.size) - P[np.ix_(C, C)]
     y1 = np.linalg.solve(resolvent, P[np.ix_(C, A)])  # y_k = N^k P_CA

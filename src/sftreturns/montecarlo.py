@@ -20,11 +20,15 @@ walker's code and gathers the next code from a (state x rank) jump table
 
 Both walks read a sample's stream from draw 0: the return walk until the
 sample's n-th return, in chunks sized from the Kac mean n / mu(A) of the
-n-th return time, the visit walk over the horizon.  One block kernel runs
-either walk or both.  With both, a block draws its first chunk once and
-steps the two walkers as one (2, N) code array on it, one add, one jump
-gather and one hit gather per step; when one walker stops, the other goes
-on alone.
+n-th return time, the visit walk over the horizon.  The return walker's
+code also counts its returns, in layers of the jump table, and after the
+n-th the steps since, so a return-walk step is one add and one gather, and
+the return times are read off the codes once per chunk.  The visit walker
+writes each step's target hits into the step's spent rank row, summed once
+per chunk.  One block kernel runs either walk or both.  With both, a block
+draws its first chunk once and steps the two walkers as one (2, N) code
+array on it, one add and one gather per step, then the visit hits; when
+one walker stops, the other goes on alone.
 """
 
 from __future__ import annotations
@@ -43,11 +47,14 @@ BLOCK_SIZE = 32768
 CHUNK_STEPS = 512
 STEP_CAP = 10**9
 WALK_CAP = 10**10  # most expected cost of a return walk, (n_samples + LOCKSTEP_COST) x n / mu(A)
-# the fixed cost of a lockstep step in sample-steps: a walk costs about 6.0 us a step
-# plus 15 ns a sample-step (least squares over 1 to 10,000 samples, n / mu(A) = 5e4,
-# 2-state chain, 2-CPU x86_64 host), a ratio of 394
-LOCKSTEP_COST = 400
+# the fixed cost of a lockstep step in sample-steps: a walk costs about 1.3-1.6 us a step
+# plus 11.6-11.9 ns a sample-step (least squares over 1 to 10,000 samples, n / mu(A) = 5e4,
+# 2-state chain, 2-CPU x86_64 host), a ratio of 111-136 in four of five fits (the fifth 43);
+# one sample alone took 1.4-1.8 us a step, 120-155 sample-steps, and the constant sits near
+# the top of that range
+LOCKSTEP_COST = 150
 STEP_TABLE_BYTES = 2**24  # largest jump table; past it the walks step on the state columns
+WINDOW = 16  # return-walk steps between checks that every sample has returned, on a layered table
 RANK_BINS = 2**12
 
 
@@ -109,12 +116,14 @@ class _Ranks:
         lo = np.searchsorted(tau, edges[:-1], side="right")
         self.lut = np.where(lo == np.searchsorted(tau, edges[1:]), lo, self.sentinel).astype(self.dtype)
 
-    def __call__(self, u: np.ndarray, out: np.ndarray) -> None:
-        """The ranks of ``u`` into ``out``, of u's shape and the rank dtype."""
+    def __call__(self, u: np.ndarray, out: np.ndarray, bins: np.ndarray) -> None:
+        """The ranks of ``u`` into ``out``, of u's shape and the rank dtype; ``bins``, intp
+        of u's shape, is scratch, unused with a single threshold."""
         if self.tau.size == 1:
             np.greater_equal(u, self.tau[0], out=out.view(bool))
             return
-        self.lut.take((u * RANK_BINS).astype(np.intp), out=out, mode="clip")
+        np.multiply(u, RANK_BINS, out=bins, casting="unsafe")
+        self.lut.take(bins, out=out, mode="clip")
         miss = out == self.sentinel
         if miss.any():
             out[miss] = np.searchsorted(self.tau, u[miss], side="right")
@@ -153,6 +162,7 @@ class _BlockStreams:
         bitgen, gen, key, state = self._bitgen, self._gen, self._key, self._state
         tile = np.empty((min(self.TILE, indices.size), skip + ranks.shape[0]))
         tile_ranks = np.empty((tile.shape[0], ranks.shape[0]), dtype=ranks.dtype)
+        bins = np.empty(tile_ranks.shape, dtype=np.intp)
         lines = list(tile)
         for first in range(0, indices.size, self.TILE):
             chunk = indices[first : first + self.TILE].tolist()
@@ -161,7 +171,7 @@ class _BlockStreams:
                 bitgen.state = state
                 gen.random(out=line)
             size = len(chunk)
-            self._rank(tile[:size, skip:], tile_ranks[:size])
+            self._rank(tile[:size, skip:], tile_ranks[:size], bins[:size])
             ranks[:, first : first + size] = tile_ranks[:size].T
 
 
@@ -184,17 +194,30 @@ class _StepTable:
     0 for r = 0 and tau[r-1] after.  The walks step on codes s (K+1), with
     K = tau.size: a step adds the rank and gathers the next code from the
     (state x rank) ``jump`` table, and a start law maps a rank through its
-    table in ``starts``.  When the jump table's 8 m (K+1) bytes would pass
+    table in ``starts``.  ``hits`` maps a code to 1 on a target state, else
+    0, in the rank dtype.  When the jump table's 8 m (K+1) bytes would pass
     STEP_TABLE_BYTES, codes are the states themselves and a step counts the
     m-1 columns of cum that the rank passes, each entry as the least rank
     of a u >= cum[s, j]: #{tau <= cum[s, j]}, plus one for entries of 1.
+
+    With ``n_returns``, the return walker's code also counts its returns
+    if the table's 8 (n m + chunk + m) (K+1) bytes stay within
+    STEP_TABLE_BYTES (else the walker counts them step by step, as on the
+    state columns).  The jump table then gets layers
+    l = 1 .. n of width W = m (K+1) after the plain rows, a walker with
+    l - 1 returns at l W + s (K+1), and a step onto a target moves it up a
+    layer.  The n-th return moves it to ``absorbed`` = (n+1) W, whose codes
+    count the steps since: absorbed + j (K+1) steps to absorbed +
+    (j+1) (K+1) on every rank, for j < ``chunk``.  ``starts[0]`` is then
+    the return walker's start law, in layer 1.
     """
 
     def __init__(
         self, transition_probs: np.ndarray, targets: np.ndarray,
-        starts: Sequence[tuple[np.ndarray, np.ndarray]],
+        starts: Sequence[tuple[np.ndarray, np.ndarray]], n_returns: int = 0, chunk: int = CHUNK_STEPS,
     ) -> None:
-        """``starts`` holds each start law's cumulative weights and states."""
+        """``starts`` holds each start law's cumulative weights and states; ``chunk`` bounds
+        the steps that the return walker takes in one chunk."""
         m = transition_probs.shape[0]
         cum = np.cumsum(transition_probs, axis=1)
         last = m - 1 - np.argmax(transition_probs[:, ::-1] > 0.0, axis=1)
@@ -204,7 +227,9 @@ class _StepTable:
         tau = np.unique(values[(values > 0.0) & (values < 1.0)])
         self.rank = _Ranks(tau)
         probes = np.concatenate([[0.0], tau])
+        hit = np.bincount(targets, minlength=m) > 0
         self.jump: np.ndarray | None = None
+        self.absorbed: int | None = None
         if 8 * m * probes.size > STEP_TABLE_BYTES:
             self.scale = 1
             passes = np.searchsorted(tau, cum, side="right") + (cum >= 1.0)
@@ -212,12 +237,21 @@ class _StepTable:
         else:
             self.scale = probes.size
             # clipped at 1, each row is sorted, and its entries past 1 pass no probe either way
-            nxt = [np.searchsorted(row, probes, side="right") for row in np.minimum(cum, 1.0)]
-            self.jump = np.concatenate(nxt) * self.scale
-        self.hits = np.repeat(np.isin(np.arange(m), targets), self.scale)
+            nxt = np.array([np.searchsorted(row, probes, side="right") for row in np.minimum(cum, 1.0)])
+            self.jump = (nxt * self.scale).ravel()
+            if n_returns and 8 * (n_returns * m + chunk + m) * self.scale <= STEP_TABLE_BYTES:
+                self.width = m * self.scale
+                self.absorbed = (n_returns + 1) * self.width
+                layer = np.arange(1, n_returns + 1)[:, None, None] + hit[nxt]
+                layers = np.where(layer <= n_returns, layer * self.width + nxt * self.scale, self.absorbed)
+                after = np.repeat(self.absorbed + self.scale * np.arange(1, chunk + 1), self.scale)
+                self.jump = np.concatenate([self.jump, layers.ravel(), after])
+        self.hits = np.repeat(hit, self.scale).astype(self.rank.dtype)
         self.starts = [
             states[np.searchsorted(weights, probes, side="right")] * self.scale for weights, states in starts
         ]
+        if self.absorbed is not None:
+            self.starts[0] += self.width
 
     def advance(
         self, code: np.ndarray, ranks: np.ndarray, idx: np.ndarray, thr: np.ndarray, above: np.ndarray
@@ -238,46 +272,80 @@ class _StepTable:
 
 class _Returns:
     """The return walker of one block: the samples still walking (``orig``),
-    their n-th return times (``times``) and the steps taken so far."""
+    their n-th return times (``times``) and the steps taken so far.
 
-    def __init__(self, n: int, size: int) -> None:
-        self.n = n
+    On a layered table the codes count the returns, and a chunk's return
+    times are read off them once it is walked.  Otherwise ``counts`` holds
+    each sample's returns, counted step by step, and the step of the n-th is
+    recorded as it is taken.
+    """
+
+    def __init__(self, table: _StepTable, n: int, size: int) -> None:
+        self.table, self.n = table, n
         self.orig = np.arange(size)
         self.times = np.zeros(size, dtype=np.int64)
         self.time = 0
+        self.counts = None if table.absorbed is not None else np.zeros(size, dtype=np.int64)
+
+    def stepped(self, code: np.ndarray, time: int) -> bool:
+        """Whether every sample has returned once ``code`` is at step ``time``; without
+        layers, counts that step's returns."""
+        if self.counts is None:
+            return code.min() >= self.table.absorbed
+        hit = self.table.hits.take(code, mode="clip")
+        self.counts += hit
+        newly = np.logical_and(self.counts == self.n, hit)  # counts rise by at most one per step
+        if not newly.any():
+            return False
+        self.times[self.orig[newly]] = time
+        return self.counts.min() >= self.n
+
+    def missing(self, code: np.ndarray) -> int:
+        """The most returns that a sample still misses, at ``code``."""
+        if self.counts is None:
+            return self.n + 1 - int(code.min()) // self.table.width
+        return self.n - int(self.counts.min())
+
+    def settle(self, code: np.ndarray) -> np.ndarray:
+        """The codes of the samples still walking after a chunk; the others leave with their times."""
+        if self.counts is None:
+            done = code >= self.table.absorbed
+            self.times[self.orig[done]] = self.time - (code[done] - self.table.absorbed) // self.table.scale
+            keep = ~done
+        else:
+            keep = self.counts < self.n
+            self.counts = self.counts[keep]
+        self.orig = self.orig[keep]
+        return code[keep]
 
 
 def _step(
-    table: _StepTable, code: np.ndarray, counts: np.ndarray, steps: np.ndarray,
-    returns: _Returns | None = None,
-) -> np.ndarray:
-    """Step the walkers' ``code`` on the rank rows of ``steps``, adding their hits to ``counts``.
+    table: _StepTable, code: np.ndarray, steps: np.ndarray, returns: _Returns | None = None,
+    visits: bool = False,
+) -> None:
+    """Step the walkers' ``code`` in place on the rank rows of ``steps``.
 
-    ``code`` is one walker's codes, or two walkers' as rows, and steps in
-    place.  With ``returns``, the walker (row 0 of two) is the return walker:
-    the step of a sample's n-th hit is its return time, and the walk stops
-    once every sample has returned.  Returns the codes.
+    ``code`` is one walker's codes, or two walkers' as rows.  With
+    ``visits``, the walker (the last row of two) is the visit walker, and
+    the hits of each step overwrite the step's spent rank row.  With
+    ``returns``, the walker (row 0 of two) is the return walker, and the
+    walk stops once every sample has returned: checked every WINDOW steps on
+    a layered table, else on every step that makes an n-th return.
     """
-    idx, thr, hit = np.empty_like(code), np.empty(code.shape, steps.dtype), np.empty(code.shape, dtype=bool)
+    idx, thr, above = np.empty_like(code), np.empty(code.shape, steps.dtype), np.empty(code.shape, dtype=bool)
+    visitor, returner = (code[-1], code[0]) if code.ndim > 1 else (code, code)
+    window = steps.shape[0] if returns is None else WINDOW if returns.counts is None else 1
+    taken = 0
+    while taken < steps.shape[0]:
+        for ranks in steps[taken : taken + window]:
+            table.advance(code, ranks, idx, thr, above)
+            if visits:
+                table.hits.take(visitor, out=ranks, mode="clip")
+        taken = min(taken + window, steps.shape[0])
+        if returns is not None and returns.stepped(returner, returns.time + taken):
+            break
     if returns is not None:
-        n, time = returns.n, returns.time
-        returning, returned = (counts, hit) if code.ndim == 1 else (counts[0], hit[0])
-        newly = np.empty(returning.shape, dtype=bool)
-    for ranks in steps:
-        table.advance(code, ranks, idx, thr, hit)
-        table.hits.take(code, out=hit, mode="clip")
-        counts += hit
-        if returns is not None:
-            time += 1
-            np.equal(returning, n, out=newly)
-            newly &= returned  # counts rise by at most one per step: the n-th return
-            if newly.any():
-                returns.times[returns.orig[newly]] = time
-                if returning.min() >= n:
-                    break
-    if returns is not None:
-        returns.time = time
-    return code
+        returns.time += taken
 
 
 def _walk(
@@ -290,20 +358,25 @@ def _walk(
     visit walker, started anywhere, both from draw 0.  They step together
     up to the end of the visit horizon in the chunk or the last return,
     whichever comes first, and the other walker then finishes the chunk
-    alone.  The visit walker draws its positions past the chunk for all of
-    the block's samples, in the chunk's rows, and the return walker its
-    stragglers' in chunks of their own.  The return walk's first chunk is
-    n / mu + 33 rows, a straggler chunk k / mu + 32 rows, k the most returns
-    a straggler still misses, each at most CHUNK_STEPS: a row across N
-    samples costs about N x 7 ns of Philox fill and ranking with a single
-    threshold and N x 11 ns through the rank table, a straggler's re-seek
-    about 1.3 us (2-CPU x86_64 host).  Draws are stored as ranks, one byte
-    each for up to 254 thresholds.  A return walk whose expected cost,
+    alone.  The visit walker writes each step's hits into the spent rank
+    row and sums a chunk's rows once it is walked, then draws its positions
+    past the chunk for all of the block's samples, in the chunk's rows; the
+    return walker draws its stragglers' in chunks of their own and reads its
+    return times off the codes after each chunk, once the chunk's draws are
+    freed.  The return walk's first chunk is n / mu + 33 rows, a straggler
+    chunk k / mu + 32 rows, k the most returns a straggler still misses,
+    each at most CHUNK_STEPS: a row across N samples costs about N x 7 ns
+    of Philox fill and ranking with a single threshold and N x 11 ns
+    through the rank table, a straggler's re-seek about 1.3 us (2-CPU
+    x86_64 host).  Draws are stored as ranks, one byte each for up to 254
+    thresholds.  A return walk whose expected cost,
     (n_samples + LOCKSTEP_COST) x n / mu sample-steps, passes WALK_CAP is
     refused before its first draw: each of its n / mu lockstep steps costs
-    about LOCKSTEP_COST sample-steps whatever the block size.  Blocks
-    run in order: the fill and step loops hold the GIL, so worker threads
-    would only contend for it.
+    about LOCKSTEP_COST sample-steps whatever the block size.  Blocks run
+    in order on one thread: the per-sample loop of a fill that sets each
+    stream's key and the step calls hold the GIL, which ``Generator.random``
+    releases only while it generates, so worker threads would mostly
+    contend for it.
     """
     pi = chain.stationary
     n, horizon = cfg.n_returns, cfg.horizon
@@ -326,7 +399,8 @@ def _walk(
         starts.append((_start_cum(pi), np.arange(pi.size)))
         # one row for the start draw, then one per step; later chunks reuse the rows
         rows = max(rows, min(CHUNK_STEPS, horizon))
-    table = _StepTable(chain.transition_probs, targets, starts)
+    # no chunk is longer than the first: a straggler chunk has at most min(CHUNK_STEPS, n / mu + 32) rows
+    table = _StepTable(chain.transition_probs, targets, starts, n if returns else 0, rows)
     visit_end = min(rows, horizon) if visits else rows  # the visit walker's rows in the first chunk
     times, visited = [], []  # each block's, joined when the last block's draws are freed
     for lo in range(0, cfg.n_samples, BLOCK_SIZE):
@@ -335,39 +409,41 @@ def _walk(
         draws = np.empty((rows, hi - lo), dtype=table.rank.dtype)
         streams.fill(draws, np.arange(lo, hi), 0)
         code = np.stack([start.take(draws[0]) for start in table.starts])
-        counts = np.zeros(code.shape, dtype=np.int64)
         if visits:
-            counts[-1] = table.hits[code[-1]]
-        walker = _Returns(n, hi - lo) if returns else None
+            table.hits.take(code[-1], out=draws[0])  # the start's hit, in the spent start row
+        walker = _Returns(table, n, hi - lo) if returns else None
         if returns and visits:
-            code = _step(table, code, counts, draws[1:visit_end], walker)
+            _step(table, code, draws[1:visit_end], walker, visits=True)
             if walker.time + 1 < visit_end:  # every sample has returned
-                code[1] = _step(table, code[1], counts[1], draws[walker.time + 1 : visit_end])
-            elif (counts[0] < n).any():
-                code[0] = _step(table, code[0], counts[0], draws[visit_end:], walker)
+                _step(table, code[1], draws[walker.time + 1 : visit_end], visits=True)
+            elif walker.missing(code[0]) > 0:
+                _step(table, code[0], draws[visit_end:], walker)
         else:
-            code[0] = _step(table, code[0], counts[0], draws[1:visit_end], walker)
+            _step(table, code[0], draws[1:visit_end], walker, visits)
         if visits:
+            # a chunk has at most CHUNK_STEPS rows of hits of 0 or 1
+            counts = draws[:visit_end].sum(axis=0, dtype=np.uint16).astype(np.int64)
             for done in range(visit_end, horizon, rows):
                 steps = draws[: min(rows, horizon - done)]
                 streams.fill(steps, np.arange(lo, hi), done)
-                code[-1] = _step(table, code[-1], counts[-1], steps)
-            visited.append(counts[-1])
-        draws = steps = None  # freed before the stragglers' chunks are drawn
+                _step(table, code[-1], steps, visits=True)
+                counts += steps.sum(axis=0, dtype=np.uint16)
+            visited.append(counts)
+        draws = steps = None  # freed before the return times are read and the stragglers' chunks drawn
         if returns:
-            code, counts = code[0], counts[0]
+            code = code[0]
             while True:
-                keep = counts < n
-                walker.orig, code, counts = walker.orig[keep], code[keep], counts[keep]
+                code = walker.settle(code)
                 if walker.time > STEP_CAP:
                     raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
-                if not walker.orig.size:
+                if not code.size:
                     break
                 steps = np.empty(
-                    (min(CHUNK_STEPS, int((n - counts.min()) / mu) + 32), walker.orig.size), table.rank.dtype
+                    (min(CHUNK_STEPS, int(walker.missing(code) / mu) + 32), code.size), table.rank.dtype
                 )
                 streams.fill(steps, lo + walker.orig, walker.time + 1)
-                code = _step(table, code, counts, steps, walker)
+                _step(table, code, steps, walker)
+                steps = None
             times.append(walker.times)
     return (
         np.concatenate(times) if returns else None, np.concatenate(visited) if visits else None

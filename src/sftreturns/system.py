@@ -182,7 +182,7 @@ class SymbolicSystem:
         adj = np.asarray(self.transitions)
         if adj.shape != (n, n):
             raise InvalidSystemError(f"transition table must be {n}x{n}, got shape {adj.shape}")
-        if not np.isin(adj, (0, 1)).all():
+        if not ((adj == 0) | (adj == 1)).all():
             raise InvalidSystemError("transition entries must be 0 or 1")
         adj = adj.astype(bool)
         adj.setflags(write=False)

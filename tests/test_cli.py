@@ -742,14 +742,14 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-# the walk cap's cost (200 samples + 400 a lockstep step) x 5 returns / mu(A) of each draw
-WALK_COSTS = {6: "2.62e+14", 12: "4.23e+10", 26: "5.86e+12"}
+# the walk cap's cost (200 samples + 150 a lockstep step) x 5 returns / mu(A) of each draw
+WALK_COSTS = {6: "1.53e+14", 12: "2.47e+10", 26: "3.42e+12"}
 
 
 def walk_cap_message(samples, steps, mu, cost):
     return (
         f"numeric failure: the return walk would take {steps} steps in expectation "
-        f"({samples} samples x 5 returns / mu(A) = {mu}), and {cost} counting 400 for the fixed "
+        f"({samples} samples x 5 returns / mu(A) = {mu}), and {cost} counting 150 for the fixed "
         "cost of each lockstep step, past the cap of 1e+10 steps\n"
     )
 
@@ -771,15 +771,15 @@ def test_astronomically_long_return_walks_fail_fast(tmp_path, capsys, command, d
 
 
 def test_a_long_walk_on_one_sample_fails_fast(tmp_path, capsys):
-    # 7.05e7 sample-steps, under the cap, but as many lockstep steps of about 6-10 us each:
-    # the fixed cost of a step, not the sample count, would make this walk last ten minutes
+    # 7.05e7 sample-steps, under the cap, but as many lockstep steps of about 1.4-1.8 us each:
+    # the fixed cost of a step, not the sample count, would make this walk last about two minutes
     cfg = scaled_instance_config(30, {"min": 1, "max": 6, "count": 6}, 12)
     cfg["simulation"] = {"seed": 5, "n_returns": 5, "n_samples": 200, "horizon": 50}
     path = write_config(tmp_path, cfg)
     with time_limit(10.0):
         code = run(["simulate", "--config", path, "--out", tmp_path / "out", "--samples", "1"])
     assert code == EXIT_NUMERIC
-    assert capsys.readouterr().err == walk_cap_message(1, "7.05e+07", "7.09e-08", "2.83e+10")
+    assert capsys.readouterr().err == walk_cap_message(1, "7.05e+07", "7.09e-08", "1.06e+10")
     assert list((tmp_path / "out").iterdir()) == []
 
 

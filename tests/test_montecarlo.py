@@ -6,6 +6,7 @@ the acceptance suite.
 
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -438,7 +439,8 @@ EDGE = 1.0 / montecarlo.RANK_BINS  # the width of a rank bin
 
 def ranks_of(rank, u):
     out = np.empty(np.shape(u), dtype=rank.dtype)
-    rank(np.asarray(u, dtype=float), out)
+    u = np.asarray(u, dtype=float)
+    rank(u, out, np.empty(u.shape, dtype=np.intp))
     return out
 
 
@@ -651,6 +653,176 @@ class TestStepTable:
             table.advance(code, ranks_of(table.rank, u), *scratch)
             states = ref.advance(states, u, cols, np.empty_like(states), np.empty(u.size), np.empty(u.size, bool))
             assert np.array_equal(code // table.scale, states)
+
+
+def chain_of(probs):
+    """What the walks read of a Gibbs chain with transitions ``probs``: those and its stationary law."""
+    w, v = np.linalg.eig(probs.T)
+    pi = np.abs(np.real(v[:, np.argmax(np.real(w))]))
+    return SimpleNamespace(transition_probs=probs, stationary=pi / pi.sum(), n_states=probs.shape[0])
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every _StepTable made, in order."""
+    made = []
+    init = _StepTable.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(_StepTable, "__init__", recording)
+    return made
+
+
+def walks(chain, targets, cfg):
+    """(return times, visit counts), each walk alone and the two in lockstep, which must agree."""
+    times, _ = montecarlo._walk(chain, targets, cfg, returns=True, visits=False)
+    _, counts = montecarlo._walk(chain, targets, cfg, returns=False, visits=True)
+    both = montecarlo._walk(chain, targets, cfg, returns=True, visits=True)
+    assert np.array_equal(both[0], times) and np.array_equal(both[1], counts)
+    return times, counts
+
+
+class TestLayeredWalk:
+    """The return walker whose code counts its returns, against walks that count them step by step."""
+
+    def assert_every_table_matches(self, chain, targets, cfg, tables, monkeypatch):
+        """The walks on the layered table, on the plain rows and on the state columns all give
+        the per-step reference's return times and visit counts; returns the lockstep's layered
+        table and the return times."""
+        expected = reference_walks(chain, targets, cfg, 600)
+        assert all(map(np.array_equal, walks(chain, targets, cfg), expected))
+        # the return walk's, the visit walk's and the lockstep's, which has every threshold
+        returns, _, lockstep = tables
+        assert returns.absorbed is not None and lockstep.absorbed is not None
+        # the plain rows fit and the layers do not: the return walker counts step by step
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 8 * chain.n_states * lockstep.scale)
+        assert all(map(np.array_equal, walks(chain, targets, cfg), expected))
+        assert all(table.jump is not None and table.absorbed is None for table in tables[3:])
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 0)
+        assert all(map(np.array_equal, walks(chain, targets, cfg), expected))
+        assert all(table.jump is None for table in tables[6:])
+        return lockstep, expected[0]
+
+    @pytest.mark.parametrize("window", [1, 3, 16])
+    def test_random_chains(self, random_recoded, tables, monkeypatch, window):
+        # Tier-1 chains take uint8 ranks, a dense 20-state chain uint16; a first chunk of at
+        # most 10 rows leaves stragglers; the walk checks for its end every ``window`` steps
+        cases = [(gibbs_chain(rec), np.array(rec.target_blocks)) for rec in random_recoded[3:40:9]]
+        cases.append((chain_of(dense_chain(20, seed=5)), np.array([0, 3, 11])))
+        dtypes = set()
+        for k, (chain, targets) in enumerate(cases):
+            for n_returns, horizon in ((1, 5), (12, 45)):
+                cfg = SimConfig(seed=30 + k, n_returns=n_returns, n_samples=70, horizon=horizon)
+                tables.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(montecarlo, "CHUNK_STEPS", 10)
+                    patch.setattr(montecarlo, "WINDOW", window)
+                    table, times = self.assert_every_table_matches(chain, targets, cfg, tables, patch)
+                dtypes.add(table.rank.dtype)
+                if n_returns > 1:
+                    assert times.max() > 9  # a straggler
+        assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
+
+    def test_last_return_on_the_first_and_last_row_of_a_chunk(
+        self, golden_chain, golden_recoded, full2_chain, full2_recoded, monkeypatch
+    ):
+        # chunks of at most 8 rows: on the golden mean at n = 3, some sample makes its n-th
+        # return on the last row of the first chunk, some on the first row of a straggler
+        # chunk and some on the last; on the full 2-shift at n = 1, some on step 1
+        monkeypatch.setattr(montecarlo, "CHUNK_STEPS", 8)
+        for chain, rec, n_returns in ((golden_chain, golden_recoded, 3), (full2_chain, full2_recoded, 1)):
+            targets = np.array(rec.target_blocks)
+            cfg = SimConfig(seed=31, n_returns=n_returns, n_samples=300, horizon=12)
+            times, counts = reference_walks(chain, targets, cfg, 200)
+            got_counts, _, stats = visit_counts(chain, targets, cfg, returns=True)
+            assert np.array_equal(stats.samples, times) and np.array_equal(got_counts, counts)
+            fills = []
+            with monkeypatch.context() as patch:
+                record_fills(patch, lambda ranks, indices, position: fills.append((position, ranks.shape[0])))
+                assert np.array_equal(sample_return_times(chain, targets, cfg).samples, times)
+            (start, rows), *stragglers = fills
+            ends = set(times.tolist())
+            assert (start, rows) == (0, 8)
+            if n_returns == 1:
+                assert 1 in ends
+            else:
+                assert 7 in ends
+                assert {position for position, _ in stragglers} & ends
+                assert {position + rows - 1 for position, rows in stragglers} & ends
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_horizon_ends_before_and_after_the_last_return(
+        self, full2_chain, full2_recoded, tables, monkeypatch, window
+    ):
+        # the lockstep stops at the end of the horizon, with samples still to return, or
+        # at the check after the last return, and the visit walker goes on alone
+        targets = np.array(full2_recoded.target_blocks)
+        monkeypatch.setattr(montecarlo, "WINDOW", window)
+        stats = sample_return_times(full2_chain, targets, SimConfig(seed=32, n_returns=4, n_samples=50))
+        last = int(stats.samples.max())
+        for horizon in (last - 3, last, last + 1, last + 9):
+            cfg = SimConfig(seed=32, n_returns=4, n_samples=50, horizon=horizon)
+            tables.clear()
+            with monkeypatch.context() as patch:
+                self.assert_every_table_matches(full2_chain, targets, cfg, tables, patch)
+
+    def test_layers_count_returns_then_steps(self, golden_chain):
+        # a step onto a target moves a code up a layer of width m (K+1); past the n-th
+        # return, every rank moves it one (K+1) further into the absorbing region
+        probs = golden_chain.transition_probs
+        start = [(np.array([1.0]), np.array([0]))]  # the return walker starts in state 0
+        table = _StepTable(probs, [0], start, n_returns=2, chunk=5)
+        assert set(table.starts[0].tolist()) == {table.width}  # on every rank, layer 1
+        m, scale = probs.shape[0], table.scale
+        width = m * scale
+        assert table.width == width and table.absorbed == 3 * width
+        assert table.jump.size == (2 * m + 5 + m) * scale
+        states = np.repeat(np.arange(m), scale)
+        ranks = np.tile(np.arange(scale), m).astype(table.rank.dtype)
+        nxt = table.jump[: m * scale] // scale  # the plain rows
+        for layer in (1, 2):
+            code = layer * width + states * scale
+            table.advance(code, ranks, np.empty_like(code), np.empty_like(ranks), np.empty(code.shape, bool))
+            hit = nxt == 0
+            assert np.array_equal(code[~hit], (layer * width + nxt * scale)[~hit])
+            # onto target state 0: up a layer, or from the last layer to the absorbing region
+            assert (code[hit] == (table.absorbed if layer == 2 else (layer + 1) * width)).all()
+        code = table.absorbed + np.arange(5) * scale
+        for rank in range(scale):
+            after, ranks = code.copy(), np.full(5, rank, dtype=table.rank.dtype)
+            table.advance(after, ranks, np.empty_like(after), np.empty_like(ranks), np.empty(5, bool))
+            assert np.array_equal(after, code + scale)
+
+    def test_no_chain_on_the_jump_table_falls_to_the_state_columns(self, monkeypatch):
+        # a layered table past the budget keeps the plain rows of the jump table
+        probs = depth3_chain().transition_probs
+        plain = 8 * 12 * (thresholds(probs).size + 1)
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", plain)
+        start = [(np.array([1.0]), np.array([0]))]
+        table = _StepTable(probs, [0], start, n_returns=1000, chunk=512)
+        assert table.jump is not None and table.jump.size == 12 * table.scale and table.absorbed is None
+        monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 8 * (1000 * 12 + 512 + 12) * table.scale)
+        assert _StepTable(probs, [0], start, n_returns=1000, chunk=512).absorbed is not None
+
+    def test_peak_memory(self, full2_chain, full2_recoded):
+        # 20,000 samples of T_40, horizon 16: the first chunk's 2.2 MiB of ranks, no count
+        # array for the return walker, its times read after the draws are freed
+        cfg = SimConfig(seed=12, n_returns=40, n_samples=20_000, horizon=16)
+        target = full2_recoded.target_blocks
+        peaks = []
+        for walk in (lambda: sample_return_times(full2_chain, target, cfg),
+                     lambda: visit_counts(full2_chain, target, cfg, returns=True)):
+            walk()
+            tracemalloc.start()
+            try:
+                walk()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 3.05 * 2**20 and peaks[1] <= 3.55 * 2**20
 
 
 class TestSampleLaw:
