@@ -4,16 +4,20 @@ Everything here works directly on the Gibbs chain, with no reference to the
 induced operator's spectral data: first-return kernels are built by iterated
 vector-matrix products through the complement, the law of the n-th return
 time by a recursion on the chain's visit counts, and every truncation
-carries a rigorous geometric certificate.  These are the independent
-cross-checks for the spectral route.
+carries a rigorous certificate.  These are the independent cross-checks for
+the spectral route.
 
-Each piece of work is done once.  With V_t = P_ac P_cc^(t-1) and the tilted
-step X = e^alpha P_cc, the window identity V_t X^j = e^(alpha j) V_(t+j) turns
-the tilted tail bound at every horizon t into a weighted sum of the k tails
-r_t .. r_(t+k-1) of the horizon loop's own V sequence, so the tilted horizon
-search costs t_max + k - 1 products.  Each Python step does one product; the
-tails, the kernels and the stop rule are read off each block of products in
-bulk, the bounds over a sliding window of the log tails.
+With V_t = P_ac P_cc^(t-1), the kernels past a horizon t are
+K_(t+1+j) = V_t P_cc^j P_ca, so each omitted tail is V_t times a series
+sum_j X^j b: X = e^alpha P_cc and b = P_ca 1 for the tilted mass, X = P_cc
+for the moments of the steps left until landing.  The series is the
+solution of (I - X) w = b, the fundamental-matrix identity of absorbing
+chains (Kemeny & Snell, Finite Markov Chains, 3.2), and any finite w >= 0
+with X w + b <= w bounds it, by induction.  One linear solve gives such a
+w, with room for roundoff, and a check in floats certifies it
+(:func:`_certificate`).  The horizon loop does one product per Python step
+and reads the tails, the kernels, the tilted tails and the stop rule off
+each block of products in bulk.
 
 Each exact quantity comes from arithmetic sized to what is asked:
 
@@ -24,26 +28,29 @@ Each exact quantity comes from arithmetic sized to what is asked:
 - ``exact_mgf``: E e^(alpha T_n) = start Q(alpha)^n 1, n vector-matrix
   products with the tilted kernel Q(alpha) = sum_p e^(alpha p) K_p (the
   Markov-additive identity of Ney and Nummelin), built once per tilt.
-- ``weighted_tail_bound``: kept on the law per tilt, so each tilt's geometric
-  sum is computed once.
+- ``weighted_tail_bound``: each tilt's certificate is solved once and kept
+  on the law.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import expm1, log, log1p
+from math import comb, expm1, log1p
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .perron import _contraction, _geometric_sum, _product_blocks, spectral_radius_reducible
+from .perron import _product_blocks, spectral_radius_reducible
 from .thermo import GibbsChain
 
 MAX_HORIZON = 10**6
 KAC_SLACK = 1e-9
+# a certificate w gains CERTIFICATE_ROOM max(w) (I - X)^-1 1, which leaves that
+# much room in every row of X w + b <= w: far above the backward error of the
+# solve and of the check, about n eps max(w) for n complement states
+CERTIFICATE_ROOM = 1e-12
 
 
 @dataclass
@@ -64,9 +71,9 @@ class FirstReturnLaw:
     target_states: tuple[int, ...]
     mu_target: float
     _p_cc: np.ndarray
+    _landing: np.ndarray
     _v_next: np.ndarray
-    _contractions: dict[float, tuple[int, float] | str] = field(default_factory=dict, repr=False)
-    _tail_bounds: dict[float, float] = field(default_factory=dict, repr=False)
+    _certificates: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
     _tilted: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
@@ -92,35 +99,42 @@ class FirstReturnLaw:
     def weighted_tail_bound(self, alpha: float) -> float:
         """Certified upper bound on sum_{p > t_max} e^{alpha p} (omitted mass).
 
-        Uses the substochastic contraction of the complement block; raises
-        :class:`NumericError` when exp(alpha) is too large for the series to
-        be certified.  The leading exponential is applied in log space so a
-        huge but certifiable tail reports as inf rather than overflowing.
-        The law is fixed once built, so the bound is kept per tilt.
+        The omitted mass is e^(alpha (t_max + 1)) V_(t_max) w, with w the
+        series sum_j (e^alpha P_cc)^j P_ca 1, bounded by the tilt's
+        certificate, which is solved once and kept on the law; it raises
+        :class:`NumericError` when the series cannot be certified.  The
+        leading exponential is applied in log space so a huge but certifiable
+        tail reports as inf rather than overflowing.  At alpha = 0 the series
+        is 1 and the bound is ``tail_bound``, up to the certificate's room.
         """
-        if alpha not in self._tail_bounds:
-            if self._p_cc.size == 0 or not self._v_next.any():
-                return 0.0
-            step = np.exp(alpha) * self._p_cc
-            k, beta = _tilt_contraction(alpha, step, self._contractions)
-            raw = _geometric_sum(step, self._v_next, k, beta)
-            self._tail_bounds[alpha] = float(_scaled_tail(alpha, self.t_max, raw))
-        return self._tail_bounds[alpha]
+        if not self._v_next.any():
+            return 0.0
+        return float(_scaled_tail(alpha, self.t_max, (self._v_next @ self._landing_series(alpha)).max()))
 
     def moment_tail_bound(self, order: int) -> float:
-        """Certified bound on sum_{p > t_max} p^order (omitted mass)."""
-        t0 = self.t_max + 1
-        for eps in (0.5, 0.25, 0.1, 0.05, 0.01, 0.002):
-            try:
-                weighted = self.weighted_tail_bound(eps)
-            except NumericError:
-                continue
-            if t0 >= order / eps:
-                scale = t0**order * np.exp(-eps * t0)
-            else:
-                scale = (order / (np.e * eps)) ** order
-            return float(scale * weighted)
-        raise NumericError("no certifiable exponential envelope for the moment tail")
+        """Certified bound on sum_{p > t_max} p^order (omitted mass).
+
+        A return omitted at t = t_max comes after p = t + R steps, R >= 1 the
+        steps left until landing, so the bound is
+        max(V_t sum_i C(order, i) t^(order - i) z_i) with z_i a certified bound
+        on E[R^i] from each complement state.  By first-step analysis
+        z_i = sum_j P_cc^j (P_ca 1 + sum_(l<i) C(i, l) P_cc z_l); z_0, the
+        landing probability, is 1 up to roundoff and is the tilt 0's certificate.
+        """
+        if not self._v_next.any():
+            return 0.0
+        P, t = self._p_cc, float(self.t_max)
+        z = [self._landing_series(0.0)]
+        for i in range(1, order + 1):
+            z.append(_certificate(0.0, P, sum((comb(i, l) * (P @ z[l]) for l in range(i)), self._landing)))
+        y = sum(comb(order, i) * t ** (order - i) * z[i] for i in range(order + 1))
+        return float((self._v_next @ y).max())
+
+    def _landing_series(self, alpha: float) -> np.ndarray:
+        """The certificate of sum_j (e^alpha P_cc)^j P_ca 1, solved once per tilt."""
+        if alpha not in self._certificates:
+            self._certificates[alpha] = _certificate(alpha, self._p_cc, self._landing)
+        return self._certificates[alpha]
 
 
 def first_return_law(
@@ -152,8 +166,8 @@ def first_return_law(
     mu = float(pi_a.sum())
     start = pi_a / mu
 
-    cache: dict[float, tuple[int, float] | str] = {}  # one contraction search for every horizon
-    kernels, tail, v_next = _horizon(Paa, Pac, Pca, Pcc, tol, alpha_max, cache)
+    landing = Pca.sum(axis=1)
+    kernels, tail, v_next, w = _horizon(Paa, Pac, Pca, Pcc, tol, alpha_max)
     law = FirstReturnLaw(
         kernels=kernels,
         tail_bound=tail,
@@ -161,8 +175,9 @@ def first_return_law(
         target_states=tuple(A.tolist()),
         mu_target=mu,
         _p_cc=Pcc,
+        _landing=landing,
         _v_next=v_next,
-        _contractions=cache,
+        _certificates={} if w is None else {alpha_max: w},
     )
     _validate_law(law)
     return law
@@ -177,78 +192,68 @@ def _partition(chain: GibbsChain, target_states: Sequence[int]) -> tuple[np.ndar
     return np.array(targets, dtype=int), np.array(rest, dtype=int)
 
 
-def _horizon(p_aa, p_ac, p_ca, p_cc, tol: float, alpha_max: float, cache: dict) -> tuple:
-    """(kernels K_1 .. K_(t_max), r_(t_max), V_(t_max)) at the law's stop, r_t = max-rowsum(V_t).
+def _horizon(p_aa, p_ac, p_ca, p_cc, tol: float, alpha_max: float) -> tuple:
+    """(kernels K_1 .. K_(t_max), r_(t_max), V_(t_max), w) at the law's stop, r_t = max-rowsum(V_t).
 
     V_t comes in blocks of products, and the block of V_s .. V_e gives the
-    kernels K_(s+1) .. K_(e+1) = V_t P_ca in one batched product.  The first
-    t0 with r_t0 <= tol is the stop unless the tilt is needed; then it is the
-    first t >= t0 with r_t <= tol and a tilted bound <= tol, decided once
-    r_(t+k-1) is in.  One block of V is held, plus V at the start of each block
-    that holds an undecided horizon, from which V_(t_max) is recomputed bit for bit.
+    kernels K_(s+1) .. K_(e+1) = V_t P_ca in one batched product.  The stop
+    is the first t < MAX_HORIZON with r_t <= tol and, when the tilt is needed
+    and V_t != 0, e^(alpha_max (t + 1)) max(V_t w) <= tol, with w the tilt's
+    certificate; w is solved at the first t with r_t <= tol and V_t != 0, and
+    is None if there is none.  The stop is read off the block that holds V_(t_max),
+    so one block of V is held.
     """
-    kernels, checkpoints = [], []
-    tilt = None  # (k, beta, alpha j for j < k) once the tilted bound is needed
-    first, logs, tails = 0, np.empty(0), np.empty(0)  # log r_t and r_t of undecided t >= first
-    cap_tail, s = 0.0, 1
-    for block in itertools.chain([p_ac[np.newaxis]], _product_blocks(p_ac, p_cc, np.inf)):
+    kernels, w, s = [], None, 1
+    landing = p_ca.sum(axis=1)
+    for block in itertools.chain([p_ac[np.newaxis]], _product_blocks(p_ac, p_cc)):
         e = s + block.shape[0] - 1  # block[i] = V_(s + i)
         r = block.sum(axis=2).max(axis=1)
         kernels.append((s, np.matmul(block, p_ca)))
-        if s <= MAX_HORIZON <= e:
-            cap_tail = float(r[MAX_HORIZON - s])
-        if tilt is not None:
-            checkpoints.append((s, block[0].copy()))
-        elif (hits := np.flatnonzero(r[:MAX_HORIZON - s] <= tol)).size:
-            first = s + int(hits[0])
-            if not (alpha_max > 0.0 and block[hits[0]].any()):
-                t_max, tail, v = first, float(r[hits[0]]), block[hits[0]].copy()
-                break
-            k, beta = _tilt_contraction(alpha_max, np.exp(alpha_max) * p_cc, cache)
-            tilt = k, beta, alpha_max * np.arange(k)
-            checkpoints.append((first, block[hits[0]].copy()))
-        if tilt is not None:
-            k, beta, ramp = tilt
-            new = r[max(first - s, 0):].tolist()
-            logs = np.append(logs, [log(x) if x > 0.0 else -np.inf for x in new])
-            tails = np.append(tails, new)
-            last = min(e - k + 1, MAX_HORIZON - 1)  # the last horizon whose window is in
-            if last >= first:
-                count = last - first + 1
-                raw = np.exp(ramp + sliding_window_view(logs, k)[:count]).sum(axis=1) / (1.0 - beta)
-                bound = _scaled_tail(alpha_max, np.arange(first, last + 1), raw)
-                stops = np.flatnonzero((tails[:count] <= tol) & (bound <= tol))
-                if stops.size:
-                    t_max = first + int(stops[0])
-                    pos, v = (t_max, block[t_max - s].copy()) if t_max >= s else [
-                        c for c in checkpoints if c[0] <= t_max][-1]
-                    for _ in range(t_max - pos):
-                        v = v @ p_cc
-                    tail = float(tails[stops[0]])
-                    break
-                first, logs, tails = last + 1, logs[count:], tails[count:]
-                checkpoints = [c for c, after in zip(checkpoints, checkpoints[1:] + [(np.inf,)])
-                               if after[0] > first]
-        if e >= MAX_HORIZON and (tilt is None or first >= MAX_HORIZON):
+        stops = r[:MAX_HORIZON - s] <= tol
+        held = block[:stops.size]
+        if alpha_max > 0.0 and (stops & held.any(axis=(1, 2))).any():
+            w = _certificate(alpha_max, p_cc, landing) if w is None else w
+            stops &= _scaled_tail(alpha_max, np.arange(s, s + stops.size), (held @ w).max(axis=1)) <= tol
+        if stops.any():
+            i = int(np.flatnonzero(stops)[0])
+            t_max, tail, v = s + i, float(r[i]), block[i].copy()
+            break
+        if e >= MAX_HORIZON:
             raise NumericError(
-                f"first-return tail still {cap_tail:.3e} after horizon {MAX_HORIZON}; tol unreachable"
+                f"first-return tail still {float(r[MAX_HORIZON - s]):.3e} after horizon {MAX_HORIZON}; "
+                "tol unreachable"
             )
         s = e + 1
     kernels = [p_aa[np.newaxis]] + [K[:max(t_max - start, 0)] for start, K in kernels]
-    return np.concatenate(kernels), tail, v
+    return np.concatenate(kernels), tail, v, w
 
 
-def _tilt_contraction(alpha: float, step: np.ndarray, cache: dict) -> tuple[int, float]:
-    """The contraction (k, beta) of ``step`` = e^alpha P_cc; ``cache`` keeps it per tilt,
-    or the message of its failed search, which is raised again without searching."""
-    if alpha not in cache:
+def _certificate(alpha: float, p_cc: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A finite w >= 0 with X w + b <= w in floats, X = e^alpha P_cc; w bounds sum_j X^j b.
+
+    For nonnegative X and b, X w + b <= w gives sum_(j<n) X^j b + X^n w <= w
+    for every n, by induction.  One solve of I - X against [b, 1] gives the
+    series s = (I - X)^-1 b and u = (I - X)^-1 1, and w = s + CERTIFICATE_ROOM
+    max(s) u, for which X w + b = w - CERTIFICATE_ROOM max(s) 1 in exact
+    arithmetic.  Raises :class:`NumericError` when the check fails (or I - X
+    is singular), as it does past alpha = -log rho(P_cc), where the series
+    diverges and no such w exists.
+    """
+    n = p_cc.shape[0]
+    with np.errstate(all="ignore"):  # an overflowing e^alpha fails the check below
+        X = np.exp(alpha) * p_cc
         try:
-            cache[alpha] = _contraction(step)
-        except NumericError as exc:
-            cache[alpha] = str(exc)
-    if isinstance(cache[alpha], str):
-        raise NumericError(cache[alpha])
-    return cache[alpha]
+            s, u = np.linalg.solve(np.eye(n) - X, np.stack([b, np.ones(n)], axis=1)).T
+        except np.linalg.LinAlgError:  # I - X singular
+            s = u = np.full(n, np.nan)
+        w = s + CERTIFICATE_ROOM * s.max() * u
+        if np.isfinite(w).all() and (w >= 0.0).all() and (X @ w + b <= w).all():
+            return w
+    raise NumericError(
+        f"tail certificate failed at alpha={alpha}: no finite w >= 0 with X w + b <= w "
+        "was found for X = e^alpha P_cc; the series diverges from largest_certifiable_alpha "
+        "= -log rho(P_cc) on"
+    )
 
 
 def _scaled_tail(alpha: float, t_max, raw):

@@ -22,11 +22,8 @@ of one.  A stack with a failing slice raises that slice's error; its one
 stacked caller, ``ReturnOperator.solve``, then memoizes nothing, and each S
 is solved alone when it is asked for.
 
-Tail certificates search for a power of X with max-rowsum <= 1/2, which
-cannot exist when rho(X) >= 1: a Collatz-Wielandt lower bound on rho(X)
-(Horn & Johnson, Matrix Analysis, 8.1) stops such searches after
-CW_CHECK_STEPS products.  The searches and sums run over growing blocks of
-powers, one product a Python step, and read the row sums off each block.
+The exact oracle's horizon loop runs over growing blocks of products
+(:func:`_product_blocks`), one product a Python step.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ POLISH_SHIFT = 1e-10
 # a gap g below the shift damps by 1/(1 + g / shift) per solve, but then the
 # residual is near g anyway: two 3-cliques joined by 1e-11 need 25 solves
 MAX_SOLVES = 33
-CW_CHECK_STEPS = 64
 BLOCK_STEPS = 64  # the longest block of products read off at once,
 BLOCK_BYTES = 1 << 18  # and its largest size
 _TINY = np.finfo(float).tiny
@@ -223,21 +219,21 @@ def spectral_radius_reducible(M: np.ndarray, adj: np.ndarray) -> tuple[float, li
     return radius, comps
 
 
-def _product_blocks(first: np.ndarray, X: np.ndarray, total: float):
-    """first X, first X^2, ..., first X^total (total may be inf) in blocks, one ``np.matmul`` a product.
+def _product_blocks(first: np.ndarray, X: np.ndarray):
+    """first X, first X^2, ... without end, in blocks, one ``np.matmul`` a product.
 
     The blocks grow 8, 8, 16, 32 products, then stay at BLOCK_STEPS, or at
     the largest power of two that fits BLOCK_BYTES, so a search that stops
-    early wastes at most as many products as it used and a block edge falls
-    on CW_CHECK_STEPS.  Each block is a view into one buffer that the next
-    block overwrites; everything else is read off it in a few array operations.
+    early wastes at most as many products as it used.  Each block is a view
+    into one buffer that the next block overwrites; everything else is read
+    off it in a few array operations.
     """
     shape = (first.shape[0], X.shape[1])
     fits = BLOCK_BYTES // (8 * max(shape[0] * shape[1], 1))
     most = min(BLOCK_STEPS, 1 << max(fits.bit_length() - 1, 0))
     buf, prev, done = np.empty((0,) + shape), first, 0
-    while done < total:
-        size = min(max(done, 8), most, total - done)
+    while True:
+        size = min(max(done, 8), most)
         if buf.shape[0] < size:
             buf = np.empty((size,) + shape)
             rows = list(buf)  # views made once: a view costs a fifth of a small product
@@ -246,44 +242,3 @@ def _product_blocks(first: np.ndarray, X: np.ndarray, total: float):
             np.matmul(rows[i - 1], X, out=rows[i])
         yield buf[:size]
         prev, done = rows[size - 1], done + size
-
-
-def _max_rowsums(first: np.ndarray, X: np.ndarray, total: float):
-    """max-rowsum(first X^j) for j = 1, 2, ..., total, read off each block of products in bulk."""
-    for block in _product_blocks(first, X, total):
-        yield from block.sum(axis=2).max(axis=1).tolist()
-
-
-def _contraction(X: np.ndarray, max_steps: int = 4096) -> tuple[int, float]:
-    """Smallest k <= max_steps with beta = max-rowsum(X^k) <= 1/2, and that beta.
-
-    Raises :class:`NumericError` if there is none within the cap, if the powers
-    overflow, or after CW_CHECK_STEPS steps if min_{x_i > 0} (X x)_i / x_i,
-    x = |dominant eigenvector|, a lower bound on rho(X), exceeds 1.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, beta in enumerate(_max_rowsums(np.eye(X.shape[0]), X, max_steps), start=1):
-            if beta <= 0.5:
-                return k, beta
-            if not math.isfinite(beta):
-                break
-            if k == CW_CHECK_STEPS:
-                w, vecs = np.linalg.eig(X)
-                x = np.abs(vecs[:, np.argmax(np.abs(w))])
-                if ((X @ x)[x > 0.0] / x[x > 0.0]).min() > 1.0 + 1e-12:
-                    break
-    raise NumericError(
-        "geometric tail cannot be certified: no contracting power of the step "
-        f"matrix found within {max_steps} steps"
-    )
-
-
-def _geometric_sum(X: np.ndarray, V: np.ndarray, k: int, beta: float) -> float:
-    """sum_{j<k} max-rowsum(V @ X^j) / (1 - beta), given the contraction (k, beta) of X.
-
-    The terms are read off blocks of the products and summed left to right.
-    """
-    prefix = float(V.sum(axis=1).max())
-    for term in _max_rowsums(V, X, k - 1):
-        prefix += term
-    return prefix / (1.0 - beta)

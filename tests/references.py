@@ -1,17 +1,22 @@
 """References that only the tests use.
 
-The per-step loops that ``perron._contraction``, ``perron._geometric_sum`` and
-the horizon search of ``oracle.first_return_law`` replaced: one product and
-its row sums, one check per Python step, and for the tilted stop a lead copy
-of the V recursion running k - 1 steps ahead of the horizon loop.  The
-blocked versions must reproduce them bit for bit.
+The per-step loop that the blocked horizon search of
+``oracle.first_return_law`` replaced: one product and its row sums, one
+check per Python step, and for the tilted stop the closed-form tail
+e^(alpha (t + 1)) max(V_t w) at every step, w the tilt's certificate.  The
+blocked version must reproduce it bit for bit.
+
+The contraction bound that the closed-form certificates replaced
+(``powered_rowsum_bound``): a power X^k with max-rowsum <= 1/2 found step by
+step, and the first k terms summed over 1 - beta.  The certificates must
+never be looser.
 
 The cycle moments and covariances of a truncated law (``normalized_moments``,
 ``stationary_cycle_moment``, ``cycle_covariance``), which the program does
 not use: its variance route sums the covariance series in closed form.
 
 The direct series of R(S) over first-return paths (``first_return_series``),
-certified by ``powered_rowsum_bound``, against which the resolvent form of
+also certified by ``powered_rowsum_bound``, against which the resolvent form of
 R(S) is validated.
 
 The limit value of the large-deviation theorem (``deviation_limit``), which
@@ -43,39 +48,9 @@ import numpy as np
 from sftreturns import ConfigurationError, DomainError, InvalidSystemError, NumericError, SftReturnsError
 from sftreturns import oracle
 from sftreturns.deviations import BOUNDARY_BAND, _attainable_range, conjugate_points
-from sftreturns.perron import CW_CHECK_STEPS, _contraction, _geometric_sum
 from sftreturns.system import (
     _karp_min_mean_cycle, _longest, _maximal_cycle_mean, _shortest, first_return_lengths,
 )
-
-
-def contraction(X, max_steps=4096):
-    power = np.eye(X.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_steps + 1):
-            power = power @ X
-            beta = float(power.sum(axis=1).max())
-            if beta <= 0.5:
-                return k, beta
-            if not np.isfinite(beta):
-                break
-            if k == CW_CHECK_STEPS:
-                w, vecs = np.linalg.eig(X)
-                x = np.abs(vecs[:, np.argmax(np.abs(w))])
-                if ((X @ x)[x > 0.0] / x[x > 0.0]).min() > 1.0 + 1e-12:
-                    break
-    raise NumericError(
-        "geometric tail cannot be certified: no contracting power of the step "
-        f"matrix found within {max_steps} steps"
-    )
-
-
-def geometric_sum(X, V, k, beta):
-    prefix = 0.0
-    for _ in range(k):
-        prefix += float(V.sum(axis=1).max())
-        V = V @ X
-    return prefix / (1.0 - beta)
 
 
 def scaled_tail(alpha, t_max, raw):
@@ -85,49 +60,8 @@ def scaled_tail(alpha, t_max, raw):
     return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
 
 
-def tilt_contraction(alpha, step, cache):
-    if alpha not in cache:
-        try:
-            cache[alpha] = contraction(step)
-        except NumericError as exc:
-            cache[alpha] = str(exc)
-    if isinstance(cache[alpha], str):
-        raise NumericError(cache[alpha])
-    return cache[alpha]
-
-
-class TiltedTail:
-    """The tilted bound at successive horizons, from a lead copy of the V recursion
-    k - 1 steps ahead and a ring buffer of log r_t .. log r_(t+k-1) stored twice over."""
-
-    def __init__(self, alpha, p_cc, v, tail, cache):
-        k, beta = tilt_contraction(alpha, np.exp(alpha) * p_cc, cache)
-        self.alpha, self.p_cc, self.beta, self.k = alpha, p_cc, beta, k
-        self.ramp = alpha * np.arange(k)
-        self.logs = np.empty(2 * k)
-        self.pos = 0
-        self.lead = v
-        self._store(0, tail)
-        for j in range(1, k):
-            self.lead = self.lead @ p_cc
-            self._store(j, float(self.lead.sum(axis=1).max()))
-
-    def _store(self, slot, r):
-        self.logs[slot] = self.logs[slot + self.k] = log(r) if r > 0.0 else -np.inf
-
-    def advance(self):
-        self.lead = self.lead @ self.p_cc
-        self._store(self.pos, float(self.lead.sum(axis=1).max()))
-        self.pos = (self.pos + 1) % self.k
-
-    def bound(self, t):
-        window = self.logs[self.pos:self.pos + self.k]
-        raw = float(np.exp(self.ramp + window).sum()) / (1.0 - self.beta)
-        return scaled_tail(self.alpha, t, raw)
-
-
 def horizon(P, targets, tol, alpha_max):
-    """(kernels, tail bound, V_(t_max), contraction cache) of the per-step horizon loop.
+    """(kernels, tail bound, V_(t_max), certificate w or None) of the per-step horizon loop.
 
     ``oracle.MAX_HORIZON`` is read at call time, so a test may lower it.
     """
@@ -139,20 +73,20 @@ def horizon(P, targets, tol, alpha_max):
     kernels = [P[np.ix_(A, A)]]
     V = P[np.ix_(A, C)].copy()
     tail = float(V.sum(axis=1).max())
-    cache = {}
-    tilted = None
+    w = None
     t = 1
     while t < oracle.MAX_HORIZON:
-        if tilted is None and tail <= tol and alpha_max > 0.0 and V.any():
-            tilted = TiltedTail(alpha_max, Pcc, V, tail, cache)
-        if tail <= tol and (tilted is None or tilted.bound(t) <= tol):
-            return np.stack(kernels), tail, V.copy(), cache
+        stop = tail <= tol
+        if stop and alpha_max > 0.0 and V.any():
+            if w is None:
+                w = oracle._certificate(alpha_max, Pcc, Pca.sum(axis=1))
+            stop = scaled_tail(alpha_max, t, float((V @ w).max())) <= tol
+        if stop:
+            return np.stack(kernels), tail, V.copy(), w
         kernels.append(V @ Pca)
         V = V @ Pcc
         tail = float(V.sum(axis=1).max())
         t += 1
-        if tilted is not None:
-            tilted.advance()
     raise NumericError(
         f"first-return tail still {tail:.3e} after horizon {oracle.MAX_HORIZON}; tol unreachable"
     )
@@ -206,20 +140,36 @@ def cycle_covariance(law, j):
     return float(x @ mean_by_state) - mean * float((w @ Pi) @ mean_by_state)
 
 
-def powered_rowsum_bound(X, V, max_contraction_steps=4096):
+def powered_rowsum_bound(X, V, max_steps=4096):
     """Rigorous upper bound on sum_{j>=0} max-rowsum(V @ X^j) for nonnegative X, V.
 
-    Finds k with max-rowsum(X^k) <= 1/2, sums the first k terms directly and
-    bounds the remainder by the geometric series of k-step blocks.  Raises
-    :class:`NumericError` when no such k exists within the cap (the series
-    cannot be certified to converge), after CW_CHECK_STEPS steps already
-    when the Collatz-Wielandt bound proves rho(X) > 1.
+    Finds the least k <= max_steps with beta = max-rowsum(X^k) <= 1/2, one
+    product a step, sums the first k terms directly and bounds the remainder
+    by the geometric series of k-step blocks, over 1 - beta.  Raises
+    :class:`NumericError` when there is no such k (the series cannot be
+    certified to converge) or the powers overflow.
     """
     X = np.asarray(X, dtype=float)
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if X.size == 0 or V.size == 0:
         return float(V.sum(axis=1).max(initial=0.0))
-    return _geometric_sum(X, V, *_contraction(X, max_contraction_steps))
+    power = np.eye(X.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_steps + 1):
+            power = power @ X
+            beta = float(power.sum(axis=1).max())
+            if beta <= 0.5 or not np.isfinite(beta):
+                break
+    if not beta <= 0.5:
+        raise NumericError(
+            "geometric tail cannot be certified: no contracting power of the step "
+            f"matrix found within {max_steps} steps"
+        )
+    prefix = 0.0
+    for _ in range(k):
+        prefix += float(V.sum(axis=1).max())
+        V = V @ X
+    return prefix / (1.0 - beta)
 
 
 def first_return_series(recoded, S, n_terms):

@@ -448,22 +448,22 @@ SANDWICH_SYSTEM = {
 
 def test_validate_takes_exact_checks_without_the_full_distribution(tmp_path, monkeypatch):
     # the tail test runs the visit-count recursion and the mgf the tilted-kernel products;
-    # each law keeps its tilted tail bounds, so no geometric sum is computed twice
-    sums = []
+    # each law keeps its tilts' certificates, so each tilt is solved once per law
+    solves = []
 
-    def counting(X, V, k, beta, original=oracle._geometric_sum):
-        sums.append((V, X.tobytes()))  # V is the law's own array, kept alive so ids stay unique
-        return original(X, V, k, beta)
+    def counting(alpha, p_cc, b, original=oracle._certificate):
+        solves.append((alpha, p_cc, b.tobytes()))  # p_cc is the law's own array, kept alive so ids stay unique
+        return original(alpha, p_cc, b)
 
-    monkeypatch.setattr(oracle, "_geometric_sum", counting)
+    monkeypatch.setattr(oracle, "_certificate", counting)
     cfg = {"system": SANDWICH_SYSTEM, "simulation": {
         "seed": 11, "n_returns": 25, "n_samples": 1000, "horizon": 200, "workers": 1}}
     path = write_config(tmp_path, cfg)
     assert run(["validate", "--config", path, "--out", tmp_path]) in (EXIT_OK, EXIT_VALIDATION)
     report = json.loads((tmp_path / "report.json").read_text())
     assert any(v["name"].startswith("tail_count_upper") for v in report["verdicts"])
-    keys = [(id(V), X) for V, X in sums]
-    assert sums and len(set(keys)) == len(keys)
+    keys = [(alpha, id(p_cc), b) for alpha, p_cc, b in solves]
+    assert solves and len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("system", ["golden", "sandwich"])

@@ -21,51 +21,19 @@ from sftreturns import (
     return_time_law,
 )
 from sftreturns.oracle import _validate_law, largest_certifiable_alpha
-from sftreturns.perron import _contraction, _geometric_sum
 from conftest import GOLDEN_RATIO, golden_mean, variance_of
 from references import (
-    cycle_covariance, first_return_durations, minimal_return_time, normalized_moments,
-    stationary_cycle_moment,
+    cycle_covariance, first_return_durations, horizon, minimal_return_time, normalized_moments,
+    scaled_tail, stationary_cycle_moment,
 )
 
 
-def reference_weighted_tail(alpha, p_cc, v_next, t_max, cache):
-    """The tilted tail bound at one horizon, its geometric sum computed from scratch."""
-    if p_cc.size == 0 or not v_next.any():
-        return 0.0
-    step = np.exp(alpha) * p_cc
-    if alpha not in cache:
-        try:
-            cache[alpha] = _contraction(step)
-        except NumericError as exc:
-            cache[alpha] = str(exc)
-    if isinstance(cache[alpha], str):
-        raise NumericError(cache[alpha])
-    raw = _geometric_sum(step, v_next, *cache[alpha])
-    if raw <= 0.0:
-        return 0.0
-    log_bound = alpha * (t_max + 1) + np.log(raw)
-    return float(np.exp(log_bound)) if log_bound < 700.0 else float("inf")
-
-
 def reference_horizon(chain, targets, tol, alpha_max):
-    """(t_max, tail bound, weighted tail bound at alpha_max) of the horizon loop that
-    re-evaluates the tilted bound, k products, at every step whose tail is below tol."""
-    n = chain.n_states
-    A = np.array(targets)
-    C = np.array([i for i in range(n) if i not in set(targets)])
-    P = chain.transition_probs
-    Pcc = P[np.ix_(C, C)]
-    V = P[np.ix_(A, C)].copy()
-    tail = float(V.sum(axis=1).max())
-    cache = {}
-    t = 1
-    while True:
-        if tail <= tol and reference_weighted_tail(alpha_max, Pcc, V, t, cache) <= tol:
-            return t, tail, reference_weighted_tail(alpha_max, Pcc, V, t, {})
-        V = V @ Pcc
-        tail = float(V.sum(axis=1).max())
-        t += 1
+    """(t_max, tail bound, weighted tail bound at alpha_max) of the per-step horizon loop
+    of ``references``, which evaluates the closed-form tilted tail at every step."""
+    kernels, tail, v, w = horizon(chain.transition_probs, targets, tol, alpha_max)
+    t_max = kernels.shape[0]
+    return t_max, tail, scaled_tail(alpha_max, t_max, float((v @ w).max())) if v.any() else 0.0
 
 
 def reference_distributions(law, n_max):
