@@ -29,13 +29,24 @@ per chunk.  One block kernel runs either walk or both.  With both, a block
 draws its first chunk once and steps the two walkers as one (2, N) code
 array on it, one add and one gather per step, then the visit hits; when
 one walker stops, the other goes on alone.
+
+A walk long enough to pay for its forks splits its samples into
+contiguous ranges, one per process, with at most one process per CPU of
+this process's affinity.  The parent walks the first range and forked
+children the others; each range walks its blocks as a single process
+would, since a draw depends only on (seed, sample, position), and the
+ranges join by sample index, so the outputs do not depend on the split.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -56,6 +67,13 @@ LOCKSTEP_COST = 150
 STEP_TABLE_BYTES = 2**24  # largest jump table; past it the walks step on the state columns
 WINDOW = 16  # return-walk steps between checks that every sample has returned, on a layered table
 RANK_BINS = 2**12
+# a walk's expected serial time: about 12 ns a sample-step and 1.3 us a sample for its
+# stream's set-up (2-CPU x86_64 host); a range of samples gets a forked process of its own
+# for each PROCESS_MIN_S of that time, about 7 times the median 2.5-2.9 ms that a fork and
+# its reap took from a 40 MB parent on the same host
+SAMPLE_STEP_S = 12e-9
+SEEK_S = 1.3e-6
+PROCESS_MIN_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -372,16 +390,24 @@ def _walk(
     thresholds.  A return walk whose expected cost,
     (n_samples + LOCKSTEP_COST) x n / mu sample-steps, passes WALK_CAP is
     refused before its first draw: each of its n / mu lockstep steps costs
-    about LOCKSTEP_COST sample-steps whatever the block size.  Blocks run
-    in order on one thread: the per-sample loop of a fill that sets each
-    stream's key and the step calls hold the GIL, which ``Generator.random``
-    releases only while it generates, so worker threads would mostly
-    contend for it.
+    about LOCKSTEP_COST sample-steps whatever the block size.
+
+    Blocks run in order within a contiguous range of samples.  The samples
+    split into one range per PROCESS_MIN_S of the walk's expected serial
+    time, at most one per CPU in this process's affinity (``taskset -c 0``
+    keeps one), and one without ``os.fork`` or ``os.sched_getaffinity``.
+    The time is SAMPLE_STEP_S a sample-step, the return walk's cost above
+    plus n_samples x horizon for the visits, and SEEK_S a sample for its
+    stream's set-up.  The first range runs in this process, the others in
+    forked ones (:func:`_split`).  Threads would not help: the per-sample
+    loop of a fill that sets each stream's key and the step calls hold the
+    GIL, which ``Generator.random`` releases only while it generates.
     """
     pi = chain.stationary
     n, horizon = cfg.n_returns, cfg.horizon
     starts = []
     rows = 1
+    sample_steps = 0.0  # expected, over both walks
     if returns:
         mu = float(pi[targets].sum())
         cost = (cfg.n_samples + LOCKSTEP_COST) * n / mu
@@ -392,62 +418,139 @@ def _walk(
                 f"{LOCKSTEP_COST} for the fixed cost of each lockstep step, "
                 f"past the cap of {WALK_CAP:.0e} steps"
             )
+        sample_steps += cost
         starts.append((_start_cum(pi[targets] / mu), targets))
         # the start draw, the Kac mean n / mu of T_n and 32 steps of margin
         rows = min(CHUNK_STEPS, int(n / mu) + 33)
     if visits:
+        sample_steps += cfg.n_samples * horizon
         starts.append((_start_cum(pi), np.arange(pi.size)))
         # one row for the start draw, then one per step; later chunks reuse the rows
         rows = max(rows, min(CHUNK_STEPS, horizon))
     # no chunk is longer than the first: a straggler chunk has at most min(CHUNK_STEPS, n / mu + 32) rows
     table = _StepTable(chain.transition_probs, targets, starts, n if returns else 0, rows)
     visit_end = min(rows, horizon) if visits else rows  # the visit walker's rows in the first chunk
-    times, visited = [], []  # each block's, joined when the last block's draws are freed
-    for lo in range(0, cfg.n_samples, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, cfg.n_samples)
-        streams = _BlockStreams(cfg.seed, table.rank)
-        draws = np.empty((rows, hi - lo), dtype=table.rank.dtype)
-        streams.fill(draws, np.arange(lo, hi), 0)
-        code = np.stack([start.take(draws[0]) for start in table.starts])
-        if visits:
-            table.hits.take(code[-1], out=draws[0])  # the start's hit, in the spent start row
-        walker = _Returns(table, n, hi - lo) if returns else None
-        if returns and visits:
-            _step(table, code, draws[1:visit_end], walker, visits=True)
-            if walker.time + 1 < visit_end:  # every sample has returned
-                _step(table, code[1], draws[walker.time + 1 : visit_end], visits=True)
-            elif walker.missing(code[0]) > 0:
-                _step(table, code[0], draws[visit_end:], walker)
-        else:
-            _step(table, code[0], draws[1:visit_end], walker, visits)
-        if visits:
-            # a chunk has at most CHUNK_STEPS rows of hits of 0 or 1
-            counts = draws[:visit_end].sum(axis=0, dtype=np.uint16).astype(np.int64)
-            for done in range(visit_end, horizon, rows):
-                steps = draws[: min(rows, horizon - done)]
-                streams.fill(steps, np.arange(lo, hi), done)
-                _step(table, code[-1], steps, visits=True)
-                counts += steps.sum(axis=0, dtype=np.uint16)
-            visited.append(counts)
-        draws = steps = None  # freed before the return times are read and the stragglers' chunks drawn
-        if returns:
-            code = code[0]
-            while True:
-                code = walker.settle(code)
-                if walker.time > STEP_CAP:
-                    raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
-                if not code.size:
-                    break
-                steps = np.empty(
-                    (min(CHUNK_STEPS, int(walker.missing(code) / mu) + 32), code.size), table.rank.dtype
+
+    def walk(first: int, last: int) -> list[np.ndarray]:
+        """The return times and the visit counts asked for, of samples first .. last - 1."""
+        times, visited = [], []  # each block's, joined when the last block's draws are freed
+        for lo in range(first, last, BLOCK_SIZE):
+            hi = min(lo + BLOCK_SIZE, last)
+            streams = _BlockStreams(cfg.seed, table.rank)
+            draws = np.empty((rows, hi - lo), dtype=table.rank.dtype)
+            streams.fill(draws, np.arange(lo, hi), 0)
+            code = np.stack([start.take(draws[0]) for start in table.starts])
+            if visits:
+                table.hits.take(code[-1], out=draws[0])  # the start's hit, in the spent start row
+            walker = _Returns(table, n, hi - lo) if returns else None
+            if returns and visits:
+                _step(table, code, draws[1:visit_end], walker, visits=True)
+                if walker.time + 1 < visit_end:  # every sample has returned
+                    _step(table, code[1], draws[walker.time + 1 : visit_end], visits=True)
+                elif walker.missing(code[0]) > 0:
+                    _step(table, code[0], draws[visit_end:], walker)
+            else:
+                _step(table, code[0], draws[1:visit_end], walker, visits)
+            if visits:
+                # a chunk has at most CHUNK_STEPS rows of hits of 0 or 1
+                counts = draws[:visit_end].sum(axis=0, dtype=np.uint16).astype(np.int64)
+                for done in range(visit_end, horizon, rows):
+                    steps = draws[: min(rows, horizon - done)]
+                    streams.fill(steps, np.arange(lo, hi), done)
+                    _step(table, code[-1], steps, visits=True)
+                    counts += steps.sum(axis=0, dtype=np.uint16)
+                visited.append(counts)
+            draws = steps = None  # freed before the return times are read and the stragglers' chunks drawn
+            if returns:
+                code = code[0]
+                while True:
+                    code = walker.settle(code)
+                    if walker.time > STEP_CAP:
+                        raise NumericError(f"a sample exceeded the {STEP_CAP} step cap")
+                    if not code.size:
+                        break
+                    steps = np.empty(
+                        (min(CHUNK_STEPS, int(walker.missing(code) / mu) + 32), code.size), table.rank.dtype
+                    )
+                    streams.fill(steps, lo + walker.orig, walker.time + 1)
+                    _step(table, code, steps, walker)
+                    steps = None
+                times.append(walker.times)
+        return [np.concatenate(part) for part, asked in ((times, returns), (visited, visits)) if asked]
+
+    # one process per PROCESS_MIN_S of expected serial time, at most one per CPU that this
+    # process may run on and one per sample
+    processes = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        seconds = SAMPLE_STEP_S * sample_steps + SEEK_S * cfg.n_samples
+        processes = max(1, min(len(os.sched_getaffinity(0)), cfg.n_samples, int(seconds / PROCESS_MIN_S)))
+    parts = iter(walk(0, cfg.n_samples) if processes == 1 else _split(walk, cfg.n_samples, processes))
+    return (next(parts) if returns else None, next(parts) if visits else None)
+
+
+def _split(walk, n_samples: int, processes: int) -> list[np.ndarray]:
+    """``walk(0, n_samples)`` run as ``processes`` contiguous sample ranges, joined by sample index.
+
+    ``walk(first, last)`` returns int64 arrays over samples first .. last - 1.
+    This process walks the first range; each other range runs in a child
+    forked after one anonymous shared mapping is made, and the child writes
+    its arrays into the mapping.  A child leaves only through ``os._exit``,
+    so no exit handler, stdio flush or test teardown runs in it; a failing
+    child pickles its exception down a pipe.  Once its own range is walked,
+    this process reaps the children in sample order and raises the first
+    failure, as the serial walk would raise it.  Whatever leaves this
+    function, an exception of this process included, every child still
+    running is killed and reaped first.
+    """
+    bounds = [n_samples * k // processes for k in range(processes + 1)]
+    offset, size = bounds[1], n_samples - bounds[1]
+    # room for both walks' arrays; a walk that asks for one leaves the second half untouched
+    shared = mmap.mmap(-1, 2 * 8 * size)
+    children: dict[int, tuple[int | None, int, int]] = {}  # pid -> (read end of its pipe, first, last)
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(walk, first, last, shared, offset, size, write)
+            os.close(write)
+            children[pid] = (read, first, last)
+        parts = walk(0, offset)
+        for pid, (read, first, last) in list(children.items()):
+            children[pid] = (None, first, last)
+            with os.fdopen(read, "rb") as pipe:
+                failure = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if failure:
+                raise pickle.loads(failure)
+            if status:
+                raise NumericError(
+                    f"the process walking samples {first} to {last - 1} ended with wait status {status}"
                 )
-                streams.fill(steps, lo + walker.orig, walker.time + 1)
-                _step(table, code, steps, walker)
-                steps = None
-            times.append(walker.times)
-    return (
-        np.concatenate(times) if returns else None, np.concatenate(visited) if visits else None
-    )
+        out = np.frombuffer(shared, dtype=np.int64).reshape(2, size)
+        return [np.concatenate([part, row]) for part, row in zip(parts, out)]
+    finally:
+        for pid, (read, _, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if read is not None:
+                os.close(read)
+
+
+def _child(walk, first: int, last: int, shared: mmap.mmap, offset: int, size: int, pipe: int) -> NoReturn:
+    """Runs ``walk(first, last)`` in a forked child into ``shared``, and exits without returning."""
+    code = 1
+    try:
+        out = np.frombuffer(shared, dtype=np.int64).reshape(2, size)
+        for row, part in zip(out, walk(first, last)):
+            row[first - offset : last - offset] = part
+        code = 0
+    except BaseException as exc:  # every failure, an interrupt included, goes to the parent
+        with os.fdopen(pipe, "wb") as failure:
+            failure.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
 
 
 def _targets(chain: GibbsChain, target_states: Sequence[int]) -> np.ndarray:

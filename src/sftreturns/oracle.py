@@ -46,7 +46,6 @@ from .perron import _product_blocks, spectral_radius_reducible
 from .thermo import GibbsChain
 
 MAX_HORIZON = 10**6
-KAC_SLACK = 1e-9
 # a certificate w gains CERTIFICATE_ROOM max(w) (I - X)^-1 1, which leaves that
 # much room in every row of X w + b <= w: far above the backward error of the
 # solve and of the check, about n eps max(w) for n complement states
@@ -197,7 +196,7 @@ def _horizon(p_aa, p_ac, p_ca, p_cc, tol: float, alpha_max: float) -> tuple:
 
     V_t comes in blocks of products, and the block of V_s .. V_e gives the
     kernels K_(s+1) .. K_(e+1) = V_t P_ca in one batched product.  The stop
-    is the first t < MAX_HORIZON with r_t <= tol and, when the tilt is needed
+    is the first t <= MAX_HORIZON with r_t <= tol and, when the tilt is needed
     and V_t != 0, e^(alpha_max (t + 1)) max(V_t w) <= tol, with w the tilt's
     certificate; w is solved at the first t with r_t <= tol and V_t != 0, and
     is None if there is none.  The stop is read off the block that holds V_(t_max),
@@ -209,19 +208,25 @@ def _horizon(p_aa, p_ac, p_ca, p_cc, tol: float, alpha_max: float) -> tuple:
         e = s + block.shape[0] - 1  # block[i] = V_(s + i)
         r = block.sum(axis=2).max(axis=1)
         kernels.append((s, np.matmul(block, p_ca)))
-        stops = r[:MAX_HORIZON - s] <= tol
+        stops = r[:MAX_HORIZON - s + 1] <= tol
         held = block[:stops.size]
         if alpha_max > 0.0 and (stops & held.any(axis=(1, 2))).any():
             w = _certificate(alpha_max, p_cc, landing) if w is None else w
-            stops &= _scaled_tail(alpha_max, np.arange(s, s + stops.size), (held @ w).max(axis=1)) <= tol
+            tilted = _scaled_tail(alpha_max, np.arange(s, s + stops.size), (held @ w).max(axis=1))
+            stops &= tilted <= tol
         if stops.any():
             i = int(np.flatnonzero(stops)[0])
             t_max, tail, v = s + i, float(r[i]), block[i].copy()
             break
         if e >= MAX_HORIZON:
+            # at the last horizon the tail missed tol, or else the tilted tail did
+            i = MAX_HORIZON - s
+            missed, value = "first-return tail", r[i]
+            if value <= tol:
+                missed = f"first-return tail weighted by e^(alpha p) at alpha={alpha_max:.6g}"
+                value = tilted[i]
             raise NumericError(
-                f"first-return tail still {float(r[MAX_HORIZON - s]):.3e} after horizon {MAX_HORIZON}; "
-                "tol unreachable"
+                f"{missed} still {float(value):.3e} after horizon {MAX_HORIZON}; tol unreachable"
             )
         s = e + 1
     kernels = [p_aa[np.newaxis]] + [K[:max(t_max - start, 0)] for start, K in kernels]
@@ -269,13 +274,26 @@ def _validate_law(law: FirstReturnLaw) -> None:
     if (mass > 1.0 + 1e-12).any() or (mass < 1.0 - law.tail_bound - 1e-12).any():
         raise NumericError("first-return mass inconsistent with its tail certificate")
     mean = float(law.start @ law.duration_moment_matrix(1).sum(axis=1))
-    slack = law.moment_tail_bound(1) + KAC_SLACK
+    slack = law.moment_tail_bound(1) + _kac_roundoff(law, mean)
     # written as "not <=" so that a nan residual fails
     if not abs(mean - 1.0 / law.mu_target) <= slack:
         raise NumericError(
             f"Kac check failed: mean return {mean!r} vs 1/mu = {1.0 / law.mu_target!r} "
             f"(certified slack {slack:.3e})"
         )
+
+
+def _kac_roundoff(law: FirstReturnLaw, mean: float) -> float:
+    """A bound on the roundoff of |mean - 1/mu| in the Kac check.
+
+    The mean sums nonnegative terms: t_max per pair of target states, then
+    over the landing and the start states, and recursive summation errs by
+    at most gamma_k = k u / (1 - k u) times the sum, u = eps / 2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2); 1/mu, a
+    sum over the target and a division, errs by gamma_(|A| + 1) of itself.
+    """
+    ku = (law.t_max + 3 * law.n_target + 2) * np.finfo(float).eps / 2
+    return ku / (1.0 - ku) * (mean + 1.0 / law.mu_target)
 
 
 def _check_fine_law(law: FirstReturnLaw) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,31 @@ from sftreturns import (
     variance_report,
     zero_potential,
 )
+from sftreturns import montecarlo
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def force_processes(monkeypatch, processes: int) -> None:
+    """Split every Monte Carlo walk of ``processes`` samples or more across that many
+    processes: as many CPUs in this process's affinity and no least walk time per process.
+    With 1, every walk stays in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+    monkeypatch.setattr(montecarlo, "PROCESS_MIN_S", 1e-12)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children that ``os.fork`` makes from here on, as this process sees them."""
+    fork, pids = os.fork, []
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
 
 def make_system(transitions, target, potential=None, depth=1):

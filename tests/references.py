@@ -75,21 +75,23 @@ def horizon(P, targets, tol, alpha_max):
     tail = float(V.sum(axis=1).max())
     w = None
     t = 1
-    while t < oracle.MAX_HORIZON:
+    while True:
         stop = tail <= tol
+        missed, value = "first-return tail", tail
         if stop and alpha_max > 0.0 and V.any():
             if w is None:
                 w = oracle._certificate(alpha_max, Pcc, Pca.sum(axis=1))
-            stop = scaled_tail(alpha_max, t, float((V @ w).max())) <= tol
+            missed = f"first-return tail weighted by e^(alpha p) at alpha={alpha_max:.6g}"
+            value = scaled_tail(alpha_max, t, float((V @ w).max()))
+            stop = value <= tol
         if stop:
             return np.stack(kernels), tail, V.copy(), w
+        if t == oracle.MAX_HORIZON:
+            raise NumericError(f"{missed} still {value:.3e} after horizon {t}; tol unreachable")
         kernels.append(V @ Pca)
         V = V @ Pcc
         tail = float(V.sum(axis=1).max())
         t += 1
-    raise NumericError(
-        f"first-return tail still {tail:.3e} after horizon {oracle.MAX_HORIZON}; tol unreachable"
-    )
 
 
 def normalized_moments(law):

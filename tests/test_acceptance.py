@@ -278,7 +278,7 @@ def test_criterion_11_conjugacy(operators, random_recoded):
     )
 
 
-def test_criterion_12_reproducibility(tmp_path):
+def test_criterion_12_reproducibility(tmp_path, monkeypatch):
     config = {
         "system": {
             "n_symbols": 2,
@@ -299,22 +299,25 @@ def test_criterion_12_reproducibility(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    workers_config = json.loads(json.dumps(config))
-    workers_config["simulation"]["workers"] = 4
-    workers_path = tmp_path / "config_workers.json"
-    workers_path.write_text(json.dumps(workers_config), encoding="utf-8")
 
-    outs = [tmp_path / f"run{i}" for i in range(3)]
-    assert cli_main(["validate", "--config", str(cfg_path), "--out", str(outs[0])]) == 0
-    assert cli_main(["validate", "--config", str(cfg_path), "--out", str(outs[1])]) == 0
-    assert cli_main(["validate", "--config", str(workers_path), "--out", str(outs[2])]) == 0
+    # the Monte Carlo walk in 1, 2 and 4 processes; "workers" is not read
+    outs = {}
+    for processes in (1, 2, 4):
+        outs[processes] = tmp_path / f"processes{processes}"
+        with monkeypatch.context() as patch:
+            conftest.force_processes(patch, processes)
+            forks = conftest.count_forks(patch)
+            assert cli_main(["validate", "--config", str(cfg_path), "--out", str(outs[processes])]) == 0
+        assert len(forks) == processes - 1
     identical = True
     for name in ("scgf.csv", "rate.csv", "clt.csv", "tails.csv"):
-        ref = (outs[0] / name).read_bytes()
-        identical = identical and (outs[1] / name).read_bytes() == ref
-        identical = identical and (outs[2] / name).read_bytes() == ref
+        ref = (outs[1] / name).read_bytes()
+        identical = identical and all((outs[p] / name).read_bytes() == ref for p in (2, 4))
+    # report.json names its files by their paths
+    reports = {p: (out / "report.json").read_text(encoding="utf-8").replace(str(out), "OUT") for p, out in outs.items()}
+    identical = identical and reports[1] == reports[2] == reports[4]
     record(
         12,
         identical,
-        "validate reruns and worker-hint changes produce byte-identical CSVs",
+        "validate in 1, 2 and 4 processes produces byte-identical CSVs and report.json",
     )

@@ -7,6 +7,7 @@ same kernels, tail bound, V and tilt certificate at the stop, and the same
 messages when a search fails.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -125,8 +126,13 @@ class TestHorizon:
         # is so near the limit that the tilted tail reaches tol only at t = 526
         monkeypatch.setattr(oracle, "MAX_HORIZON", cap)
         P = geometric_chain(20 if fraction else 200)
-        message = assert_horizon_matches(P, (0,), 1e-12, fraction * tilt_limit(P, (0,)))
-        assert message.endswith(f"after horizon {cap}; tol unreachable")
+        alpha = fraction * tilt_limit(P, (0,))
+        message = assert_horizon_matches(P, (0,), 1e-12, alpha)
+        # the message names the tail that missed tol at the cap, and its value
+        missed, value = re.fullmatch(f"(.*) still (.*) after horizon {cap}; tol unreachable", message).groups()
+        tilted = f"first-return tail weighted by e^(alpha p) at alpha={alpha:.6g}"
+        assert missed == (tilted if fraction and cap >= 20 else "first-return tail")
+        assert float(value) > 1e-12
 
     @pytest.mark.parametrize("alpha_max", [0.0, 0.005])
     def test_law_holds_one_block_of_v(self, alpha_max):

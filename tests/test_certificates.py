@@ -58,7 +58,7 @@ from sftreturns import (
     variance_report,
 )
 from sftreturns import oracle
-from sftreturns.oracle import MAX_HORIZON, _validate_law, largest_certifiable_alpha
+from sftreturns.oracle import MAX_HORIZON, _kac_roundoff, _validate_law, largest_certifiable_alpha
 from conftest import GOLDEN_RATIO, full_shift, golden_mean, make_system
 from references import powered_rowsum_bound, scaled_tail
 
@@ -290,6 +290,16 @@ def test_exact_mgf_keeps_its_domain_error():
     assert isinstance(info.value.__cause__, NumericError)
 
 
+def test_kac_slack_is_tighter_than_the_absolute_one(random_instances):
+    # the Kac check's roundoff term replaced an absolute 1e-9; on the 50 Tier-1 laws
+    # it runs from 1.9e-15 to 4.5e-12, and every law still passes
+    for system in random_instances:
+        law = law_of(system)
+        mean = float(law.start @ law.duration_moment_matrix(1).sum(axis=1))
+        assert 0.0 < _kac_roundoff(law, mean) < 1e-11
+        _validate_law(law)
+
+
 class TestSmallGap:
     """The full 2-shift with phi(1, 1) = 4, where no power of P_cc below 4096 contracts."""
 
@@ -311,6 +321,17 @@ class TestSmallGap:
         try:
             law = law_of(system, alpha_max=alpha)
         except NumericError as exc:
+            # the untilted tail is 1.4e-20 there: the message names the tilted one
+            prefix = f"first-return tail weighted by e^(alpha p) at alpha={alpha:.6g} still "
+            assert str(exc).startswith(prefix)
             assert str(exc).endswith(f"after horizon {MAX_HORIZON}; tol unreachable")
+            assert float(str(exc)[len(prefix):].split()[0]) > 1e-12
         else:
             assert law.weighted_tail_bound(alpha) <= 1e-12
+
+    def test_smaller_gap_untilted_law_passes_kac(self):
+        # phi(1, 1) = 5: t_max 604,408, and the mean return missed 1/mu by 6.6e-7 against
+        # the absolute slack's 6.27e-7, a 3e-11 relative gap
+        law = law_of(small_gap(5.0))
+        _validate_law(law)
+        assert law.t_max > 600_000 and law.tail_bound <= 1e-12

@@ -18,10 +18,10 @@ from sftreturns import (
     NumericError, cli, gibbs_chain, oracle, return_op, sample_return_times, system, thermo,
     variance_report,
 )
-from sftreturns.deviations import TWO_ROUTE_TOL
+from sftreturns.deviations import TWO_ROUTE_REL
 from sftreturns.montecarlo import EmpiricalStats, normal_cdf
 from sftreturns.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from conftest import random_instance
+from conftest import count_forks, force_processes, random_instance
 from references import rate_function
 
 
@@ -257,27 +257,30 @@ class TestValidate:
         verdicts = {v["name"]: v for v in report["verdicts"]}
         assert all(v["passed"] for v in verdicts.values())
         assert "lambda_at_pressure" in verdicts
-        assert verdicts["variance_two_routes"]["tolerance"] == TWO_ROUTE_TOL == 1e-6
+        # relative to sigma^2 = 2 on the full 2-shift
+        assert verdicts["variance_two_routes"]["tolerance"] == TWO_ROUTE_REL * 2.0 == 2e-9
         assert any(v["kind"] == "stochastic" for v in report["verdicts"])
         for name in ("scgf.csv", "rate.csv", "clt.csv", "tails.csv"):
             assert (tmp_path / name).exists()
 
-    def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
-        cfg = full2_config()
-        out1 = tmp_path / "run1"
-        out2 = tmp_path / "run2"
-        out3 = tmp_path / "run3"
-        path = write_config(tmp_path, cfg)
-        cfg_workers = full2_config()
-        cfg_workers["simulation"]["workers"] = 4
-        path_workers = write_config(tmp_path, cfg_workers, name="workers.json")
-        assert run(["validate", "--config", path, "--out", out1]) == EXIT_OK
-        assert run(["validate", "--config", path, "--out", out2]) == EXIT_OK
-        assert run(["validate", "--config", path_workers, "--out", out3]) == EXIT_OK
+    def test_byte_identical_reruns_and_worker_invariance(self, tmp_path, monkeypatch):
+        # validate once more in this process, then with the walk split across 2 and 4
+        # processes; the config's "workers": 1 is not read
+        path = write_config(tmp_path, full2_config())
+        outs = []
+        for processes in (1, 1, 2, 4):
+            outs.append(tmp_path / f"run{len(outs)}")
+            with monkeypatch.context() as patch:
+                force_processes(patch, processes)
+                forks = count_forks(patch)
+                assert run(["validate", "--config", path, "--out", outs[-1]]) == EXIT_OK
+            assert len(forks) == processes - 1
         for name in ("scgf.csv", "rate.csv", "clt.csv", "tails.csv"):
-            ref = (out1 / name).read_bytes()
-            assert (out2 / name).read_bytes() == ref
-            assert (out3 / name).read_bytes() == ref
+            ref = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == ref for out in outs[1:])
+        # report.json names its files by their paths
+        reports = [(out / "report.json").read_text(encoding="utf-8").replace(str(out), "OUT") for out in outs]
+        assert reports[1:] == reports[:1] * 3
 
     def test_seed_override_changes_stochastic_but_not_verdicts(self, tmp_path):
         path = write_config(tmp_path, full2_config())
@@ -384,6 +387,57 @@ def test_tail_count_and_exact_probability_share_one_cut(tmp_path):
     p_99 = oracle.return_time_law(bundle.chain, bundle.target, 45, 98)[1]  # P(T_45 >= 99)
     assert tail["expected"] == p_99 * 1000
     assert p_99 > oracle.return_time_law(bundle.chain, bundle.target, 45, 99)[1]
+
+
+def small_gap_config(phi11):
+    """The full 2-shift, target {0}, with phi(1, 1) = phi11: 5 returns, 200 samples, horizon 200."""
+    values = [{"word": [0, 0], "value": 0.0}, {"word": [0, 1], "value": 0.0},
+              {"word": [1, 0], "value": 0.0}, {"word": [1, 1], "value": phi11}]
+    return {
+        "system": {"n_symbols": 2, "transitions": [[1, 1], [1, 1]],
+                   "potential": {"depth": 2, "values": values}, "target": [0]},
+        "simulation": {"seed": 3, "n_returns": 5, "n_samples": 200, "horizon": 200},
+    }
+
+
+def test_small_gap_passes_the_relative_two_route_gate(tmp_path):
+    # phi(1, 1) = 4: sigma^2 = 8.57e6, and the routes differ by 3.8e-6, 4.5e-13 of it;
+    # the absolute 1e-6 gate failed this config with exit 5
+    path = write_config(tmp_path, small_gap_config(4.0))
+    assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    verdict = {v["name"]: v for v in report["verdicts"]}["variance_two_routes"]
+    assert verdict["passed"] and 1e-6 < verdict["residual"] < 1e-12 * report["scalars"]["sigma2"]["value"]
+    assert verdict["tolerance"] == TWO_ROUTE_REL * report["scalars"]["sigma2"]["value"]
+
+
+def test_smaller_gap_names_the_tail_that_missed_tol(tmp_path, capsys):
+    # phi(1, 1) = 5: the untilted tail reaches tol, the tilted one does not by MAX_HORIZON
+    path = write_config(tmp_path, small_gap_config(5.0))
+    assert run(["validate", "--config", path, "--out", tmp_path]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    prefix = "numeric failure: first-return tail weighted by e^(alpha p) at alpha="
+    assert err.startswith(prefix) and err.endswith(" after horizon 1000000; tol unreachable\n")
+    assert float(err.split(" still ")[1].split()[0]) > 1e-12
+
+
+def test_variancebis_skips_its_z_test_below_ten_expected_visits(tmp_path):
+    # 4 samples over a horizon of 2 expect 4 visits on the full 2-shift; equal counts have
+    # sample standard error 0, which the z-test divided by
+    cfg = full2_config()
+    cfg["simulation"].update(n_samples=4, horizon=2)
+    bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, cfg), None, None))
+    stats = sample_return_times(bundle.chain, bundle.target, bundle.config.simulation)
+    verdicts = {v["name"]: v for v in cli.stochastic_checks(bundle, stats, np.ones(4, dtype=int), 0.0, [])}
+    verdict = verdicts["variancebis"]
+    assert verdict["passed"] and "z_score" not in verdict
+    assert verdict["note"] == "expected visits 4.00 < 10; z-test skipped"
+    assert verdict["estimate"] == 0.0 and verdict["predicted"] == pytest.approx(0.25, rel=1e-12)
+    # 20 samples expect 20 visits, and the z-test runs
+    cfg["simulation"].update(n_samples=20)
+    bundle = cli.build_bundle(cli.load_config(write_config(tmp_path, cfg), None, None))
+    verdicts = {v["name"]: v for v in cli.stochastic_checks(bundle, stats, np.arange(20) % 3, 0.25, [])}
+    assert "z_score" in verdicts["variancebis"]
 
 
 def test_tail_count_runs_past_64_returns(tmp_path):
@@ -519,7 +573,7 @@ def test_variance_route_disagreement_fails_its_validate_verdict(tmp_path, monkey
     verdict = {v["name"]: v for v in report["verdicts"]}["variance_two_routes"]
     assert not verdict["passed"]
     assert verdict["residual"] == pytest.approx(1e-3, rel=1e-9)
-    assert verdict["tolerance"] == TWO_ROUTE_TOL
+    assert verdict["tolerance"] == TWO_ROUTE_REL * 2.0
 
 
 def system_block(system):

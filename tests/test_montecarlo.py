@@ -5,6 +5,8 @@ the acceptance suite.
 """
 
 import hashlib
+import os
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,11 +14,12 @@ import numpy as np
 import pytest
 
 import references as ref
-from conftest import full_shift, golden_mean, make_system, random_instance
+from conftest import count_forks, force_processes, full_shift, golden_mean, make_system, random_instance
 from sftreturns import (
     ConfigurationError,
     DepthKPotential,
     DomainError,
+    NumericError,
     ReturnOperator,
     SimConfig,
     admissible_words,
@@ -204,7 +207,11 @@ def test_shared_draws_match_pinned_digests(system, case):
 
 
 def record_fills(monkeypatch, record):
-    """Calls ``record(ranks, indices, position)`` before every ``_BlockStreams.fill``."""
+    """Calls ``record(ranks, indices, position)`` before every ``_BlockStreams.fill``.
+
+    A forked process's fills are not seen here, so every walk stays in this process.
+    """
+    force_processes(monkeypatch, 1)
     fill = _BlockStreams.fill
 
     def recording(self, ranks, indices, position):
@@ -431,6 +438,146 @@ def test_walks_match_a_fresh_philox_reference(monkeypatch, horizon):
     assert np.array_equal(stats.samples, times) and np.array_equal(got_counts, counts)
     assert np.array_equal(sample_return_times(chain, rec.target_blocks, cfg).samples, times)
     assert np.array_equal(visit_counts(chain, rec.target_blocks, cfg)[0], counts)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def all_walks(chain, target, cfg):
+    """Return times alone, visit counts alone, and both in lockstep, with no child left after any."""
+    times = sample_return_times(chain, target, cfg).samples
+    assert_no_child_left()
+    counts = visit_counts(chain, target, cfg)[0]
+    assert_no_child_left()
+    both_counts, _, both = visit_counts(chain, target, cfg, returns=True)
+    assert_no_child_left()
+    return times, counts, both.samples, both_counts
+
+
+def fail_in_children(monkeypatch, fail):
+    """Runs ``fail(indices)`` in a forked child before each of its fills, and never here."""
+    parent, fill = os.getpid(), _BlockStreams.fill
+
+    def failing(self, ranks, indices, position):
+        if os.getpid() != parent:
+            fail(indices)
+        return fill(self, ranks, indices, position)
+
+    monkeypatch.setattr(_BlockStreams, "fill", failing)
+
+
+class TestSplit:
+    """Sample ranges walked in forked processes, against the walks in this process."""
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    @pytest.mark.parametrize("columns", [False, True], ids=["layers", "columns"])
+    def test_equal_to_the_serial_walks(self, golden_chain, golden_recoded, monkeypatch, processes, columns):
+        if columns:
+            monkeypatch.setattr(montecarlo, "STEP_TABLE_BYTES", 0)
+        target = golden_recoded.target_blocks
+        cfg = SimConfig(seed=31, n_returns=20, n_samples=1_001, horizon=300)
+        with monkeypatch.context() as patch:
+            force_processes(patch, 1)
+            forks = count_forks(patch)
+            serial = all_walks(golden_chain, target, cfg)
+            assert forks == []
+        force_processes(monkeypatch, processes)
+        forks = count_forks(monkeypatch)
+        split = all_walks(golden_chain, target, cfg)
+        assert len(forks) == 3 * (processes - 1)
+        for got, want in zip(split, serial):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_ranges_cut_through_blocks(self, monkeypatch, processes):
+        # blocks of 40 samples and ranges of 50 or 33-34: every range ends inside a block;
+        # rare3 has stragglers past the first chunk at n = 60
+        rec = recode_higher_block(rare_target_system())
+        chain = gibbs_chain(rec)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 40)
+        cfg = SimConfig(seed=27, n_returns=60, n_samples=100, horizon=513)
+        times, counts = reference_walks(chain, np.array(rec.target_blocks), cfg, 3_000)
+        force_processes(monkeypatch, processes)
+        forks = count_forks(monkeypatch)
+        got = all_walks(chain, rec.target_blocks, cfg)
+        assert len(forks) == 3 * (processes - 1)
+        assert np.array_equal(got[0], times) and np.array_equal(got[2], times)
+        assert np.array_equal(got[1], counts) and np.array_equal(got[3], counts)
+
+    def test_step_cap_in_a_child_raises_the_serial_message(self, full2_chain, full2_recoded, monkeypatch):
+        target = full2_recoded.target_blocks
+        cfg = SimConfig(seed=32, n_returns=5, n_samples=600, horizon=20)
+        with monkeypatch.context() as patch:
+            force_processes(patch, 1)
+            patch.setattr(montecarlo, "STEP_CAP", 0)
+            with pytest.raises(NumericError) as serial:
+                sample_return_times(full2_chain, target, cfg)
+        force_processes(monkeypatch, 2)
+        fail_in_children(monkeypatch, lambda indices: setattr(montecarlo, "STEP_CAP", 0))
+        for walk in (lambda: sample_return_times(full2_chain, target, cfg),
+                     lambda: visit_counts(full2_chain, target, cfg, returns=True)):
+            with pytest.raises(NumericError) as split:
+                walk()
+            assert type(split.value) is NumericError and str(split.value) == str(serial.value)
+            assert_no_child_left()
+        assert montecarlo.STEP_CAP == 10**9
+
+    def test_first_failure_in_sample_order(self, full2_chain, full2_recoded, monkeypatch):
+        # each child fails with its own first sample in the message: the ranges start at
+        # 200 and 400, and the one at 200 is raised
+        force_processes(monkeypatch, 3)
+        fail_in_children(monkeypatch, lambda indices: setattr(montecarlo, "STEP_CAP", -int(indices[0])))
+        cfg = SimConfig(seed=33, n_returns=5, n_samples=600)
+        with pytest.raises(NumericError, match=r"^a sample exceeded the -200 step cap$"):
+            sample_return_times(full2_chain, full2_recoded.target_blocks, cfg)
+        assert_no_child_left()
+
+    def test_an_exception_here_kills_every_child(self, full2_chain, full2_recoded, monkeypatch):
+        # the children would sleep for a minute; this process fails on its first fill
+        parent, fill = os.getpid(), _BlockStreams.fill
+
+        def failing(self, ranks, indices, position):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60.0)
+            return fill(self, ranks, indices, position)
+
+        force_processes(monkeypatch, 3)
+        monkeypatch.setattr(_BlockStreams, "fill", failing)
+        forks = count_forks(monkeypatch)
+        cfg = SimConfig(seed=34, n_returns=5, n_samples=600, horizon=20)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            visit_counts(full2_chain, full2_recoded.target_blocks, cfg, returns=True)
+        assert len(forks) == 2 and time.perf_counter() - start < 30.0
+        assert_no_child_left()
+
+    def test_benchmark_sized_walks_stay_here(self, random_recoded, monkeypatch):
+        # 1,000 samples of T_25 with mean return up to 20, horizon 200, on two CPUs:
+        # at most 10.6 ms expected, below the 20 ms that a process needs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = count_forks(monkeypatch)
+        cfg = SimConfig(seed=35, n_returns=25, n_samples=1_000, horizon=200)
+        walked = 0
+        for rec in random_recoded[:10]:
+            chain = gibbs_chain(rec)
+            if chain.stationary[list(rec.target_blocks)].sum() >= 1 / 20:
+                visit_counts(chain, rec.target_blocks, cfg, returns=True)
+                walked += 1
+        assert walked >= 5 and forks == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_tail_walk_splits_in_two(self, full2_chain, full2_recoded, monkeypatch, cpus):
+        # 20,000 samples of T_40 on the full 2-shift, horizon 16: 49 ms expected, two
+        # processes' worth
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks = count_forks(monkeypatch)
+        cfg = SimConfig(seed=36, n_returns=40, n_samples=20_000, horizon=16)
+        visit_counts(full2_chain, full2_recoded.target_blocks, cfg, returns=True)
+        assert len(forks) == min(cpus, 2) - 1
+        assert_no_child_left()
 
 
 LAST_DRAW = np.nextafter(1.0, 0.0)  # 1 - 2^-53, the largest uniform Philox gives
